@@ -16,10 +16,10 @@ from itertools import combinations, product
 from typing import Callable, Optional
 
 from .errors import Budget, FiniteExhaustion, NotDense, SpecInvalid
-from .games import GameKind, Move, Player, initial_position, legal_moves, move_legal
+from .games import GameKind, Move, Player, initial_position, move_legal
 from .payoffs import Payoff
-from .reductions import asymptotic_recommendation
-from .solver import Strategy, VerificationReport
+from .reductions import _length_lex_sequences, asymptotic_recommendation
+from .solver import Strategy, VerificationReport, expand, table_rule
 from .space import LENGTH_INDEXED, SpaceInstance, iterated_meet
 from .util import parse_fraction
 
@@ -325,18 +325,13 @@ def discretize(
             for x in range(n_host)
         )
 
-    return SpaceInstance(
-        name or f"discretized({space.name})",
+    return space.derive(
+        name=name or f"discretized({space.name})",
         points=[space.points[i] for i in host_ids],
-        palette=space.palette,
-        leq=space.leq,
-        leq_star=space.leq_star,
         admits=admits,
-        meet_witness=space.meet_witness,
-        fusion_witness=space.fusion_witness,
-        asymptotic_slack=space.asymptotic_slack,
+        metric=None,
         admission=LENGTH_INDEXED,
-        compatible_hint=space.compatible_hint,
+        system=None,
         meta={**space.meta, "discretized": True, "host_points": host_ids},
     )
 
@@ -399,92 +394,89 @@ def lift_strategy(
 
 
 def _lift_chooser(space, discretized, strat, delta, owner):
+    """Chooser-game lift; the shadow is the discretized play.  His lift
+    shadows her host answers to the dense set; hers witnesses her
+    discretized answers back in the host."""
     kind = strat.kind
     out = Strategy(owner, kind, strat.root, strat.horizon, name=f"lift:{strat.name}")
 
-    def walk(real_pos, disc_pos):
-        if real_pos.terminal:
-            return
-        if owner is Player.I:
-            disc_move = strat.move_at(disc_pos)
-            my_move = Move(Player.I, subspace=disc_move.subspace)
-            out.table[real_pos.key()] = my_move
-            real_mid = real_pos.child(my_move)
-            disc_mid = disc_pos.child(disc_move)
-            i = real_pos.depth
-            for answer in legal_moves(space, real_mid):
-                shadow = _shadow_to_dense(
-                    space, discretized, answer.point, delta[i], "chooser shadow"
-                )
-                disc_answer = Move(Player.II, point=shadow)
-                if not move_legal(discretized, disc_mid, disc_answer):
-                    raise FiniteExhaustion("chooser shadow", "shadow move illegal")
-                walk(real_mid.child(answer), disc_mid.child(disc_answer))
-        else:
-            for his in legal_moves(space, real_pos):
-                disc_his = Move(Player.I, subspace=his.subspace)
-                disc_mid = disc_pos.child(disc_his)
-                reply = strat.move_at(disc_mid)
-                i = real_pos.depth
-                x = _witness_in_host(
-                    space, discretized, reply.point, his.subspace, delta[i],
-                    "chooser witness",
-                )
-                real_mid = real_pos.child(his)
-                my_move = Move(Player.II, point=x)
-                out.table[real_mid.key()] = my_move
-                walk(real_mid.child(my_move), disc_mid.child(reply))
+    def shadow_answer(real_pos, disc_mid):
+        # Her host answer, shadowed into the discretized play.
+        answer = real_pos.moves[-1]
+        shadow = _shadow_to_dense(
+            space, discretized, answer.point, delta[real_pos.depth - 1], "chooser shadow"
+        )
+        disc_answer = Move(Player.II, point=shadow)
+        if not move_legal(discretized, disc_mid, disc_answer):
+            raise FiniteExhaustion("chooser shadow", "shadow move illegal")
+        return disc_mid.child(disc_answer)
 
-    walk(
-        initial_position(kind, strat.root, strat.horizon),
-        initial_position(kind, strat.root, strat.horizon),
-    )
+    def his_rule(real_pos, disc_pos):
+        if real_pos.moves:
+            disc_pos = shadow_answer(real_pos, disc_pos)
+        disc_move = strat.move_at(disc_pos)
+        return Move(Player.I, subspace=disc_move.subspace), disc_pos.child(disc_move)
+
+    def her_rule(real_mid, disc_pos):
+        his = real_mid.moves[-1]
+        disc_mid = disc_pos.child(Move(Player.I, subspace=his.subspace))
+        reply = strat.move_at(disc_mid)
+        x = _witness_in_host(
+            space, discretized, reply.point, his.subspace, delta[real_mid.depth],
+            "chooser witness",
+        )
+        return Move(Player.II, point=x), disc_mid.child(reply)
+
+    rule, leaf = (his_rule, shadow_answer) if owner is Player.I else (her_rule, None)
+    start = initial_position(kind, strat.root, strat.horizon)
+    expand(space, start, owner, rule, start, leaf=leaf, table=out.table)
     return out
 
 
 def _lift_interleaved(space, discretized, strat, delta):
+    """Adversarial-game lift; the shadow is the discretized play.  The
+    opponent's host points are shadowed to the dense set, the owner's
+    discretized points witnessed back in the host, subspaces copied."""
     kind = strat.kind
     owner = strat.owner
     out = Strategy(owner, kind, strat.root, strat.horizon, name=f"lift:{strat.name}")
-    start_real = initial_position(kind, strat.root, strat.horizon)
-    start_disc = initial_position(kind, strat.root, strat.horizon)
 
-    def walk(real_pos, disc_pos):
-        if real_pos.terminal:
-            return
-        mover = real_pos.to_move
-        if mover is owner:
-            disc_move = strat.move_at(disc_pos)
-            if disc_move.point is None:
-                # Opening: copy the subspace.
-                my_move = Move(owner, subspace=disc_move.subspace)
-                disc_next = disc_pos.child(disc_move)
-            else:
-                idx = len(real_pos.point_prefix)
-                constraint = real_pos.moves[-1].subspace
-                x = _witness_in_host(
-                    space, discretized, disc_move.point, constraint, delta[idx],
-                    "interleaved witness",
-                )
-                my_move = Move(owner, point=x, subspace=disc_move.subspace)
-                disc_next = disc_pos.child(disc_move)
-            out.table[real_pos.key()] = my_move
-            walk(real_pos.child(my_move), disc_next)
-            return
-        for theirs in legal_moves(space, real_pos):
-            if theirs.point is None:
-                disc_theirs = theirs
-            else:
-                idx = len(real_pos.point_prefix)
-                shadow = _shadow_to_dense(
-                    space, discretized, theirs.point, delta[idx], "interleaved shadow"
-                )
-                disc_theirs = Move(theirs.player, point=shadow, subspace=theirs.subspace)
-            if not move_legal(discretized, disc_pos, disc_theirs):
-                raise FiniteExhaustion("interleaved shadow", "shadow move illegal")
-            walk(real_pos.child(theirs), disc_pos.child(disc_theirs))
+    def absorb(real_pos, disc_pos):
+        # The opponent's last host move, shadowed into the discretized play.
+        theirs = real_pos.moves[-1]
+        if theirs.player is owner:
+            return disc_pos
+        if theirs.point is None:
+            disc_theirs = theirs
+        else:
+            idx = len(real_pos.point_prefix) - 1
+            shadow = _shadow_to_dense(
+                space, discretized, theirs.point, delta[idx], "interleaved shadow"
+            )
+            disc_theirs = Move(theirs.player, point=shadow, subspace=theirs.subspace)
+        if not move_legal(discretized, disc_pos, disc_theirs):
+            raise FiniteExhaustion("interleaved shadow", "shadow move illegal")
+        return disc_pos.child(disc_theirs)
 
-    walk(start_real, start_disc)
+    def rule(real_pos, disc_pos):
+        if real_pos.moves:
+            disc_pos = absorb(real_pos, disc_pos)
+        disc_move = strat.move_at(disc_pos)
+        if disc_move.point is None:
+            # Opening: copy the subspace.
+            my_move = Move(owner, subspace=disc_move.subspace)
+        else:
+            idx = len(real_pos.point_prefix)
+            constraint = real_pos.moves[-1].subspace
+            x = _witness_in_host(
+                space, discretized, disc_move.point, constraint, delta[idx],
+                "interleaved witness",
+            )
+            my_move = Move(owner, point=x, subspace=disc_move.subspace)
+        return my_move, disc_pos.child(disc_move)
+
+    start = initial_position(kind, strat.root, strat.horizon)
+    expand(space, start, owner, rule, start, leaf=absorb, table=out.table)
     return out
 
 
@@ -522,9 +514,7 @@ def approx_asymptotic_from_gowers(
     horizon = payoff.horizon
     n_points = len(space.points)
 
-    seqs = [()]
-    for length in range(1, horizon):
-        seqs.extend(product(range(n_points), repeat=length))
+    seqs = _length_lex_sequences(n_points, horizon - 1)
     seq_index = {s: n for n, s in enumerate(seqs)}
 
     states: dict = {(): initial_position(GameKind.GOWERS_G, root, horizon)}
@@ -572,34 +562,31 @@ def approx_asymptotic_from_gowers(
         Player.I, GameKind.ASYMPTOTIC_F, q, horizon, name=f"approxF-from-G:{sigma.name}"
     )
 
-    def walk(f_pos, tracked: tuple):
-        if f_pos.terminal:
-            return
-        n = seq_index[tracked]
-        meet = space.meet_witness(q, chain[n + 1])
+    def rule(f_pos, tracked):
+        # The shadow is the tracked sequence before her last answer.
+        if f_pos.moves:
+            stage = len(tracked)
+            answer = f_pos.moves[-1].point
+            shadow = None
+            for y in range(n_points):
+                if space.distance(answer, y) <= delta[stage]:
+                    shadow = y
+                    break
+            tracked = tracked + (shadow,)
+            if states.get(tracked) is None:
+                raise FiniteExhaustion(
+                    "approx_asymptotic_from_gowers",
+                    f"no realised state near {tracked}",
+                )
+        meet = space.meet_witness(q, chain[seq_index[tracked] + 1])
         if meet is None:
             raise FiniteExhaustion(
                 "approx_asymptotic_from_gowers", "meet with chain element undefined"
             )
-        my_move = Move(Player.I, subspace=meet)
-        out.table[f_pos.key()] = my_move
-        f_mid = f_pos.child(my_move)
-        stage = len(tracked)
-        for answer in legal_moves(space, f_mid):
-            shadow = None
-            for y in range(n_points):
-                if space.distance(answer.point, y) <= delta[stage]:
-                    shadow = y
-                    break
-            nxt = tracked + (shadow,)
-            if len(nxt) < horizon and states.get(nxt) is None:
-                raise FiniteExhaustion(
-                    "approx_asymptotic_from_gowers",
-                    f"no realised state near {nxt}",
-                )
-            walk(f_mid.child(answer), nxt)
+        return Move(Player.I, subspace=meet), tracked
 
-    walk(initial_position(GameKind.ASYMPTOTIC_F, q, horizon), ())
+    f0 = initial_position(GameKind.ASYMPTOTIC_F, q, horizon)
+    expand(space, f0, Player.I, rule, (), budget=budget, table=out.table)
     return ApproxAsymptoticTransfer(q, out, chain)
 
 
@@ -693,14 +680,12 @@ def strong_asymptotic_from_asymptotic(
         k,
         name=f"SF-from-F:{tau.name}",
     )
-    sf_space = space
-    if sf_space.system is not system:
+    if space.system is not system:
         # The game needs the system attached to the instance.
         raise SpecInvalid("attach the system to the instance before transferring")
 
-    def walk(sf_pos, prev):
-        if sf_pos.terminal:
-            return
+    def rule(sf_pos, prev):
+        # The shadow is his previous move.
         sets = tuple(system.family[b] for b in sf_pos.block_prefix)
         parts = [
             asymptotic_recommendation(space, tau, s).subspace
@@ -709,13 +694,10 @@ def strong_asymptotic_from_asymptotic(
         if prev is not None:
             parts.append(prev)
         move_sub = iterated_meet(space, parts, root)
-        my_move = Move(Player.I, subspace=move_sub)
-        out.table[sf_pos.key()] = my_move
-        sf_mid = sf_pos.child(my_move)
-        for answer in legal_moves(sf_space, sf_mid):
-            walk(sf_mid.child(answer), move_sub)
+        return Move(Player.I, subspace=move_sub), move_sub
 
-    walk(initial_position(GameKind.STRONG_ASYMPTOTIC_SF, root, k), None)
+    sf0 = initial_position(GameKind.STRONG_ASYMPTOTIC_SF, root, k)
+    expand(space, sf0, Player.I, rule, budget=budget, table=out.table)
     return out
 
 
@@ -736,7 +718,10 @@ def verify_strong_asymptotic(
         # Discrete distance: expansion below one is the set itself.
         in_target = payoff.accepts
     else:
-        metric_space = space if space.metric is not None else _with_discrete_metric(space)
+        # A plain instance is measured by its discrete 0/1 distance.
+        metric_space = space if space.metric is not None else space.derive(
+            metric=space.distance
+        )
         expanded_set = expand_sequence_set(
             metric_space, materialize_payoff_set(space, payoff), delta
         )
@@ -744,41 +729,15 @@ def verify_strong_asymptotic(
 
     report = VerificationReport("exhaustive", "accepts", 0, 0)
 
-    def walk(pos):
-        if pos.terminal:
-            sets = tuple(system.family[b] for b in pos.block_prefix)
-            for seq in enumerate_block_sequences(system, sets, payoff.horizon, budget):
-                report.plays += 1
-                if in_target(seq):
-                    report.in_accepts += 1
-            return
-        if pos.to_move is Player.I:
-            move = strategy.move_at(pos)
-            walk(pos.child(move))
-            return
-        for m in legal_moves(space, pos):
-            budget.tick()
-            walk(pos.child(m))
+    def score(pos, shadow):
+        sets = tuple(system.family[b] for b in pos.block_prefix)
+        for seq in enumerate_block_sequences(system, sets, payoff.horizon, budget):
+            report.plays += 1
+            if in_target(seq):
+                report.in_accepts += 1
 
-    walk(initial_position(GameKind.STRONG_ASYMPTOTIC_SF, strategy.root, strategy.horizon))
-    return report
-
-
-def _with_discrete_metric(space: SpaceInstance) -> SpaceInstance:
-    """View of a plain instance carrying the discrete 0/1 metric."""
-    return SpaceInstance(
-        f"discrete-metric({space.name})",
-        points=space.points,
-        palette=space.palette,
-        leq=space.leq,
-        leq_star=space.leq_star,
-        admits=space.admits,
-        meet_witness=space.meet_witness,
-        fusion_witness=space.fusion_witness,
-        metric=lambda x, y: Fraction(0) if x == y else Fraction(1),
-        asymptotic_slack=space.asymptotic_slack,
-        admission=space.admission,
-        compatible_hint=space.compatible_hint,
-        system=space.system,
-        meta=space.meta,
+    sf0 = initial_position(GameKind.STRONG_ASYMPTOTIC_SF, strategy.root, strategy.horizon)
+    expand(
+        space, sf0, Player.I, table_rule(space, strategy), leaf=score, budget=budget
     )
+    return report

@@ -47,14 +47,9 @@ from .reductions import (
     gowers_from_asymptotic,
     homogeneous_from_asymptotic,
 )
-from .solver import (
-    solve,
-    strategy_from_rule,
-    verified,
-    verify_strategy,
-)
+from .solver import solve, strategy_from_rule, verify_strategy
 from .space import check_axioms
-from .util import canonical_json, split_seed
+from .util import canonical_json, fraction_str, split_seed
 
 STAGE_KINDS = {
     "strategy",
@@ -261,8 +256,11 @@ def _build_payoff(space, scenario: Scenario) -> Payoff:
     )
 
 
-def run_scenario(path, out_dir=None, budget_nodes=None, fmt="json") -> RunOutcome:
-    data = json.loads(Path(path).read_text())
+def run_scenario(path, out_dir=None, budget_nodes=None) -> RunOutcome:
+    return _run_parsed(json.loads(Path(path).read_text()), out_dir, budget_nodes)
+
+
+def _run_parsed(data: dict, out_dir=None, budget_nodes=None) -> RunOutcome:
     scenario = Scenario.from_json(data)
     if budget_nodes is not None:
         scenario.budget_nodes = budget_nodes
@@ -321,6 +319,9 @@ def run_scenario(path, out_dir=None, budget_nodes=None, fmt="json") -> RunOutcom
             status = "verification-failed"
             diagnostic = {"stage": i, "op": op, "error": "declared verification failed"}
             exit_code = 4
+            if op == "strategy":
+                # Every later stage would consume the unverified strategy.
+                break
 
     report = {
         "scenario": scenario.name,
@@ -371,15 +372,17 @@ def _run_stage(
         builder = RULES[stage["rule"]](space, stage.get("params", {}))
         owner = Player(stage.get("owner", "II"))
         strat = strategy_from_rule(
-            space, kind, root, scenario.horizon, owner, builder, name=stage["rule"]
+            space, kind, root, scenario.horizon, owner, builder, stage["rule"], budget
         )
         target = stage.get("target", "accepts")
-        strat = verified(space, strat, payoff, target)
+        report = verify_strategy(space, strat, payoff, target=target, budget=budget)
+        strat.verified = report.passed
         return _StageOutcome(
             StageResult(
                 op,
                 {"rule": stage["rule"], "entries": len(strat.table), "target": target},
-                verified_fraction="1",
+                verified_fraction=fraction_str(report.fraction_target),
+                ok=report.passed,
             ),
             strat,
         )
@@ -461,9 +464,8 @@ def _run_stage(
             target=target,
             seed=split_seed(scenario.seed, f"verify-{index}"),
             trials=stage.get("trials", 100),
+            budget=budget,
         )
-        from .util import fraction_str
-
         return _StageOutcome(
             StageResult(
                 op,
@@ -646,15 +648,7 @@ def _run_single_stage_command(args) -> RunOutcome:
         args.command
     ]
     data["pipeline"] = [s for s in data.get("pipeline", []) if s.get("op") in wanted]
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as handle:
-        json.dump(data, handle)
-        temp_path = handle.name
-    try:
-        return run_scenario(temp_path, out_dir=args.out or _default_out())
-    finally:
-        os.unlink(temp_path)
+    return _run_parsed(data, out_dir=args.out or _default_out())
 
 
 if __name__ == "__main__":

@@ -118,8 +118,3 @@ class Budget:
         self.used += n
         if self.used > self.limit:
             raise ExhaustionBudget(self.limit, self.where)
-
-    def spawn(self, where: str) -> "Budget":
-        """Sub-budget sharing this counter's remaining headroom."""
-        child = Budget(self.limit - self.used, where)
-        return child

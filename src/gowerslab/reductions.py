@@ -34,11 +34,10 @@ from .games import (
     Move,
     Player,
     initial_position,
-    legal_moves,
     move_legal,
 )
 from .payoffs import Payoff, negate
-from .solver import Strategy, solve
+from .solver import Strategy, expand, solve
 from .space import FULL_HISTORY, SpaceInstance, iterated_meet
 
 
@@ -357,68 +356,62 @@ def _meet_or_exhaust(space, a, b, stage):
 def _build_second_player(space, tau, q, chain, stored_by_round, transfer, budget):
     """Her adversarial strategy: open with the fused subspace, then per
     round probe the nested game fictively, replay the stored pair for
-    real, and answer below the real reply."""
+    real, and answer below the real reply.  The shadow is the real
+    nested state of rank n and the round n."""
     strategy = transfer.strategy
     horizon = strategy.horizon
     rounds_total = horizon // 2
-    b0 = initial_position(strategy.kind, q, horizon)
-    opening = Move(Player.II, subspace=q)
-    strategy.table[b0.key()] = opening
 
-    def walk(b_pos, sim_pos, n):
-        # b_pos: first player to move; sim_pos: nested state of rank n.
-        for i_move in legal_moves(space, b_pos):
-            budget.tick()
-            x, u = i_move.point, i_move.subspace
-            v_sim = sim_pos.moves[-1].subspace
-            u_fict = _meet_or_exhaust(space, u, v_sim, f"fictive meet (round {n})")
-            probe = Move(Player.I, point=x, subspace=u_fict)
-            if not move_legal(space, sim_pos, probe):
-                raise FiniteExhaustion(
-                    "fictive probe", f"probe {probe} illegal at round {n}"
-                )
-            fict_mid = sim_pos.child(probe)
-            fict_reply = tau.move_at(fict_mid)
-            y = fict_reply.point
-            b_mid = b_pos.child(i_move)
-            final = n == rounds_total - 1
-            if final:
-                reply = Move(Player.II, point=y)
-                strategy.table[b_mid.key()] = reply
-                transfer.rounds[b_mid.key()] = RoundRecord(
-                    n, i_move.key(), probe.key(), fict_reply.key(), None, reply.key()
-                )
-                continue
-            if not space.compatible(fict_reply.subspace, chain[n + 1]):
-                raise FiniteExhaustion(
-                    "fictive compatibility",
-                    f"reply subspace {fict_reply.subspace} incompatible with "
-                    f"diagonal {chain[n + 1]} at round {n}",
-                )
-            key = (sim_pos.key(), x, y)
-            if key not in stored_by_round[n]:
-                raise FiniteExhaustion(
-                    "stored pair", f"no stored continuation for round {n}"
-                )
-            u_real, v_real = stored_by_round[n][key]
-            real_mid = sim_pos.child(Move(Player.I, point=x, subspace=u_real))
-            real_reply = tau.move_at(real_mid)
-            assert real_reply == Move(Player.II, point=y, subspace=v_real)
-            sim_next = real_mid.child(real_reply)
-            v_next = _meet_or_exhaust(space, q, v_real, f"answer meet (round {n})")
-            reply = Move(Player.II, point=y, subspace=v_next)
-            strategy.table[b_mid.key()] = reply
-            transfer.rounds[b_mid.key()] = RoundRecord(
-                n,
-                i_move.key(),
-                probe.key(),
-                fict_reply.key(),
-                (u_real, v_real),
-                reply.key(),
+    def rule(b_pos, shadow):
+        if not b_pos.moves:
+            return Move(Player.II, subspace=q), (_opening_state(tau, horizon), 0)
+        sim_pos, n = shadow
+        i_move = b_pos.moves[-1]
+        x, u = i_move.point, i_move.subspace
+        v_sim = sim_pos.moves[-1].subspace
+        u_fict = _meet_or_exhaust(space, u, v_sim, f"fictive meet (round {n})")
+        probe = Move(Player.I, point=x, subspace=u_fict)
+        if not move_legal(space, sim_pos, probe):
+            raise FiniteExhaustion(
+                "fictive probe", f"probe {probe} illegal at round {n}"
             )
-            walk(b_mid.child(reply), sim_next, n + 1)
+        fict_reply = tau.move_at(sim_pos.child(probe))
+        y = fict_reply.point
+        if n == rounds_total - 1:
+            reply = Move(Player.II, point=y)
+            transfer.rounds[b_pos.key()] = RoundRecord(
+                n, i_move.key(), probe.key(), fict_reply.key(), None, reply.key()
+            )
+            return reply, None
+        if not space.compatible(fict_reply.subspace, chain[n + 1]):
+            raise FiniteExhaustion(
+                "fictive compatibility",
+                f"reply subspace {fict_reply.subspace} incompatible with "
+                f"diagonal {chain[n + 1]} at round {n}",
+            )
+        key = (sim_pos.key(), x, y)
+        if key not in stored_by_round[n]:
+            raise FiniteExhaustion(
+                "stored pair", f"no stored continuation for round {n}"
+            )
+        u_real, v_real = stored_by_round[n][key]
+        real_mid = sim_pos.child(Move(Player.I, point=x, subspace=u_real))
+        real_reply = tau.move_at(real_mid)
+        assert real_reply == Move(Player.II, point=y, subspace=v_real)
+        v_next = _meet_or_exhaust(space, q, v_real, f"answer meet (round {n})")
+        reply = Move(Player.II, point=y, subspace=v_next)
+        transfer.rounds[b_pos.key()] = RoundRecord(
+            n,
+            i_move.key(),
+            probe.key(),
+            fict_reply.key(),
+            (u_real, v_real),
+            reply.key(),
+        )
+        return reply, (real_mid.child(real_reply), n + 1)
 
-    walk(b0.child(opening), _opening_state(tau, horizon), 0)
+    b0 = initial_position(strategy.kind, q, horizon)
+    expand(space, b0, Player.II, rule, budget=budget, table=strategy.table)
 
 
 def _opening_state(tau: Strategy, horizon) -> GamePosition:
@@ -431,17 +424,31 @@ def _opening_state(tau: Strategy, horizon) -> GamePosition:
 def _build_first_player(space, tau, q, chain, stored_by_round, transfer, budget):
     """His adversarial strategy: answer her opening or round moves by
     probing the nested game with a meet of her subspace, reading off his
-    reply point, and replaying the stored continuation for real."""
+    reply point, and replaying the stored continuation for real.  The
+    shadow is the real nested state after his n-th move, with n and his
+    real subspace; it is None before his first move."""
     strategy = transfer.strategy
     horizon = strategy.horizon
-    rounds_total = horizon // 2
-    a0 = initial_position(strategy.kind, q, horizon)
 
-    def respond(a_pos, sim_pos, n, probe_move):
-        # a_pos: after her move; sim_pos: nested state with n of his moves.
-        # probe_move: her fictive nested continuation (already legal).
-        fict_mid = sim_pos.child(probe_move)
-        fict_reply = tau.move_at(fict_mid)
+    def rule(a_pos, shadow):
+        her = a_pos.moves[-1]
+        if shadow is None:
+            # Her opening is nested-legal as it stands: it sits below the root.
+            sim_pos, n, probe_move = (
+                initial_position(GameKind.KASTANAS, tau.root, horizon), 0, her
+            )
+        else:
+            sim_pos, prev, u_prev = shadow
+            w_fict = _meet_or_exhaust(
+                space, her.subspace, u_prev, f"her fictive meet (round {prev})"
+            )
+            probe_move = Move(Player.II, point=her.point, subspace=w_fict)
+            if not move_legal(space, sim_pos, probe_move):
+                raise FiniteExhaustion(
+                    "fictive probe", f"probe {probe_move} illegal at round {prev + 1}"
+                )
+            n = prev + 1
+        fict_reply = tau.move_at(sim_pos.child(probe_move))
         x = fict_reply.point
         if not space.compatible(fict_reply.subspace, chain[n + 1]):
             raise FiniteExhaustion(
@@ -460,10 +467,8 @@ def _build_first_player(space, tau, q, chain, stored_by_round, transfer, budget)
             real_mid = sim_pos.child(Move(Player.II, point=a, subspace=w_real))
         real_reply = tau.move_at(real_mid)
         assert real_reply == Move(Player.I, point=x, subspace=u_real)
-        sim_next = real_mid.child(real_reply)
         u_mine = _meet_or_exhaust(space, q, u_real, f"his meet (round {n})")
         my_move = Move(Player.I, point=x, subspace=u_mine)
-        strategy.table[a_pos.key()] = my_move
         transfer.rounds[a_pos.key()] = RoundRecord(
             n,
             probe_move.key(),
@@ -472,34 +477,18 @@ def _build_first_player(space, tau, q, chain, stored_by_round, transfer, budget)
             (w_real, u_real),
             my_move.key(),
         )
-        a_mid = a_pos.child(my_move)
-        final = n == rounds_total - 1
-        for her in legal_moves(space, a_mid):
-            budget.tick()
-            a_next = a_mid.child(her)
-            if final:
-                # Complete the nested play with her bare point.
-                closing = Move(Player.II, point=her.point)
-                if not move_legal(space, sim_next, closing):
-                    raise FiniteExhaustion(
-                        "closing move", f"her point {her.point} not nested-legal"
-                    )
-                continue
-            w_fict = _meet_or_exhaust(
-                space, her.subspace, u_real, f"her fictive meet (round {n})"
-            )
-            probe = Move(Player.II, point=her.point, subspace=w_fict)
-            if not move_legal(space, sim_next, probe):
-                raise FiniteExhaustion(
-                    "fictive probe", f"probe {probe} illegal at round {n + 1}"
-                )
-            respond(a_next, sim_next, n + 1, probe)
+        return my_move, (real_mid.child(real_reply), n, u_real)
 
-    sim0 = initial_position(GameKind.KASTANAS, tau.root, horizon)
-    for her_opening in legal_moves(space, a0):
-        budget.tick()
-        # Her opening is nested-legal as it stands: it sits below the root.
-        respond(a0.child(her_opening), sim0, 0, her_opening)
+    def leaf(a_pos, shadow):
+        # Complete the nested play with her bare point.
+        point = a_pos.moves[-1].point
+        if not move_legal(space, shadow[0], Move(Player.II, point=point)):
+            raise FiniteExhaustion(
+                "closing move", f"her point {point} not nested-legal"
+            )
+
+    a0 = initial_position(strategy.kind, q, horizon)
+    expand(space, a0, Player.I, rule, leaf=leaf, budget=budget, table=strategy.table)
 
 
 def reinterpret_adversarial(strat: Strategy) -> Strategy:
@@ -540,18 +529,12 @@ def tilde_lift(space: SpaceInstance, payoff: Payoff):
         sub = history[1::2] if len(history) % 2 == 0 else history[0::2]
         return base_admits(sub, p)
 
-    twisted = SpaceInstance(
-        f"tilde({space.name})",
-        points=space.points,
-        palette=space.palette,
-        leq=space.leq,
-        leq_star=space.leq_star,
+    twisted = space.derive(
+        name=f"tilde({space.name})",
         admits=admits,
-        meet_witness=space.meet_witness,
-        fusion_witness=space.fusion_witness,
-        asymptotic_slack=space.asymptotic_slack,
         admission=FULL_HISTORY,
-        compatible_hint=space.compatible_hint,
+        metric=None,
+        system=None,
         meta={**space.meta, "tilde": True},
     )
     base_accepts = payoff.accepts
@@ -583,71 +566,81 @@ def project_tilde_strategy(
 
 
 def _project_to_asymptotic(space, twisted, strat):
+    """His chooser moves copy his twisted subspaces; her answers are
+    echoed into the twisted play (the shadow, before the echo)."""
     _require_verified(strat, Player.I, GameKind.ADVERSARIAL_A, "projection")
     horizon = strat.horizon // 2
     root = strat.root
     out = Strategy(
         Player.I, GameKind.ASYMPTOTIC_F, root, horizon, name=f"F-from:{strat.name}"
     )
-    t0 = initial_position(GameKind.ADVERSARIAL_A, root, strat.horizon)
-    t_open = Move(Player.II, subspace=root)
 
-    def walk(f_pos, t_pos):
-        if f_pos.terminal:
-            return
+    def echo(f_pos, t_mid):
+        point = f_pos.moves[-1].point
+        if len(t_mid.moves) == strat.horizon:
+            t_reply = Move(Player.II, point=point)
+        else:
+            t_reply = Move(Player.II, point=point, subspace=root)
+        if not move_legal(twisted, t_mid, t_reply):
+            raise FiniteExhaustion(
+                "tilde projection", f"echoed point {point} not twisted-legal"
+            )
+        return t_mid.child(t_reply)
+
+    def rule(f_pos, t_pos):
+        if f_pos.moves:
+            t_pos = echo(f_pos, t_pos)
         t_move = strat.move_at(t_pos)
-        f_move = Move(Player.I, subspace=t_move.subspace)
-        out.table[f_pos.key()] = f_move
-        f_mid = f_pos.child(f_move)
-        t_mid = t_pos.child(t_move)
-        final = len(t_mid.moves) == strat.horizon
-        for answer in legal_moves(space, f_mid):
-            if final:
-                t_reply = Move(Player.II, point=answer.point)
-            else:
-                t_reply = Move(Player.II, point=answer.point, subspace=root)
-            if not move_legal(twisted, t_mid, t_reply):
-                raise FiniteExhaustion(
-                    "tilde projection", f"echoed point {answer.point} not twisted-legal"
-                )
-            walk(f_mid.child(answer), t_mid.child(t_reply))
+        return Move(Player.I, subspace=t_move.subspace), t_pos.child(t_move)
 
-    walk(initial_position(GameKind.ASYMPTOTIC_F, root, horizon), t0.child(t_open))
+    t0 = initial_position(GameKind.ADVERSARIAL_A, root, strat.horizon)
+    expand(
+        space,
+        initial_position(GameKind.ASYMPTOTIC_F, root, horizon),
+        Player.I,
+        rule,
+        shadow=t0.child(Move(Player.II, subspace=root)),
+        leaf=echo,
+        table=out.table,
+    )
     return out
 
 
 def _project_to_gowers(space, twisted, strat):
+    """Her chooser answers read her twisted replies to a canonical filler
+    point under his subspace (the shadow is the twisted play)."""
     _require_verified(strat, Player.II, GameKind.ADVERSARIAL_B, "projection")
     horizon = strat.horizon // 2
     root = strat.root
     out = Strategy(
         Player.II, GameKind.GOWERS_G, root, horizon, name=f"G-from:{strat.name}"
     )
+
+    def rule(g_pos, t_pos):
+        his = g_pos.moves[-1]
+        filler = None
+        for z in range(len(space.points)):
+            candidate = Move(Player.I, point=z, subspace=his.subspace)
+            if move_legal(twisted, t_pos, candidate):
+                filler = candidate
+                break
+        if filler is None:
+            raise FiniteExhaustion(
+                "tilde projection", "no admitted filler point for his move"
+            )
+        t_mid = t_pos.child(filler)
+        t_reply = strat.move_at(t_mid)
+        return Move(Player.II, point=t_reply.point), t_mid.child(t_reply)
+
     t0 = initial_position(GameKind.ADVERSARIAL_B, root, strat.horizon)
-    t_pos0 = t0.child(strat.move_at(t0))
-
-    def walk(g_pos, t_pos):
-        if g_pos.terminal:
-            return
-        for his in legal_moves(space, g_pos):
-            filler = None
-            for z in range(len(space.points)):
-                candidate = Move(Player.I, point=z, subspace=his.subspace)
-                if move_legal(twisted, t_pos, candidate):
-                    filler = candidate
-                    break
-            if filler is None:
-                raise FiniteExhaustion(
-                    "tilde projection", "no admitted filler point for his move"
-                )
-            t_mid = t_pos.child(filler)
-            t_reply = strat.move_at(t_mid)
-            g_mid = g_pos.child(his)
-            g_move = Move(Player.II, point=t_reply.point)
-            out.table[g_mid.key()] = g_move
-            walk(g_mid.child(g_move), t_mid.child(t_reply))
-
-    walk(initial_position(GameKind.GOWERS_G, root, horizon), t_pos0)
+    expand(
+        space,
+        initial_position(GameKind.GOWERS_G, root, horizon),
+        Player.II,
+        rule,
+        shadow=t0.child(strat.move_at(t0)),
+        table=out.table,
+    )
     return out
 
 
@@ -668,18 +661,12 @@ def decorate_space(space: SpaceInstance) -> SpaceInstance:
     def admits(history, p):
         return base_admits(tuple(h // 2 for h in history), p)
 
-    return SpaceInstance(
-        f"decorated({space.name})",
+    return space.derive(
+        name=f"decorated({space.name})",
         points=labels,
-        palette=space.palette,
-        leq=space.leq,
-        leq_star=space.leq_star,
         admits=admits,
-        meet_witness=space.meet_witness,
-        fusion_witness=space.fusion_witness,
-        asymptotic_slack=space.asymptotic_slack,
-        admission=space.admission,
-        compatible_hint=space.compatible_hint,
+        metric=None,
+        system=None,
         meta={**space.meta, "decorated": True},
     )
 
@@ -735,24 +722,18 @@ def unfold_asymptotic(
         name=f"unfolded:{tau_prime.name}",
     )
 
-    def walk(f_pos):
-        if f_pos.terminal:
-            return
+    def rule(f_pos, shadow):
         s = f_pos.point_prefix
-        recommendations = []
-        for bits in product((0, 1), repeat=len(s)):
-            move = asymptotic_recommendation(
+        recommendations = [
+            asymptotic_recommendation(
                 decorated, tau_prime, decorate_sequence(s, bits)
-            )
-            recommendations.append(move.subspace)
-        meet = iterated_meet(space, recommendations, root)
-        my_move = Move(Player.I, subspace=meet)
-        out.table[f_pos.key()] = my_move
-        f_mid = f_pos.child(my_move)
-        for answer in legal_moves(space, f_mid):
-            walk(f_mid.child(answer))
+            ).subspace
+            for bits in product((0, 1), repeat=len(s))
+        ]
+        return Move(Player.I, subspace=iterated_meet(space, recommendations, root)), shadow
 
-    walk(initial_position(GameKind.ASYMPTOTIC_F, root, horizon))
+    f0 = initial_position(GameKind.ASYMPTOTIC_F, root, horizon)
+    expand(space, f0, Player.I, rule, table=out.table)
     return out
 
 
@@ -775,33 +756,36 @@ def gowers_from_asymptotic(
         name=f"G-from-F:{tau.name}",
     )
 
-    def walk(g_pos, f_pos):
-        if g_pos.terminal:
-            return
+    def pending(f_pos):
+        # The simulated asymptotic play with his recommendation made.
         f_move = tau.move_at(f_pos)
-        f_mid = f_pos.child(f_move)
-        for his in legal_moves(space, g_pos):
-            meet = space.meet_witness(his.subspace, f_move.subspace)
-            if meet is None:
-                raise FiniteExhaustion(
-                    "gowers_from_asymptotic",
-                    f"meet of {his.subspace} and {f_move.subspace} undefined",
-                )
-            history = g_pos.point_prefix
-            admitted = space.admitted_points(history, meet)
-            if not admitted:
-                raise FiniteExhaustion(
-                    "gowers_from_asymptotic", f"no point admitted below {meet}"
-                )
-            x = admitted[0]
-            g_mid = g_pos.child(his)
-            reply = Move(Player.II, point=x)
-            out.table[g_mid.key()] = reply
-            walk(g_mid.child(reply), f_mid.child(Move(Player.II, point=x)))
+        return f_pos.child(f_move), f_move
 
-    walk(
+    def rule(g_pos, shadow):
+        f_mid, f_move = shadow
+        his = g_pos.moves[-1]
+        meet = space.meet_witness(his.subspace, f_move.subspace)
+        if meet is None:
+            raise FiniteExhaustion(
+                "gowers_from_asymptotic",
+                f"meet of {his.subspace} and {f_move.subspace} undefined",
+            )
+        admitted = space.admitted_points(g_pos.point_prefix, meet)
+        if not admitted:
+            raise FiniteExhaustion(
+                "gowers_from_asymptotic", f"no point admitted below {meet}"
+            )
+        x = admitted[0]
+        f_next = f_mid.child(Move(Player.II, point=x))
+        return Move(Player.II, point=x), None if f_next.terminal else pending(f_next)
+
+    expand(
+        space,
         initial_position(GameKind.GOWERS_G, root, tau.horizon),
-        initial_position(GameKind.ASYMPTOTIC_F, root, tau.horizon),
+        Player.II,
+        rule,
+        shadow=pending(initial_position(GameKind.ASYMPTOTIC_F, root, tau.horizon)),
+        table=out.table,
     )
     return out
 
@@ -878,29 +862,22 @@ def asymptotic_from_gowers(
         name=f"F-from-G:{sigma.name}",
     )
 
-    def walk(f_pos):
-        if f_pos.terminal:
-            return
+    def rule(f_pos, shadow):
         s = f_pos.point_prefix
-        n = seq_index[s]
-        meet = space.meet_witness(q, chain[n + 1])
+        if states.get(s) is None:
+            raise FiniteExhaustion(
+                "asymptotic_from_gowers",
+                f"reached a sequence {s} with no realised state",
+            )
+        meet = space.meet_witness(q, chain[seq_index[s] + 1])
         if meet is None:
             raise FiniteExhaustion(
                 "asymptotic_from_gowers", f"meet of {q} and chain element undefined"
             )
-        my_move = Move(Player.I, subspace=meet)
-        out.table[f_pos.key()] = my_move
-        f_mid = f_pos.child(my_move)
-        for answer in legal_moves(space, f_mid):
-            nxt = s + (answer.point,)
-            if len(nxt) < horizon and states.get(nxt) is None:
-                raise FiniteExhaustion(
-                    "asymptotic_from_gowers",
-                    f"reached a sequence {nxt} with no realised state",
-                )
-            walk(f_mid.child(answer))
+        return Move(Player.I, subspace=meet), shadow
 
-    walk(initial_position(GameKind.ASYMPTOTIC_F, q, horizon))
+    f0 = initial_position(GameKind.ASYMPTOTIC_F, q, horizon)
+    expand(space, f0, Player.I, rule, budget=budget, table=out.table)
     return AsymptoticTransfer(q, out, chain)
 
 

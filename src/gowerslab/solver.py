@@ -12,6 +12,11 @@ anything legal.  ``verify_strategy`` replays a table against the
 exhaustive adversary (every legal opponent line) or a seeded uniform
 one, and reports the exact fraction of outcomes landing in the payoff.
 
+Every walk over that tree (extraction, exhaustive replay, and each
+strategy transformation) goes through ``expand``: the owner follows a
+rule carrying shadow state, the opponent tries every legal move, and
+each visited position costs one budget tick.
+
 A player with no legal move at a non-terminal position loses; finite
 truncations can strand a player even though the infinite games cannot.
 """
@@ -161,26 +166,74 @@ def _minimax(space, pos0, accepts, goal_owner, budget, memo):
     return result, lambda: nodes, value
 
 
-def _extract(space, pos0, winner, want, value_fn, table):
+def expand(
+    space: SpaceInstance,
+    pos0: GamePosition,
+    owner: Player,
+    rule: Callable,
+    shadow=None,
+    leaf: Optional[Callable] = None,
+    budget: Optional[Budget] = None,
+    table: Optional[dict] = None,
+) -> None:
+    """Walk every play from ``pos0`` in which ``owner`` follows ``rule``
+    and the opponent plays every legal move, depth first in canonical
+    order.
+
+    At the owner's positions ``rule(pos, shadow)`` returns ``(move,
+    shadow)``, the shadow being whatever state the rule threads down the
+    line (a simulated play, a tracked sequence).  The opponent's moves
+    do not touch the shadow: the next ``rule`` or ``leaf`` call reads
+    the move from ``pos.moves[-1]``.  ``leaf(pos, shadow)`` runs at
+    terminal positions.  Each visited position costs one budget tick;
+    the owner's moves are written to ``table`` when one is given.
+    Legality is the rule's business, and an opponent without a legal
+    move ends the line without reaching a leaf.
+    """
+    tick = (budget or Budget(where="expand")).tick
+
+    def visit(pos: GamePosition, shadow) -> None:
+        tick()
+        if pos.terminal:
+            if leaf is not None:
+                leaf(pos, shadow)
+            return
+        if pos.to_move is owner:
+            move, shadow = rule(pos, shadow)
+            if table is not None:
+                table[pos.key()] = move
+            visit(pos.child(move), shadow)
+            return
+        for m in legal_moves(space, pos):
+            visit(pos.child(m), shadow)
+
+    visit(pos0, shadow)
+
+
+def table_rule(space: SpaceInstance, strat: Strategy) -> Callable:
+    """The replay rule of a strategy table: read the move, refuse it
+    with :class:`IllegalMove` unless it is legal."""
+
+    def rule(pos: GamePosition, shadow):
+        move = strat.move_at(pos)
+        if not move_legal(space, pos, move):
+            raise IllegalMove(f"strategy move {move} illegal at {pos.key()}")
+        return move, shadow
+
+    return rule
+
+
+def _extract(space, pos0, winner, want, value_fn, table, budget):
     """Fill the winner's table along all opponent lines; first winning
     move in canonical order at winner nodes."""
 
-    def build(pos: GamePosition):
-        if pos.terminal:
-            return
-        moves = legal_moves(space, pos)
-        if pos.to_move is winner:
-            for m in moves:
-                child = pos.child(m)
-                if value_fn(child) == want:
-                    table[pos.key()] = m
-                    build(child)
-                    return
-            raise AssertionError("winner has no winning move; solver inconsistent")
-        for m in moves:
-            build(pos.child(m))
+    def rule(pos, shadow):
+        for m in legal_moves(space, pos):
+            if value_fn(pos.child(m)) == want:
+                return m, shadow
+        raise AssertionError("winner has no winning move; solver inconsistent")
 
-    build(pos0)
+    expand(space, pos0, winner, rule, budget=budget, table=table)
 
 
 def _solve_impl(space, kind, root, payoff, goal_owner, budget, memoized):
@@ -192,7 +245,7 @@ def _solve_impl(space, kind, root, payoff, goal_owner, budget, memoized):
     )
     winner = goal_owner if goal_reached else goal_owner.other
     strategy = Strategy(winner, kind, root, payoff.horizon, name=f"solve:{payoff.name}")
-    _extract(space, pos0, winner, goal_reached, value_fn, strategy.table)
+    _extract(space, pos0, winner, goal_reached, value_fn, strategy.table, budget)
     strategy.verified = True  # exhaustive backward induction is the proof
     return SolveResult(winner, strategy, node_count())
 
@@ -235,45 +288,36 @@ def verify_strategy(
     target: str = "accepts",
     seed: int = 0,
     trials: int = 100,
+    budget: Optional[Budget] = None,
 ) -> VerificationReport:
     """Replay a strategy against the exhaustive or seeded-random adversary.
 
     ``target`` names the side the owner claims to force ("accepts" or
     "complement"); the report's ``passed`` says whether every replayed
-    outcome landed there.
+    outcome landed there.  Every replayed position costs one tick.
     """
+    budget = budget or Budget(where="verify_strategy")
     accepts = _accepts_fn(space, payoff)
     pos0 = initial_position(strat.kind, strat.root, strat.horizon)
     report = VerificationReport(mode, target, 0, 0)
+    rule = table_rule(space, strat)
 
-    def walk(pos: GamePosition):
-        if pos.terminal:
-            report.plays += 1
-            if accepts(pos):
-                report.in_accepts += 1
-            return
-        if pos.to_move is strat.owner:
-            move = strat.move_at(pos)
-            if not move_legal(space, pos, move):
-                raise IllegalMove(f"strategy move {move} illegal at {pos.key()}")
-            walk(pos.child(move))
-            return
-        moves = legal_moves(space, pos)
-        for m in moves:
-            walk(pos.child(m))
+    def score(pos: GamePosition, shadow=None) -> None:
+        report.plays += 1
+        if accepts(pos):
+            report.in_accepts += 1
 
     if mode == "exhaustive":
-        walk(pos0)
+        expand(space, pos0, strat.owner, rule, leaf=score, budget=budget)
         return report
 
     rng = random.Random(seed)
     for _ in range(trials):
         pos = pos0
         while not pos.terminal:
+            budget.tick()
             if pos.to_move is strat.owner:
-                move = strat.move_at(pos)
-                if not move_legal(space, pos, move):
-                    raise IllegalMove(f"strategy move {move} illegal at {pos.key()}")
+                move, _ = rule(pos, None)
             else:
                 options = legal_moves(space, pos)
                 if not options:
@@ -281,9 +325,7 @@ def verify_strategy(
                 move = rng.choice(options)
             pos = pos.child(move)
         if pos.terminal:
-            report.plays += 1
-            if accepts(pos):
-                report.in_accepts += 1
+            score(pos)
     return report
 
 
@@ -308,23 +350,25 @@ def strategy_from_rule(
     owner: Player,
     rule: Callable[[SpaceInstance, GamePosition], Move],
     name: str = "rule",
+    budget: Optional[Budget] = None,
 ) -> Strategy:
     """Materialize a move rule into a total table by forward expansion
-    over every legal opponent line."""
+    over every legal opponent line; an illegal move raises
+    :class:`IllegalMove`."""
     strat = Strategy(owner, kind, root, horizon, name=name)
 
-    def walk(pos: GamePosition):
-        if pos.terminal:
-            return
-        if pos.to_move is owner:
-            move = rule(space, pos)
-            if not move_legal(space, pos, move):
-                raise IllegalMove(f"rule produced illegal move {move} at {pos.key()}")
-            strat.table[pos.key()] = move
-            walk(pos.child(move))
-            return
-        for m in legal_moves(space, pos):
-            walk(pos.child(m))
+    def checked(pos: GamePosition, shadow):
+        move = rule(space, pos)
+        if not move_legal(space, pos, move):
+            raise IllegalMove(f"rule produced illegal move {move} at {pos.key()}")
+        return move, shadow
 
-    walk(initial_position(kind, root, horizon))
+    expand(
+        space,
+        initial_position(kind, root, horizon),
+        owner,
+        checked,
+        budget=budget or Budget(where="strategy_from_rule"),
+        table=strat.table,
+    )
     return strat

@@ -100,6 +100,13 @@ class SpaceInstance:
         self._admitted: dict = {}
         self._compat: dict = {}
 
+    def derive(self, **overrides) -> "SpaceInstance":
+        """A new instance with the given constructor fields replaced and
+        the rest shared; its caches start empty.  The public attributes
+        are exactly the constructor's parameters."""
+        fields = {k: v for k, v in vars(self).items() if not k.startswith("_")}
+        return SpaceInstance(**{**fields, **overrides})
+
     # -- derived relations -------------------------------------------------
 
     def lessapprox(self, p: SubspaceId, q: SubspaceId) -> bool:
@@ -387,22 +394,7 @@ def check_axioms(
 def with_system(space: SpaceInstance, system) -> "SpaceInstance":
     """A view of the instance carrying a precompact system (needed by the
     strong asymptotic game)."""
-    return SpaceInstance(
-        space.name,
-        points=space.points,
-        palette=space.palette,
-        leq=space.leq,
-        leq_star=space.leq_star,
-        admits=space.admits,
-        meet_witness=space.meet_witness,
-        fusion_witness=space.fusion_witness,
-        metric=space.metric,
-        asymptotic_slack=space.asymptotic_slack,
-        admission=space.admission,
-        compatible_hint=space.compatible_hint,
-        system=system,
-        meta=space.meta,
-    )
+    return space.derive(system=system)
 
 
 def iterated_meet(

@@ -369,6 +369,35 @@ class TestStrongAsymptotic:
         chosen = homogeneous_from_asymptotic(ms6, tau, payoff)
         assert all(payoff.accepts(p) for p in combinations(chosen, 2))
 
+    def test_replay_refuses_an_illegal_opening(self, ms6):
+        # The strong verifier replays through the shared table rule, so a
+        # corrupted entry is refused rather than played.
+        from gowerslab import Move, strategy_from_rule, verified
+        from gowerslab.errors import IllegalMove
+        from gowerslab.games import initial_position
+
+        system = ms_singleton_system(ms6)
+        space = with_system(ms6, system)
+        top = top_subspace(space)
+        tail = ms6.palette.index((1, 2, 3, 4, 5))
+        payoff = Payoff(2, lambda s: all(x >= 1 for x in s), "all-nonzero")
+        tau = verified(
+            ms6,
+            strategy_from_rule(
+                ms6, GameKind.ASYMPTOTIC_F, top, 2, Player.I,
+                lambda spc, pos: Move(Player.I, subspace=tail),
+            ),
+            payoff,
+        )
+        delta = DeltaSeq.of("1/2", "1/2")
+        strong = strong_asymptotic_from_asymptotic(space, system, tau, payoff, delta)
+        assert verify_strong_asymptotic(space, system, strong, payoff, delta).passed
+        small = next(q for q in space.subspaces() if not space.lessapprox(q, top))
+        opening = initial_position(GameKind.STRONG_ASYMPTOTIC_SF, top, 2)
+        strong.table[opening.key()] = Move(Player.I, subspace=small)
+        with pytest.raises(IllegalMove):
+            verify_strong_asymptotic(space, system, strong, payoff, delta)
+
     def test_slack_starved_meet_is_loud(self, ms6):
         # The same transfer at slack one exhausts the meet budget and
         # says so instead of playing an illegal subspace.

@@ -36,6 +36,12 @@ class TestBundledScenarios:
         assert verify["op"] == "verify"
         assert verify["verified_fraction"] == "1"
 
+    def test_rule_and_replay_stages_report_their_nodes(self, tmp_path):
+        outcome = run_scenario(scenario_path("ms-kastanas-h1.json"), out_dir=tmp_path)
+        strategy, _, verify = outcome.report["stages"]
+        assert strategy["op"] == "strategy" and strategy["nodes"] > 0
+        assert verify["op"] == "verify" and verify["nodes"] > 0
+
     def test_counterexample_scenario_reports_unavailable(self, tmp_path):
         outcome = run_scenario(
             scenario_path("f3-pigeonhole-counterexample.json"), out_dir=tmp_path
@@ -116,6 +122,21 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         code = main(["run", str(path), "--out", str(tmp_path)])
         assert code == 4
+
+    def test_failed_strategy_stage_is_four(self, tmp_path):
+        data = json.loads(scenario_path("ms-kastanas-h1.json").read_text())
+        # The rule stays in the odd set, so it cannot force the complement;
+        # the pipeline stops before the reduction sees the strategy.
+        data["pipeline"][0]["target"] = "complement"
+        path = tmp_path / "wrong-target.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", str(path), "--out", str(tmp_path)])
+        assert code == 4
+        report = json.loads((tmp_path / "ms-kastanas-h1.json").read_text())
+        assert report["status"] == "verification-failed"
+        assert len(report["stages"]) == 1
+        assert report["stages"][0]["verified_fraction"] == "0"
+        assert report["stages"][0]["ok"] is False
 
 
 class TestDeterminism:

@@ -11,9 +11,11 @@ from gowerslab import (
     negate,
     seeded_payoff,
     solve,
+    strategy_from_rule,
     verify_strategy,
 )
 from gowerslab.errors import ExhaustionBudget, StrategyIncomplete
+from gowerslab.games import legal_moves
 from gowerslab.errors import Budget
 from gowerslab.instances import mathias_silver, top_subspace
 from gowerslab.payoffs import Payoff
@@ -111,6 +113,26 @@ class TestVerify:
         payoff = build_payoff(ms8, "everything", 2)
         with pytest.raises(ExhaustionBudget):
             solve(ms8, GameKind.GOWERS_G, top, payoff, Player.II, Budget(10, "tiny"))
+
+    def test_replay_charges_its_budget(self, ms6):
+        top = top_subspace(ms6)
+        payoff = build_payoff(ms6, "everything", 2)
+        strat = solve(ms6, GameKind.GOWERS_G, top, payoff, Player.II).strategy
+        budget = Budget(1_000_000, "replay")
+        assert verify_strategy(ms6, strat, payoff, budget=budget).passed
+        assert budget.used > 0
+        with pytest.raises(ExhaustionBudget):
+            verify_strategy(ms6, strat, payoff, budget=Budget(10, "tiny"))
+
+    def test_rule_expansion_charges_its_budget(self, ms6):
+        top = top_subspace(ms6)
+        first = lambda spc, pos: legal_moves(spc, pos)[0]  # noqa: E731
+        strat = strategy_from_rule(ms6, GameKind.GOWERS_G, top, 2, Player.II, first)
+        assert strat.table
+        with pytest.raises(ExhaustionBudget):
+            strategy_from_rule(
+                ms6, GameKind.GOWERS_G, top, 2, Player.II, first, budget=Budget(10, "tiny")
+            )
 
 
 class TestDeterminacyProperties:

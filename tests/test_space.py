@@ -92,6 +92,22 @@ class TestDerivedRelations:
                 assert ms6.compatible(p, q) == scan
 
 
+class TestDerive:
+    def test_overrides_replace_and_the_rest_is_shared(self):
+        base = mathias_silver(5, 2, 1)
+        base.below(top_subspace(base))
+        view = base.derive(name="view", asymptotic_slack=2, meta={"view": True})
+        assert (view.name, view.asymptotic_slack, view.meta) == ("view", 2, {"view": True})
+        assert view.points == base.points and view.leq is base.leq
+        assert view.admits is base.admits and view.system is base.system
+        # A fresh instance: its caches start empty.
+        assert base._below and not view._below
+
+    def test_unknown_field_rejected(self, ms6):
+        with pytest.raises(TypeError):
+            ms6.derive(colour="red")
+
+
 class TestWitnesses:
     def test_meet_confirms_lessapprox(self, ms6):
         # Wherever the meet witness is defined under the star order, the
