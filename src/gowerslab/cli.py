@@ -29,7 +29,7 @@ from .errors import (
     PigeonholeUnavailable,
     SpecInvalid,
 )
-from .games import GameKind, Move, Player, legal_moves
+from .games import GameKind, Move, Player, initial_position, legal_moves
 from .instances import (
     InstanceSpec,
     build_instance,
@@ -39,15 +39,16 @@ from .instances import (
     subspace_of_labels,
     top_subspace,
 )
-from .payoffs import Payoff, build_payoff, seeded_payoff
+from .payoffs import REGISTRY as PAYOFFS, Payoff, build_payoff, seeded_payoff
 from .reductions import (
+    DICHOTOMY_GAMES,
     adversarial_from_kastanas,
     asymptotic_from_gowers,
     check_ramsey_dichotomy,
     gowers_from_asymptotic,
     homogeneous_from_asymptotic,
 )
-from .solver import solve, strategy_from_rule, verify_strategy
+from .solver import VERIFY_MODES, VERIFY_TARGETS, solve, strategy_from_rule, verify_strategy
 from .space import check_axioms
 from .util import canonical_json, fraction_str, split_seed
 
@@ -168,12 +169,12 @@ class Scenario:
             game = data["game"]
             kind = GameKind(game["kind"])
             horizon = int(game["horizon"])
+            initial_position(kind, 0, horizon)  # ValueError on a horizon the game cannot have
             payoff = data.get("payoff", {"name": "everything"})
+            if payoff["name"] not in PAYOFFS:
+                raise SpecInvalid(f"unknown payoff {payoff['name']!r}")
             pipeline = data.get("pipeline", [])
-            for stage in pipeline:
-                if stage.get("op") not in STAGE_KINDS:
-                    raise SpecInvalid(f"unknown pipeline op {stage.get('op')!r}")
-            _check_pipeline_types(pipeline)
+            _check_pipeline(pipeline, horizon)
             return Scenario(
                 name=data.get("name", "scenario"),
                 seed=int(data.get("seed", 0)),
@@ -195,11 +196,36 @@ class Scenario:
             raise SpecInvalid(f"scenario does not validate: {exc}") from exc
 
 
-def _check_pipeline_types(pipeline) -> None:
-    """Each stage must be fed the artifact kind it consumes."""
+# The stage fields that name something, and the names each may take.
+STAGE_NAMES = {
+    "goal": {p.value for p in Player},
+    "owner": {p.value for p in Player},
+    "kind": {k.value for k in GameKind},
+    "flavor": DICHOTOMY_GAMES,
+    "mode": VERIFY_MODES,
+    "target": VERIFY_TARGETS,
+}
+
+
+def _check_pipeline(pipeline, horizon) -> None:
+    """Each stage's named fields are known, every game it plays besides
+    the scenario's own takes the horizon (ValueError otherwise), and it
+    is fed the artifact kind it consumes."""
     current = None
     for i, stage in enumerate(pipeline):
         op = stage.get("op")
+        if op not in STAGE_KINDS:
+            raise SpecInvalid(f"unknown pipeline op {op!r}")
+        if op == "strategy" and stage.get("rule") not in RULES:
+            raise SpecInvalid(f"stage {i}: unknown rule {stage.get('rule')!r}")
+        for name, known in STAGE_NAMES.items():
+            if name in stage and stage[name] not in known:
+                raise SpecInvalid(f"stage {i}: unknown {name} {stage[name]!r}")
+        games = [GameKind(stage["kind"])] if "kind" in stage else []
+        if op == "dichotomy":
+            games += DICHOTOMY_GAMES[stage.get("flavor", "strategic")]
+        for game in games:
+            initial_position(game, 0, horizon)
         if op in ("strategy", "solve"):
             current = "strategy"
         elif op == "reduce":
@@ -237,7 +263,7 @@ class RunOutcome:
 def _resolve_root(space, root_spec) -> int:
     if root_spec == "top" or root_spec is None:
         return top_subspace(space)
-    if isinstance(root_spec, int):
+    if isinstance(root_spec, int) and 0 <= root_spec < len(space.palette):
         return root_spec
     if isinstance(root_spec, list):
         return subspace_of_labels(space, root_spec)
@@ -369,7 +395,10 @@ def _run_stage(
     kind = GameKind(stage.get("kind", scenario.game_kind.value))
 
     if op == "strategy":
-        builder = RULES[stage["rule"]](space, stage.get("params", {}))
+        try:
+            builder = RULES[stage["rule"]](space, stage.get("params", {}))
+        except KeyError as exc:
+            raise SpecInvalid(f"rule {stage['rule']!r} needs parameter {exc}") from exc
         owner = Player(stage.get("owner", "II"))
         strat = strategy_from_rule(
             space, kind, root, scenario.horizon, owner, builder, stage["rule"], budget

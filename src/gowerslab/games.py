@@ -145,89 +145,75 @@ def initial_position(kind: GameKind, root: SubspaceId, horizon: int) -> GamePosi
     return GamePosition(kind, root, horizon)
 
 
-def _interleaved_rules(kind: GameKind):
-    # Returns (opening_rel, I_subspace_rel, II_subspace_rel) as tags.
-    # "leq_root"/"la_root" compare against the game root; "leq_last"
-    # against the opponent's most recent subspace (Kastanas nesting).
-    if kind is GameKind.ADVERSARIAL_A:
-        return ("leq_root", "la_root", "leq_root")
-    if kind is GameKind.ADVERSARIAL_B:
-        return ("la_root", "leq_root", "la_root")
-    return ("leq_root", "leq_last", "leq_last")
+# Which subspaces a player may pick: "leq" those below the root, "la"
+# those lessapprox the root, "nested" those below the opponent's last
+# subspace.  Interleaved games list (her opening, his pairs, her pairs);
+# the others list the first player's subspace moves.
+_SUBSPACE_RULES = {
+    GameKind.ADVERSARIAL_A: ("leq", "la", "leq"),
+    GameKind.ADVERSARIAL_B: ("la", "leq", "la"),
+    GameKind.KASTANAS: ("leq", "nested", "nested"),
+    GameKind.ASYMPTOTIC_F: ("la",),
+    GameKind.GOWERS_G: ("leq",),
+    GameKind.STRONG_ASYMPTOTIC_SF: ("la",),
+}
 
 
-def _subspace_ok(space: SpaceInstance, pos: GamePosition, rel: str, q: SubspaceId) -> bool:
-    if rel == "leq_root":
-        return space.leq(q, pos.root)
-    if rel == "la_root":
-        return space.lessapprox(q, pos.root)
-    last = pos.moves[-1].subspace
-    return space.leq(q, last)
-
-
-def _subspace_choices(space: SpaceInstance, pos: GamePosition, rel: str) -> tuple:
-    if rel == "leq_root":
+def _subspaces(space: SpaceInstance, pos: GamePosition, rule: str) -> tuple:
+    if rule == "leq":
         return space.below(pos.root)
-    if rel == "la_root":
+    if rule == "la":
         return space.lessapprox_below(pos.root)
     return space.below(pos.moves[-1].subspace)
 
 
-def move_legal(space: SpaceInstance, pos: GamePosition, move: Move) -> bool:
-    """Direct legality predicate, mirroring the move generator."""
-    if pos.terminal or move.player is not pos.to_move:
-        return False
-    kind = pos.kind
-    if kind in INTERLEAVED:
-        opening_rel, i_rel, ii_rel = _interleaved_rules(kind)
+def _options(space: SpaceInstance, pos: GamePosition) -> tuple:
+    """The rules of every game: ``(points, subspaces, blocks)`` allowed to
+    the player to move at a non-terminal position.  Each field is a
+    tuple of ids in canonical order, or None when the move leaves that
+    field empty."""
+    rules = _SUBSPACE_RULES[pos.kind]
+    if pos.kind in INTERLEAVED:
         if not pos.moves:
-            return (
-                move.point is None
-                and move.block is None
-                and move.subspace is not None
-                and _subspace_ok(space, pos, opening_rel, move.subspace)
-            )
-        constraint = pos.moves[-1].subspace
-        if move.point is None or move.block is not None:
-            return False
-        if not space.admits(pos.point_prefix + (move.point,), constraint):
-            return False
-        if pos.to_move is Player.I:
-            return move.subspace is not None and _subspace_ok(space, pos, i_rel, move.subspace)
-        final = len(pos.moves) == pos.horizon
-        if final:
-            return move.subspace is None
-        return move.subspace is not None and _subspace_ok(space, pos, ii_rel, move.subspace)
-    if kind in CHOOSER:
-        rel = "la_root" if kind is GameKind.ASYMPTOTIC_F else "leq_root"
-        if pos.to_move is Player.I:
-            return (
-                move.point is None
-                and move.block is None
-                and move.subspace is not None
-                and _subspace_ok(space, pos, rel, move.subspace)
-            )
-        return (
-            move.subspace is None
-            and move.block is None
-            and move.point is not None
-            and space.admits(pos.point_prefix + (move.point,), pos.moves[-1].subspace)
-        )
-    # Strong asymptotic game.
-    if space.system is None:
+            return None, _subspaces(space, pos, rules[0]), None
+        points = space.admitted_points(pos.point_prefix, pos.moves[-1].subspace)
+        if len(pos.moves) == pos.horizon:
+            return points, None, None  # her last answer is a bare point
+        rule = rules[1] if pos.to_move is Player.I else rules[2]
+        return points, _subspaces(space, pos, rule), None
+    if pos.kind is GameKind.STRONG_ASYMPTOTIC_SF and space.system is None:
         raise IllegalPosition("strong asymptotic game needs a precompact system")
     if pos.to_move is Player.I:
-        return (
-            move.point is None
-            and move.block is None
-            and move.subspace is not None
-            and space.lessapprox(move.subspace, pos.root)
-        )
-    if move.block is None or move.point is not None or move.subspace is not None:
+        return None, _subspaces(space, pos, rules[0]), None
+    constraint = pos.moves[-1].subspace
+    if pos.kind in CHOOSER:
+        return space.admitted_points(pos.point_prefix, constraint), None, None
+    blocks = tuple(
+        k
+        for k, elems in enumerate(space.system.family)
+        if space.set_admitted(elems, constraint)
+    )
+    return None, None, blocks
+
+
+def _allowed(value, options) -> bool:
+    return value is None if options is None else value in options
+
+
+def _each(options) -> tuple:
+    return (None,) if options is None else options
+
+
+def move_legal(space: SpaceInstance, pos: GamePosition, move: Move) -> bool:
+    """Whether the move is among the options of the player to move; an id
+    outside them (outside the palette, say) is illegal."""
+    if pos.terminal or move.player is not pos.to_move:
         return False
-    family = space.system.family
-    return 0 <= move.block < len(family) and space.set_admitted(
-        family[move.block], pos.moves[-1].subspace
+    points, subspaces, blocks = _options(space, pos)
+    return (
+        _allowed(move.point, points)
+        and _allowed(move.subspace, subspaces)
+        and _allowed(move.block, blocks)
     )
 
 
@@ -238,52 +224,13 @@ def legal_moves(space: SpaceInstance, pos: GamePosition) -> list:
     """
     if pos.terminal:
         return []
-    kind = pos.kind
-    out = []
-    if kind in INTERLEAVED:
-        opening_rel, i_rel, ii_rel = _interleaved_rules(kind)
-        if not pos.moves:
-            return [
-                Move(Player.II, subspace=q)
-                for q in _subspace_choices(space, pos, opening_rel)
-            ]
-        constraint = pos.moves[-1].subspace
-        admitted = space.admitted_points(pos.point_prefix, constraint)
-        if pos.to_move is Player.I:
-            subspaces = _subspace_choices(space, pos, i_rel)
-            for x in admitted:
-                for q in subspaces:
-                    out.append(Move(Player.I, point=x, subspace=q))
-            return out
-        if len(pos.moves) == pos.horizon:
-            return [Move(Player.II, point=y) for y in admitted]
-        subspaces = _subspace_choices(space, pos, ii_rel)
-        for y in admitted:
-            for q in subspaces:
-                out.append(Move(Player.II, point=y, subspace=q))
-        return out
-    if kind in CHOOSER:
-        rel = "la_root" if kind is GameKind.ASYMPTOTIC_F else "leq_root"
-        if pos.to_move is Player.I:
-            return [
-                Move(Player.I, subspace=q) for q in _subspace_choices(space, pos, rel)
-            ]
-        constraint = pos.moves[-1].subspace
-        return [
-            Move(Player.II, point=x)
-            for x in space.admitted_points(pos.point_prefix, constraint)
-        ]
-    if space.system is None:
-        raise IllegalPosition("strong asymptotic game needs a precompact system")
-    if pos.to_move is Player.I:
-        return [
-            Move(Player.I, subspace=q) for q in space.lessapprox_below(pos.root)
-        ]
-    constraint = pos.moves[-1].subspace
+    points, subspaces, blocks = _options(space, pos)
+    player = pos.to_move
     return [
-        Move(Player.II, block=k)
-        for k, elems in enumerate(space.system.family)
-        if space.set_admitted(elems, constraint)
+        Move(player, x, q, k)
+        for x in _each(points)
+        for q in _each(subspaces)
+        for k in _each(blocks)
     ]
 
 

@@ -973,6 +973,13 @@ class DichotomyReport:
         }
 
 
+# The two games each dichotomy flavor solves below every subspace.
+DICHOTOMY_GAMES = {
+    "strategic": (GameKind.ASYMPTOTIC_F, GameKind.GOWERS_G),
+    "adversarial": (GameKind.ADVERSARIAL_A, GameKind.ADVERSARIAL_B),
+}
+
+
 def check_ramsey_dichotomy(
     space: SpaceInstance,
     payoff: Payoff,
@@ -988,19 +995,16 @@ def check_ramsey_dichotomy(
     her chooser game toward the set.  Adversarial flavor: his
     constrained game toward the set against hers toward the complement.
     """
+    if flavor not in DICHOTOMY_GAMES:
+        raise ValueError(f"unknown dichotomy flavor {flavor!r}")
+    first_kind, second_kind = DICHOTOMY_GAMES[flavor]
+    first_goal, second_goal = negate(payoff), payoff
+    if flavor == "adversarial":
+        first_goal, second_goal = second_goal, first_goal
     entries = []
-    complement = negate(payoff)
     for q in space.below(p):
-        if flavor == "strategic":
-            first = solve(space, GameKind.ASYMPTOTIC_F, q, complement, Player.I, budget)
-            second = solve(space, GameKind.GOWERS_G, q, payoff, Player.II, budget)
-        elif flavor == "adversarial":
-            first = solve(space, GameKind.ADVERSARIAL_A, q, payoff, Player.I, budget)
-            second = solve(
-                space, GameKind.ADVERSARIAL_B, q, complement, Player.II, budget
-            )
-        else:
-            raise ValueError(f"unknown dichotomy flavor {flavor!r}")
+        first = solve(space, first_kind, q, first_goal, Player.I, budget)
+        second = solve(space, second_kind, q, second_goal, Player.II, budget)
         entries.append(
             DichotomyEntry(q, first.winner is Player.I, second.winner is Player.II)
         )

@@ -1,10 +1,13 @@
 """Backward-induction solver, strategy extraction, and verification.
 
 Finite clopen games are determined: ``solve`` computes the winner and a
-full strategy table for the winner, memoized on canonical position
-serializations (histories are the state; positions with different move
-lists are never merged).  ``naive_solve_oracle`` is the independent
-check: plain unmemoized minimax with a smaller default budget.
+full strategy table for the winner.  Histories are the state, so every
+position is reached by one path and a memo would never be read; instead
+the search records, at each position the player to move wins, that
+player's first winning move in canonical order, and the table is read
+off those records.  ``naive_solve_oracle`` is the independent check:
+the same minimax with a smaller default budget, whose table re-solves
+each candidate child.
 
 Strategies are finite position-to-move tables, total on the positions
 reachable when the owner follows the table and the opponent plays
@@ -101,6 +104,10 @@ class SolveResult:
     exhausted: bool = False
 
 
+VERIFY_MODES = ("exhaustive", "sampled")
+VERIFY_TARGETS = ("accepts", "complement")
+
+
 @dataclass
 class VerificationReport:
     mode: str
@@ -135,35 +142,30 @@ def _accepts_fn(space: SpaceInstance, payoff: Payoff) -> Callable[[GamePosition]
     return accepts
 
 
-def _minimax(space, pos0, accepts, goal_owner, budget, memo):
-    """True iff goal_owner forces the outcome into accepts from pos0."""
-    nodes = 0
+def _minimax(space, pos0, accepts, goal_owner, budget, wins=None) -> bool:
+    """True iff goal_owner forces the outcome into accepts from pos0.
+
+    Each searched position costs one budget tick.  When ``wins`` is
+    given, it maps each position the player to move wins to that
+    player's first winning move in canonical order.
+    """
+    tick = budget.tick
 
     def value(pos: GamePosition) -> bool:
-        nonlocal nodes
-        if memo is not None:
-            key = pos.key()
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-        budget.tick()
-        nodes += 1
+        tick()
         if pos.terminal:
-            v = accepts(pos)
-        else:
-            moves = legal_moves(space, pos)
-            if not moves:
-                v = pos.to_move is not goal_owner
-            elif pos.to_move is goal_owner:
-                v = any(value(pos.child(m)) for m in moves)
-            else:
-                v = all(value(pos.child(m)) for m in moves)
-        if memo is not None:
-            memo[key] = v
-        return v
+            return bool(accepts(pos))
+        # The goal owner looks for a child worth True, the opponent for
+        # one worth False; a player without a legal move loses.
+        want = pos.to_move is goal_owner
+        for m in legal_moves(space, pos):
+            if value(pos.child(m)) is want:
+                if wins is not None:
+                    wins[pos.key()] = m
+                return want
+        return not want
 
-    result = value(pos0)
-    return result, lambda: nodes, value
+    return value(pos0)
 
 
 def expand(
@@ -223,31 +225,36 @@ def table_rule(space: SpaceInstance, strat: Strategy) -> Callable:
     return rule
 
 
-def _extract(space, pos0, winner, want, value_fn, table, budget):
-    """Fill the winner's table along all opponent lines; first winning
-    move in canonical order at winner nodes."""
+def _solve_impl(space, kind, root, payoff, goal_owner, budget, oracle):
+    pos0 = initial_position(kind, root, payoff.horizon)
+    accepts = _accepts_fn(space, payoff)
+    wins = None if oracle else {}
+    nodes = 0
+
+    def value(pos: GamePosition) -> bool:
+        nonlocal nodes
+        before = budget.used
+        v = _minimax(space, pos, accepts, goal_owner, budget, wins)
+        nodes += budget.used - before
+        return v
+
+    goal_reached = value(pos0)
+    winner = goal_owner if goal_reached else goal_owner.other
 
     def rule(pos, shadow):
+        # The winner's first winning move in canonical order: recorded by
+        # the search, or for the oracle found by searching each child again.
+        if wins is not None:
+            return wins[pos.key()], shadow
         for m in legal_moves(space, pos):
-            if value_fn(pos.child(m)) == want:
+            if value(pos.child(m)) is goal_reached:
                 return m, shadow
         raise AssertionError("winner has no winning move; solver inconsistent")
 
-    expand(space, pos0, winner, rule, budget=budget, table=table)
-
-
-def _solve_impl(space, kind, root, payoff, goal_owner, budget, memoized):
-    pos0 = initial_position(kind, root, payoff.horizon)
-    accepts = _accepts_fn(space, payoff)
-    memo = {} if memoized else None
-    goal_reached, node_count, value_fn = _minimax(
-        space, pos0, accepts, goal_owner, budget, memo
-    )
-    winner = goal_owner if goal_reached else goal_owner.other
     strategy = Strategy(winner, kind, root, payoff.horizon, name=f"solve:{payoff.name}")
-    _extract(space, pos0, winner, goal_reached, value_fn, strategy.table, budget)
+    expand(space, pos0, winner, rule, budget=budget, table=strategy.table)
     strategy.verified = True  # exhaustive backward induction is the proof
-    return SolveResult(winner, strategy, node_count())
+    return SolveResult(winner, strategy, nodes)
 
 
 def solve(
@@ -264,7 +271,7 @@ def solve(
     complement.  The returned strategy belongs to whoever wins.
     """
     budget = budget or Budget(2_000_000, "solve")
-    return _solve_impl(space, kind, root, payoff, goal_owner, budget, memoized=True)
+    return _solve_impl(space, kind, root, payoff, goal_owner, budget, oracle=False)
 
 
 def naive_solve_oracle(
@@ -275,9 +282,11 @@ def naive_solve_oracle(
     goal_owner: Player,
     budget: Optional[Budget] = None,
 ) -> SolveResult:
-    """Unmemoized minimax over the same rules; the differential oracle."""
+    """Minimax over the same rules that records no moves; the
+    differential oracle.  Its node count includes the searches its
+    table makes."""
     budget = budget or Budget(500_000, "naive_solve_oracle")
-    return _solve_impl(space, kind, root, payoff, goal_owner, budget, memoized=False)
+    return _solve_impl(space, kind, root, payoff, goal_owner, budget, oracle=True)
 
 
 def verify_strategy(
@@ -296,6 +305,8 @@ def verify_strategy(
     "complement"); the report's ``passed`` says whether every replayed
     outcome landed there.  Every replayed position costs one tick.
     """
+    if mode not in VERIFY_MODES or target not in VERIFY_TARGETS:
+        raise ValueError(f"unknown verification mode {mode!r} or target {target!r}")
     budget = budget or Budget(where="verify_strategy")
     accepts = _accepts_fn(space, payoff)
     pos0 = initial_position(strat.kind, strat.root, strat.horizon)

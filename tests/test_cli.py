@@ -139,6 +139,61 @@ class TestExitCodes:
         assert report["stages"][0]["ok"] is False
 
 
+def _stage(i, **fields):
+    def edit(data):
+        data["pipeline"][i].update(fields)
+
+    return edit
+
+
+def _game(**fields):
+    def edit(data):
+        data["game"].update(fields)
+
+    return edit
+
+
+def _payoff_name(data):
+    data["payoff"]["name"] = "no-such-payoff"
+
+
+def _no_labels(data):
+    data["pipeline"][0]["params"] = {}
+
+
+# Malformed copies of bundled scenarios: (label, scenario, edit).
+MALFORMED = [
+    ("unknown-rule", "ms-kastanas-h1.json", _stage(0, rule="no-such-rule")),
+    ("unknown-payoff", "ms-f-dichotomy.json", _payoff_name),
+    ("goal-III", "ms-f-dichotomy.json", _stage(0, goal="III")),
+    ("owner-III", "ms-kastanas-h1.json", _stage(0, owner="III")),
+    ("stage-kind-Z", "ms-f-dichotomy.json", _stage(0, kind="Z")),
+    ("flavor-weird", "ms-f-dichotomy.json", _stage(1, flavor="weird")),
+    ("kastanas-horizon-3", "ms-kastanas-h1.json", _game(horizon=3)),
+    ("root-outside-the-palette", "ms-f-dichotomy.json", _game(root=999)),
+    ("stage-kind-odd-horizon", "ms-f-dichotomy.json", _stage(0, kind="A")),
+    ("adversarial-dichotomy-odd-horizon", "ms-f-dichotomy.json", _stage(1, flavor="adversarial")),
+    ("stay-in-set-without-labels", "ms-kastanas-h1.json", _no_labels),
+    ("verify-mode-misspelled", "ms-kastanas-h1.json", _stage(2, mode="exhastive")),
+    ("verify-target-misspelled", "ms-kastanas-h1.json", _stage(2, target="acepts")),
+    ("strategy-target-misspelled", "ms-kastanas-h1.json", _stage(0, target="acepts")),
+]
+
+
+class TestMalformedScenarios:
+    @pytest.mark.parametrize(
+        "name,edit", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
+    )
+    def test_exits_two_without_traceback(self, name, edit, tmp_path, capsys):
+        data = json.loads(scenario_path(name).read_text())
+        edit(data)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "Traceback" not in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_byte_identical_reruns(self, name, tmp_path):

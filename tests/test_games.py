@@ -18,6 +18,7 @@ from gowerslab.games import (
     replay,
 )
 from gowerslab.instances import mathias_silver, top_subspace
+from gowerslab.solver import strategy_from_rule
 
 
 def palette_id(space, label):
@@ -52,14 +53,27 @@ class TestLegalMoves:
         points = sorted({m.point for m in moves})
         assert points == [1, 3, 5]
         assert all(ms6.lessapprox(m.subspace, top) for m in moves)
-        # Brute-force cross-check against the defining predicate.
-        brute = [
-            (x, q)
-            for x in range(len(ms6.points))
-            for q in range(len(ms6.palette))
-            if ms6.admits((x,), p0) and ms6.lessapprox(q, top)
-        ]
-        assert [(m.point, m.subspace) for m in moves] == brute
+        # Brute-force cross-check against the defining predicates, in both
+        # adversarial games (his subspaces are merely below the root in
+        # B), for the generator and for the legality test, ids outside
+        # the palette included.
+        for kind, rel in (
+            (GameKind.ADVERSARIAL_A, ms6.lessapprox),
+            (GameKind.ADVERSARIAL_B, ms6.leq),
+        ):
+            pos = initial_position(kind, top, 2).child(Move(Player.II, subspace=p0))
+            brute = [
+                (x, q)
+                for x in range(len(ms6.points))
+                for q in range(len(ms6.palette))
+                if ms6.admits((x,), p0) and rel(q, top)
+            ]
+            moves = legal_moves(ms6, pos)
+            assert [(m.point, m.subspace) for m in moves] == brute
+            for x in range(-1, len(ms6.points) + 1):
+                for q in range(-1, len(ms6.palette) + 1):
+                    legal = move_legal(ms6, pos, Move(Player.I, point=x, subspace=q))
+                    assert legal == ((x, q) in brute)
 
     def test_final_interleaved_answer_is_bare(self, ms6):
         top = top_subspace(ms6)
@@ -82,6 +96,111 @@ class TestLegalMoves:
         pos = initial_position(GameKind.GOWERS_G, top, 1)
         moves = legal_moves(ms6, pos)
         assert len(moves) == len(ms6.below(top))
+
+
+def brute_moves(space, pos):
+    """The legal moves of the six games, restated from the relations of
+    the space alone (leq, lessapprox, admits, set_admitted and the system
+    family), in canonical order."""
+    kind, n, root = pos.kind, len(pos.moves), pos.root
+    points = range(len(space.points))
+    below_root = [q for q in range(len(space.palette)) if space.leq(q, root)]
+    la_root = [q for q in range(len(space.palette)) if space.lessapprox(q, root)]
+    last = pos.moves[-1].subspace if pos.moves else None
+    if kind in (GameKind.ADVERSARIAL_A, GameKind.ADVERSARIAL_B, GameKind.KASTANAS):
+        # She opens with a subspace; then he and she alternate
+        # (point, subspace) pairs, and her last answer is a bare point.
+        if n == 0:
+            opening = la_root if kind is GameKind.ADVERSARIAL_B else below_root
+            return [Move(Player.II, subspace=q) for q in opening]
+        prefix = tuple(m.point for m in pos.moves[1:])
+        admitted = [x for x in points if space.admits(prefix + (x,), last)]
+        mover = Player.I if n % 2 else Player.II
+        if n == pos.horizon:
+            return [Move(Player.II, point=x) for x in admitted]
+        if kind is GameKind.KASTANAS:
+            subspaces = [q for q in range(len(space.palette)) if space.leq(q, last)]
+        elif (kind is GameKind.ADVERSARIAL_A) == (mover is Player.I):
+            subspaces = la_root
+        else:
+            subspaces = below_root
+        return [Move(mover, point=x, subspace=q) for x in admitted for q in subspaces]
+    # He picks a subspace, she answers inside it.
+    if n % 2 == 0:
+        choices = below_root if kind is GameKind.GOWERS_G else la_root
+        return [Move(Player.I, subspace=q) for q in choices]
+    if kind is GameKind.STRONG_ASYMPTOTIC_SF:
+        return [
+            Move(Player.II, block=k)
+            for k, elems in enumerate(space.system.family)
+            if space.set_admitted(elems, last)
+        ]
+    prefix = tuple(m.point for m in pos.moves if m.point is not None)
+    return [Move(Player.II, point=x) for x in points if space.admits(prefix + (x,), last)]
+
+
+MS4 = mathias_silver(4, 2, 1)
+MS4_SF = with_system(MS4, ms_singleton_system(MS4))
+
+
+# Every kind on the plain instance and on its SF view, at the two
+# shortest horizons; the long interleaved walks run on the plain one only.
+REFERENCE_CASES = (
+    [("ms4", MS4, k, h) for k in "ABK" for h in (2, 4)]
+    + [("ms4", MS4, k, h) for k in "FG" for h in (1, 2)]
+    + [("ms4-sf", MS4_SF, k, 2) for k in "ABK"]
+    + [("ms4-sf", MS4_SF, k, h) for k in ("F", "G", "SF") for h in (1, 2)]
+)
+
+
+class TestRulesReference:
+    @pytest.mark.parametrize(
+        "space,kind,horizon",
+        [case[1:] for case in REFERENCE_CASES],
+        ids=[f"{name}-{k}-h{h}" for name, _, k, h in REFERENCE_CASES],
+    )
+    def test_every_reachable_position(self, space, kind, horizon):
+        # The reference depends on a position only through these fields.
+        reference = {}
+        stack = [initial_position(GameKind(kind), top_subspace(space), horizon)]
+        while stack:
+            pos = stack.pop()
+            last = pos.moves[-1].subspace if pos.moves else None
+            key = (len(pos.moves), last, pos.point_prefix)
+            moves = legal_moves(space, pos)
+            if key not in reference:
+                reference[key] = brute_moves(space, pos)
+                assert all(move_legal(space, pos, m) for m in moves)
+            assert moves == reference[key], pos.key()
+            for m in moves:
+                child = pos.child(m)
+                if not child.terminal:
+                    stack.append(child)
+
+
+class TestOutsideThePalette:
+    def test_ids_outside_the_options_are_illegal(self, ms6):
+        space = with_system(ms6, ms_singleton_system(ms6))
+        top = top_subspace(space)
+        subspace_pos = initial_position(GameKind.GOWERS_G, top, 1)
+        point_pos = subspace_pos.child(Move(Player.I, subspace=top))
+        sf = initial_position(GameKind.STRONG_ASYMPTOTIC_SF, top, 1)
+        block_pos = sf.child(Move(Player.I, subspace=top))
+        for q in (-1, len(space.palette)):
+            assert move_legal(space, subspace_pos, Move(Player.I, subspace=q)) is False
+            assert move_legal(space, sf, Move(Player.I, subspace=q)) is False
+        for x in (-1, len(space.points)):
+            assert move_legal(space, point_pos, Move(Player.II, point=x)) is False
+        for k in (-1, len(space.system.family)):
+            assert move_legal(space, block_pos, Move(Player.II, block=k)) is False
+
+    def test_rule_playing_subspace_minus_one_is_refused(self, ms6):
+        top = top_subspace(ms6)
+        with pytest.raises(IllegalMove):
+            strategy_from_rule(
+                ms6, GameKind.GOWERS_G, top, 2, Player.I,
+                lambda spc, pos: Move(Player.I, subspace=-1),
+            )
 
 
 class TestApplyMove:

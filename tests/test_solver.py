@@ -19,6 +19,7 @@ from gowerslab.games import legal_moves
 from gowerslab.errors import Budget
 from gowerslab.instances import mathias_silver, top_subspace
 from gowerslab.payoffs import Payoff
+from microsuite import micro_games
 
 
 class TestSolveExamples:
@@ -71,6 +72,13 @@ class TestNaiveOracle:
             slow = naive_solve_oracle(space, kind, root, payoff, goal)
             assert fast.winner == slow.winner
 
+    @pytest.mark.parametrize("game", micro_games(), ids=lambda game: game.label)
+    def test_table_matches_the_oracle_on_the_micro_suite(self, game):
+        fast = solve(game.space, game.kind, game.root, game.payoff, game.goal)
+        slow = naive_solve_oracle(game.space, game.kind, game.root, game.payoff, game.goal)
+        assert fast.winner is slow.winner
+        assert fast.strategy.table == slow.strategy.table
+
     def test_empty_payoff_never_won_by_goal_owner(self, ms6):
         top = top_subspace(ms6)
         payoff = build_payoff(ms6, "nothing", 1)
@@ -107,6 +115,16 @@ class TestVerify:
         two = verify_strategy(ms6, strat, payoff, mode="sampled", seed=9, trials=50)
         assert (one.plays, one.in_accepts) == (two.plays, two.in_accepts)
         assert one.passed
+
+    @pytest.mark.parametrize(
+        "fields", [{"mode": "exhastive"}, {"target": "acepts"}], ids=["mode", "target"]
+    )
+    def test_misspelled_mode_or_target_rejected(self, ms6, fields):
+        top = top_subspace(ms6)
+        payoff = build_payoff(ms6, "everything", 1)
+        strat = solve(ms6, GameKind.GOWERS_G, top, payoff, Player.II).strategy
+        with pytest.raises(ValueError):
+            verify_strategy(ms6, strat, payoff, **fields)
 
     def test_budget_exhaustion_raises(self, ms8):
         top = top_subspace(ms8)
