@@ -31,6 +31,7 @@ from .errors import (
 )
 from .games import GameKind, Move, Player, initial_position, legal_moves
 from .instances import (
+    COUNTEREXAMPLES,
     InstanceSpec,
     build_instance,
     counterexample_sets,
@@ -169,12 +170,13 @@ class Scenario:
             game = data["game"]
             kind = GameKind(game["kind"])
             horizon = int(game["horizon"])
-            initial_position(kind, 0, horizon)  # ValueError on a horizon the game cannot have
+            has_system = instance.params.get("system") is not None
+            _check_game(kind, horizon, has_system)
             payoff = data.get("payoff", {"name": "everything"})
             if payoff["name"] not in PAYOFFS:
                 raise SpecInvalid(f"unknown payoff {payoff['name']!r}")
             pipeline = data.get("pipeline", [])
-            _check_pipeline(pipeline, horizon)
+            _check_pipeline(pipeline, horizon, has_system)
             return Scenario(
                 name=data.get("name", "scenario"),
                 seed=int(data.get("seed", 0)),
@@ -207,10 +209,18 @@ STAGE_NAMES = {
 }
 
 
-def _check_pipeline(pipeline, horizon) -> None:
+def _check_game(kind, horizon, has_system) -> None:
+    """The game takes the horizon (ValueError otherwise), and the strong
+    asymptotic game is played on an instance with a system."""
+    initial_position(kind, 0, horizon)
+    if kind is GameKind.STRONG_ASYMPTOTIC_SF and not has_system:
+        raise SpecInvalid("the strong asymptotic game needs an instance with a system")
+
+
+def _check_pipeline(pipeline, horizon, has_system) -> None:
     """Each stage's named fields are known, every game it plays besides
-    the scenario's own takes the horizon (ValueError otherwise), and it
-    is fed the artifact kind it consumes."""
+    the scenario's own passes ``_check_game``, and it is fed the
+    artifact kind it consumes."""
     current = None
     for i, stage in enumerate(pipeline):
         op = stage.get("op")
@@ -218,6 +228,9 @@ def _check_pipeline(pipeline, horizon) -> None:
             raise SpecInvalid(f"unknown pipeline op {op!r}")
         if op == "strategy" and stage.get("rule") not in RULES:
             raise SpecInvalid(f"stage {i}: unknown rule {stage.get('rule')!r}")
+        which = stage.get("which")
+        if op in ("counterexample", "pigeonhole-check") and which not in COUNTEREXAMPLES:
+            raise SpecInvalid(f"stage {i}: unknown counterexample {which!r}")
         for name, known in STAGE_NAMES.items():
             if name in stage and stage[name] not in known:
                 raise SpecInvalid(f"stage {i}: unknown {name} {stage[name]!r}")
@@ -225,7 +238,7 @@ def _check_pipeline(pipeline, horizon) -> None:
         if op == "dichotomy":
             games += DICHOTOMY_GAMES[stage.get("flavor", "strategic")]
         for game in games:
-            initial_position(game, 0, horizon)
+            _check_game(game, horizon, has_system)
         if op in ("strategy", "solve"):
             current = "strategy"
         elif op == "reduce":

@@ -1,7 +1,11 @@
 """Rule systems of the six games at finite horizon.
 
 Positions are immutable move histories; move generation is a pure
-function of (space, position).  Conventions for the finite truncation:
+function of (space, position).  Once kind, root and horizon are fixed,
+the rules and the outcome read only a position's state (see
+``GamePosition.state``), so two histories with one state have the same
+moves, children's states and outcomes.  Conventions for the finite
+truncation:
 
 * The horizon of a position is the length of the finished outcome: the
   number of point moves for the interleaved games (so always even there)
@@ -125,6 +129,15 @@ class GamePosition:
             return Player.II if len(self.moves) % 2 == 0 else Player.I
         return Player.I if len(self.moves) % 2 == 0 else Player.II
 
+    def state(self) -> tuple:
+        """``(moves played, point prefix, last move's subspace, block
+        prefix)``: everything the rules and the outcome read within one
+        game.  It leaves out kind, root and horizon."""
+        state = START_STATE
+        for move in self.moves:
+            state = next_state(state, move)
+        return state
+
     def child(self, move: Move) -> "GamePosition":
         return GamePosition(self.kind, self.root, self.horizon, self.moves + (move,))
 
@@ -135,6 +148,22 @@ class GamePosition:
             "horizon": self.horizon,
             "moves": [m.to_json() for m in self.moves],
         }
+
+
+START_STATE = (0, (), None, ())
+
+
+def next_state(state: tuple, move: Move) -> tuple:
+    """The state after ``move``, built from the state before it.  In
+    every game a move's point, when it has one, is the next outcome
+    entry, so the points collected are ``point_prefix``."""
+    played, points, _, blocks = state
+    return (
+        played + 1,
+        points if move.point is None else points + (move.point,),
+        move.subspace,
+        blocks if move.block is None else blocks + (move.block,),
+    )
 
 
 def initial_position(kind: GameKind, root: SubspaceId, horizon: int) -> GamePosition:

@@ -682,6 +682,7 @@ def pigeonhole(provider, space, history, point_set, p, delta=None):
 FIRST_COORD_ONE = "FirstCoordOne"
 PROJECTIVE_FIRST_LAST = "ProjectiveFirstLast"
 PHI_SUPPORT = "PhiSupport"
+COUNTEREXAMPLES = (FIRST_COORD_ONE, PROJECTIVE_FIRST_LAST, PHI_SUPPORT)
 
 
 def phi_map(q: int) -> dict:

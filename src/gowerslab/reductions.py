@@ -495,7 +495,8 @@ def reinterpret_adversarial(strat: Strategy) -> Strategy:
     """His strategy in the game constraining his subspaces, read in the
     game constraining hers: his moves stay legal (the tighter relation
     implies the looser), her options only shrink, so the table carries
-    over with retagged position keys."""
+    over: a history table with retagged position keys, a positional one
+    unchanged (states hold no game kind)."""
     if strat.owner is not Player.I or strat.kind is not GameKind.ADVERSARIAL_A:
         raise ValueError("reinterpretation goes from his constrained game")
     out = Strategy(
@@ -505,9 +506,13 @@ def reinterpret_adversarial(strat: Strategy) -> Strategy:
         strat.horizon,
         name=f"B-read:{strat.name}",
         verified=strat.verified,
+        positional=strat.positional,
     )
-    for key, move in strat.table.items():
-        out.table[(GameKind.ADVERSARIAL_B.value,) + key[1:]] = move
+    if strat.positional:
+        out.table = dict(strat.table)
+    else:
+        for key, move in strat.table.items():
+            out.table[(GameKind.ADVERSARIAL_B.value,) + key[1:]] = move
     return out
 
 

@@ -1,24 +1,33 @@
 """Backward-induction solver, strategy extraction, and verification.
 
 Finite clopen games are determined: ``solve`` computes the winner and a
-full strategy table for the winner.  Histories are the state, so every
-position is reached by one path and a memo would never be read; instead
-the search records, at each position the player to move wins, that
-player's first winning move in canonical order, and the table is read
-off those records.  ``naive_solve_oracle`` is the independent check:
-the same minimax with a smaller default budget, whose table re-solves
-each candidate child.
+full strategy table for the winner.  The search runs on the state graph:
+the value of a position is a function of its state
+(``GamePosition.state``), so each state is searched once and then read
+from a memo, and the search records, at each state the player to move
+wins, that player's first winning move in canonical order.  The
+winner's records are the table, keyed by state (a *positional* table);
+that move is the same at every history with the state, so projected to
+histories the table is the one a search over histories would extract.
+``naive_solve_oracle`` is the independent check: minimax over move
+histories with a smaller default budget and no memo, whose history
+table re-solves each candidate child.
 
 Strategies are finite position-to-move tables, total on the positions
 reachable when the owner follows the table and the opponent plays
 anything legal.  ``verify_strategy`` replays a table against the
 exhaustive adversary (every legal opponent line) or a seeded uniform
 one, and reports the exact fraction of outcomes landing in the payoff.
+On a positional table the exhaustive count is taken over states: the
+number of plays below a state and how many land in the payoff are
+functions of the state, so the same integers come out of a memoized
+recursion as out of the replay.
 
-Every walk over that tree (extraction, exhaustive replay, and each
-strategy transformation) goes through ``expand``: the owner follows a
-rule carrying shadow state, the opponent tries every legal move, and
-each visited position costs one budget tick.
+Every walk over the history tree (the oracle's extraction, exhaustive
+replay of a history table, and each strategy transformation) goes
+through ``expand``: the owner follows a rule carrying shadow state, the
+opponent tries every legal move, and each visited position costs one
+budget tick.
 
 A player with no legal move at a non-terminal position loses; finite
 truncations can strand a player even though the infinite games cannot.
@@ -40,6 +49,7 @@ from .games import (
     initial_position,
     legal_moves,
     move_legal,
+    next_state,
     play_outcome,
 )
 from .payoffs import Payoff
@@ -52,24 +62,35 @@ class Strategy:
     kind: GameKind
     root: int
     horizon: int
-    table: dict = field(default_factory=dict)  # pos.key() -> Move
+    table: dict = field(default_factory=dict)  # pos.key(), or pos.state() if positional -> Move
     verified: bool = False
     name: str = ""
+    positional: bool = False
 
     def move_at(self, pos: GamePosition) -> Move:
-        key = pos.key()
+        if not self.positional:
+            key = pos.key()
+        elif (pos.kind, pos.root, pos.horizon) == (self.kind, self.root, self.horizon):
+            key = pos.state()
+        else:
+            raise StrategyIncomplete(pos.key())
         if key not in self.table:
             raise StrategyIncomplete(key)
         return self.table[key]
 
     def to_json(self) -> dict:
-        entries = [
-            {"pos": [list(m) for m in key[3]], "move": move.to_json()}
-            for key, move in sorted(
-                self.table.items(), key=lambda item: repr(item[0])
-            )
-        ]
-        return {
+        ordered = sorted(self.table.items(), key=lambda item: repr(item[0]))
+        if self.positional:
+            entries = [
+                {"state": [n, list(points), subspace, list(blocks)], "move": move.to_json()}
+                for (n, points, subspace, blocks), move in ordered
+            ]
+        else:
+            entries = [
+                {"pos": [list(m) for m in key[3]], "move": move.to_json()}
+                for key, move in ordered
+            ]
+        out = {
             "owner": self.owner.value,
             "kind": self.kind.value,
             "root": self.root,
@@ -78,6 +99,9 @@ class Strategy:
             "name": self.name,
             "entries": entries,
         }
+        if self.positional:
+            out["positional"] = True
+        return out
 
     @staticmethod
     def from_json(data: dict) -> "Strategy":
@@ -88,10 +112,15 @@ class Strategy:
             data["horizon"],
             verified=data.get("verified", False),
             name=data.get("name", ""),
+            positional=data.get("positional", False),
         )
         head = (strat.kind.value, strat.root, strat.horizon)
         for entry in data["entries"]:
-            key = head + (tuple(tuple(m) for m in entry["pos"]),)
+            if strat.positional:
+                n, points, subspace, blocks = entry["state"]
+                key = (n, tuple(points), subspace, tuple(blocks))
+            else:
+                key = head + (tuple(tuple(m) for m in entry["pos"]),)
             strat.table[key] = Move.from_json(entry["move"])
         return strat
 
@@ -101,7 +130,6 @@ class SolveResult:
     winner: Player
     strategy: Strategy
     nodes_expanded: int
-    exhausted: bool = False
 
 
 VERIFY_MODES = ("exhaustive", "sampled")
@@ -142,30 +170,38 @@ def _accepts_fn(space: SpaceInstance, payoff: Payoff) -> Callable[[GamePosition]
     return accepts
 
 
-def _minimax(space, pos0, accepts, goal_owner, budget, wins=None) -> bool:
+def _minimax(space, pos0, accepts, goal_owner, budget, memo=None, wins=None) -> bool:
     """True iff goal_owner forces the outcome into accepts from pos0.
 
-    Each searched position costs one budget tick.  When ``wins`` is
-    given, it maps each position the player to move wins to that
-    player's first winning move in canonical order.
+    Without ``memo`` every history is searched and costs one budget
+    tick.  With it (state -> value) each state is searched once and
+    costs one tick, and ``wins`` maps each searched state the player to
+    move wins to that player's first winning move in canonical order.
     """
     tick = budget.tick
 
-    def value(pos: GamePosition) -> bool:
+    def value(pos: GamePosition, state: tuple) -> bool:
+        if memo is not None and state in memo:
+            return memo[state]
         tick()
         if pos.terminal:
-            return bool(accepts(pos))
-        # The goal owner looks for a child worth True, the opponent for
-        # one worth False; a player without a legal move loses.
-        want = pos.to_move is goal_owner
-        for m in legal_moves(space, pos):
-            if value(pos.child(m)) is want:
-                if wins is not None:
-                    wins[pos.key()] = m
-                return want
-        return not want
+            won = bool(accepts(pos))
+        else:
+            # The goal owner looks for a child worth True, the opponent
+            # for one worth False; a player without a legal move loses.
+            want = pos.to_move is goal_owner
+            won = not want
+            for m in legal_moves(space, pos):
+                if value(pos.child(m), next_state(state, m)) is want:
+                    if wins is not None:
+                        wins[state] = m
+                    won = want
+                    break
+        if memo is not None:
+            memo[state] = won
+        return won
 
-    return value(pos0)
+    return value(pos0, pos0.state())
 
 
 def expand(
@@ -225,38 +261,6 @@ def table_rule(space: SpaceInstance, strat: Strategy) -> Callable:
     return rule
 
 
-def _solve_impl(space, kind, root, payoff, goal_owner, budget, oracle):
-    pos0 = initial_position(kind, root, payoff.horizon)
-    accepts = _accepts_fn(space, payoff)
-    wins = None if oracle else {}
-    nodes = 0
-
-    def value(pos: GamePosition) -> bool:
-        nonlocal nodes
-        before = budget.used
-        v = _minimax(space, pos, accepts, goal_owner, budget, wins)
-        nodes += budget.used - before
-        return v
-
-    goal_reached = value(pos0)
-    winner = goal_owner if goal_reached else goal_owner.other
-
-    def rule(pos, shadow):
-        # The winner's first winning move in canonical order: recorded by
-        # the search, or for the oracle found by searching each child again.
-        if wins is not None:
-            return wins[pos.key()], shadow
-        for m in legal_moves(space, pos):
-            if value(pos.child(m)) is goal_reached:
-                return m, shadow
-        raise AssertionError("winner has no winning move; solver inconsistent")
-
-    strategy = Strategy(winner, kind, root, payoff.horizon, name=f"solve:{payoff.name}")
-    expand(space, pos0, winner, rule, budget=budget, table=strategy.table)
-    strategy.verified = True  # exhaustive backward induction is the proof
-    return SolveResult(winner, strategy, nodes)
-
-
 def solve(
     space: SpaceInstance,
     kind: GameKind,
@@ -268,10 +272,30 @@ def solve(
     """Decide the finite-horizon clopen game and extract a winning strategy.
 
     The goal owner targets ``payoff.accepts``; the opponent the
-    complement.  The returned strategy belongs to whoever wins.
+    complement.  The returned strategy belongs to whoever wins; its
+    positional table holds the winner's first winning move at every
+    state the search decided in the winner's favour.  ``nodes_expanded``
+    counts the states searched.
     """
     budget = budget or Budget(2_000_000, "solve")
-    return _solve_impl(space, kind, root, payoff, goal_owner, budget, oracle=False)
+    pos0 = initial_position(kind, root, payoff.horizon)
+    before = budget.used
+    wins: dict = {}
+    goal_reached = _minimax(
+        space, pos0, _accepts_fn(space, payoff), goal_owner, budget, {}, wins
+    )
+    winner = goal_owner if goal_reached else goal_owner.other
+    strategy = Strategy(
+        winner,
+        kind,
+        root,
+        payoff.horizon,
+        {state: m for state, m in wins.items() if m.player is winner},
+        verified=True,  # exhaustive backward induction is the proof
+        name=f"solve:{payoff.name}",
+        positional=True,
+    )
+    return SolveResult(winner, strategy, budget.used - before)
 
 
 def naive_solve_oracle(
@@ -282,11 +306,66 @@ def naive_solve_oracle(
     goal_owner: Player,
     budget: Optional[Budget] = None,
 ) -> SolveResult:
-    """Minimax over the same rules that records no moves; the
-    differential oracle.  Its node count includes the searches its
-    table makes."""
+    """Minimax over move histories with no memo that records no moves;
+    the differential oracle.  Its history table re-searches each
+    candidate child, and its node count includes those searches."""
     budget = budget or Budget(500_000, "naive_solve_oracle")
-    return _solve_impl(space, kind, root, payoff, goal_owner, budget, oracle=True)
+    pos0 = initial_position(kind, root, payoff.horizon)
+    accepts = _accepts_fn(space, payoff)
+    nodes = 0
+
+    def value(pos: GamePosition) -> bool:
+        nonlocal nodes
+        before = budget.used
+        v = _minimax(space, pos, accepts, goal_owner, budget)
+        nodes += budget.used - before
+        return v
+
+    goal_reached = value(pos0)
+    winner = goal_owner if goal_reached else goal_owner.other
+
+    def rule(pos, shadow):
+        # The winner's first winning move in canonical order.
+        for m in legal_moves(space, pos):
+            if value(pos.child(m)) is goal_reached:
+                return m, shadow
+        raise AssertionError("winner has no winning move; solver inconsistent")
+
+    strategy = Strategy(winner, kind, root, payoff.horizon, name=f"solve:{payoff.name}")
+    expand(space, pos0, winner, rule, budget=budget, table=strategy.table)
+    strategy.verified = True
+    return SolveResult(winner, strategy, nodes)
+
+
+def _count_plays(space, pos0, owner, rule, accepts, budget) -> tuple:
+    """``(plays, in_accepts)`` below pos0 when ``owner`` follows a
+    positional table's ``rule`` and the opponent plays every legal move,
+    counted over states: each state costs one budget tick, and an
+    opponent without a legal move ends the line without a play, as in
+    ``expand``."""
+    tick = budget.tick
+    memo: dict = {}
+
+    def count(pos: GamePosition, state: tuple) -> tuple:
+        if state in memo:
+            return memo[state]
+        tick()
+        if pos.terminal:
+            out = (1, 1 if accepts(pos) else 0)
+        elif pos.to_move is owner:
+            move, _ = rule(pos, None)
+            out = count(pos.child(move), next_state(state, move))
+        else:
+            plays = hits = 0
+            for m in legal_moves(space, pos):
+                p, h = count(pos.child(m), next_state(state, m))
+                plays += p
+                hits += h
+            out = (plays, hits)
+        memo[state] = out
+        return out
+
+    return count(pos0, pos0.state())
 
 
 def verify_strategy(
@@ -303,7 +382,9 @@ def verify_strategy(
 
     ``target`` names the side the owner claims to force ("accepts" or
     "complement"); the report's ``passed`` says whether every replayed
-    outcome landed there.  Every replayed position costs one tick.
+    outcome landed there.  Every replayed position costs one tick; an
+    exhaustive check of a positional table counts its plays over
+    states, one tick per state.
     """
     if mode not in VERIFY_MODES or target not in VERIFY_TARGETS:
         raise ValueError(f"unknown verification mode {mode!r} or target {target!r}")
@@ -318,6 +399,11 @@ def verify_strategy(
         if accepts(pos):
             report.in_accepts += 1
 
+    if mode == "exhaustive" and strat.positional:
+        report.plays, report.in_accepts = _count_plays(
+            space, pos0, strat.owner, rule, accepts, budget
+        )
+        return report
     if mode == "exhaustive":
         expand(space, pos0, strat.owner, rule, leaf=score, budget=budget)
         return report

@@ -42,6 +42,18 @@ class TestBundledScenarios:
         assert strategy["op"] == "strategy" and strategy["nodes"] > 0
         assert verify["op"] == "verify" and verify["nodes"] > 0
 
+    def test_scaled_gowers_scenario_decides_and_verifies(self, tmp_path):
+        # mathias_silver(7, 2, 1) at horizon 4: counted over states, every
+        # one of the 207,360,000 plays of the winner's strategy is in the
+        # target.
+        code = main(["run", str(scenario_path("ms7-gowers-h4.json")), "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "ms7-gowers-h4.json").read_text())
+        solve_stage, verify_stage = report["stages"]
+        assert solve_stage["result"]["winner"] == "II"
+        assert verify_stage["result"]["plays"] == 207_360_000
+        assert verify_stage["verified_fraction"] == "1"
+
     def test_counterexample_scenario_reports_unavailable(self, tmp_path):
         outcome = run_scenario(
             scenario_path("f3-pigeonhole-counterexample.json"), out_dir=tmp_path
@@ -177,6 +189,8 @@ MALFORMED = [
     ("verify-mode-misspelled", "ms-kastanas-h1.json", _stage(2, mode="exhastive")),
     ("verify-target-misspelled", "ms-kastanas-h1.json", _stage(2, target="acepts")),
     ("strategy-target-misspelled", "ms-kastanas-h1.json", _stage(0, target="acepts")),
+    ("counterexample-unknown", "f3-pigeonhole-counterexample.json", _stage(0, which="Nope")),
+    ("strong-game-without-system", "ms-f-dichotomy.json", _stage(0, kind="SF")),
 ]
 
 
@@ -261,6 +275,36 @@ class TestStrategyFiles:
         again = Strategy.from_json(json.loads(blob))
         assert again.table == strat.table
         assert verify_strategy(ms, again, payoff).passed
+
+    def test_history_table_file_keeps_its_format(self):
+        import json
+
+        from gowerslab import GameKind, Player, Strategy, strategy_from_rule, verify_strategy
+        from gowerslab.games import legal_moves
+        from gowerslab.instances import mathias_silver, top_subspace
+        from gowerslab.payoffs import build_payoff
+
+        ms = mathias_silver(5, 2, 1)
+        top = top_subspace(ms)
+        payoff = build_payoff(ms, "everything", 2)
+        first = lambda spc, pos: legal_moves(spc, pos)[0]  # noqa: E731
+        strat = strategy_from_rule(ms, GameKind.GOWERS_G, top, 2, Player.II, first)
+        data = strat.to_json()
+        assert "positional" not in data and all("pos" in e for e in data["entries"])
+        again = Strategy.from_json(json.loads(json.dumps(data)))
+        assert not again.positional and again.table == strat.table
+        assert verify_strategy(ms, again, payoff).plays == verify_strategy(ms, strat, payoff).plays
+
+    def test_solved_table_file_is_marked_positional(self):
+        from gowerslab import GameKind, Player, build_payoff, solve
+        from gowerslab.instances import mathias_silver, top_subspace
+
+        ms = mathias_silver(5, 2, 1)
+        payoff = build_payoff(ms, "everything", 2)
+        strat = solve(ms, GameKind.GOWERS_G, top_subspace(ms), payoff, Player.II).strategy
+        data = strat.to_json()
+        assert data["positional"] is True
+        assert all("state" in e and "pos" not in e for e in data["entries"])
 
     def test_save_flag_writes_strategy_file(self, tmp_path):
         import json

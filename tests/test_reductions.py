@@ -208,6 +208,19 @@ class TestAdversarialFromKastanas:
         report = verify_strategy(ms6, reread, payoff, target="accepts")
         assert report.passed
 
+    def test_solved_strategy_reads_in_her_game(self, ms6):
+        # A solved table is keyed by state, which holds no game kind, so
+        # it carries over unchanged.
+        top = top_subspace(ms6)
+        payoff = build_payoff(ms6, "first_in", 2, {"labels": [1, 2, 3, 4, 5]})
+        result = solve(ms6, GameKind.ADVERSARIAL_A, top, payoff, Player.I)
+        assert result.winner is Player.I and result.strategy.positional
+        reread = reinterpret_adversarial(result.strategy)
+        assert reread.kind is GameKind.ADVERSARIAL_B and reread.positional
+        assert reread.table == result.strategy.table
+        report = verify_strategy(ms6, reread, payoff, target="accepts")
+        assert report.plays > 0 and report.fraction_accepts == 1
+
     def test_refuses_unverified_input(self, ms6):
         top = top_subspace(ms6)
         payoff = build_payoff(ms6, "point_odd", 2, {"index": 1})

@@ -14,12 +14,72 @@ from gowerslab import (
     strategy_from_rule,
     verify_strategy,
 )
-from gowerslab.errors import ExhaustionBudget, StrategyIncomplete
-from gowerslab.games import legal_moves
+from gowerslab.errors import ExhaustionBudget, IllegalMove, StrategyIncomplete
+from gowerslab.games import Move, initial_position, legal_moves
 from gowerslab.errors import Budget
-from gowerslab.instances import mathias_silver, top_subspace
+from gowerslab.instances import mathias_silver, rosendal, top_subspace
 from gowerslab.payoffs import Payoff
-from microsuite import micro_games
+from gowerslab.solver import expand, table_rule
+from gowerslab.space import FULL_HISTORY
+from microsuite import MicroGame, micro_games
+
+
+def seeded_games() -> list:
+    """Seeded G, F, A and B games on three instances, each owner as
+    goal owner once, at the longest horizons the history oracle solves
+    in well under a second."""
+    games = []
+    for label, space in (
+        ("ms4", mathias_silver(4, 2, 1)),
+        ("ms5", mathias_silver(5, 2, 1)),
+        ("ros331", rosendal(3, 3, 1)),
+    ):
+        for kind, horizon in (
+            (GameKind.GOWERS_G, 3),
+            (GameKind.ASYMPTOTIC_F, 3),
+            (GameKind.ADVERSARIAL_A, 4),
+            (GameKind.ADVERSARIAL_B, 4),
+        ):
+            for seed, goal in ((1, Player.I), (2, Player.II)):
+                games.append(
+                    MicroGame(
+                        f"{label}/{kind.value}/h{horizon}/s{seed}",
+                        space,
+                        kind,
+                        top_subspace(space),
+                        seeded_payoff(horizon, seed, 0.7),
+                        goal,
+                    )
+                )
+    return games
+
+
+def check_against_the_oracle(game) -> None:
+    """The state-graph solve against the history oracle: the same
+    winner, the same table once projected to the histories its replay
+    reaches, and the same (plays, in_accepts) from counting over states
+    as from replaying that projection."""
+    fast = solve(game.space, game.kind, game.root, game.payoff, game.goal)
+    slow = naive_solve_oracle(game.space, game.kind, game.root, game.payoff, game.goal)
+    assert fast.winner is slow.winner
+    strat = fast.strategy
+    assert strat.positional and not slow.strategy.positional
+    projection: dict = {}
+    pos0 = initial_position(strat.kind, strat.root, strat.horizon)
+    expand(game.space, pos0, strat.owner, table_rule(game.space, strat), table=projection)
+    assert projection == slow.strategy.table
+    history = Strategy(strat.owner, strat.kind, strat.root, strat.horizon, projection)
+    target = "accepts" if fast.winner is game.goal else "complement"
+    by_state = verify_strategy(game.space, strat, game.payoff, target=target)
+    by_replay = verify_strategy(game.space, history, game.payoff, target=target)
+    assert (by_state.plays, by_state.in_accepts) == (by_replay.plays, by_replay.in_accepts)
+    assert by_state.passed
+    # Against a payoff the table was not solved for, some plays land on
+    # each side, so the count of in_accepts is tested too.
+    other = seeded_payoff(strat.horizon, 99, 0.5)
+    by_state = verify_strategy(game.space, strat, other)
+    by_replay = verify_strategy(game.space, history, other)
+    assert (by_state.plays, by_state.in_accepts) == (by_replay.plays, by_replay.in_accepts)
 
 
 class TestSolveExamples:
@@ -74,10 +134,11 @@ class TestNaiveOracle:
 
     @pytest.mark.parametrize("game", micro_games(), ids=lambda game: game.label)
     def test_table_matches_the_oracle_on_the_micro_suite(self, game):
-        fast = solve(game.space, game.kind, game.root, game.payoff, game.goal)
-        slow = naive_solve_oracle(game.space, game.kind, game.root, game.payoff, game.goal)
-        assert fast.winner is slow.winner
-        assert fast.strategy.table == slow.strategy.table
+        check_against_the_oracle(game)
+
+    @pytest.mark.parametrize("game", seeded_games(), ids=lambda game: game.label)
+    def test_table_matches_the_oracle_on_seeded_games(self, game):
+        check_against_the_oracle(game)
 
     def test_empty_payoff_never_won_by_goal_owner(self, ms6):
         top = top_subspace(ms6)
@@ -103,9 +164,38 @@ class TestVerify:
             result.strategy.root,
             result.strategy.horizon,
             dict(list(result.strategy.table.items())[:1]),
+            positional=result.strategy.positional,
         )
         with pytest.raises(StrategyIncomplete):
             verify_strategy(ms6, broken, payoff)
+
+    def test_illegal_table_move_detected_by_the_state_count(self, ms6):
+        top = top_subspace(ms6)
+        payoff = build_payoff(ms6, "everything", 2)
+        strat = solve(ms6, GameKind.GOWERS_G, top, payoff, Player.II).strategy
+        state, move = next(iter(strat.table.items()))
+        strat.table[state] = Move(move.player, point=-1)
+        with pytest.raises(IllegalMove):
+            verify_strategy(ms6, strat, payoff)
+
+    def test_state_count_skips_a_stranded_opponent(self):
+        # Her second point must have a larger id than her first, so after
+        # opening with point 1 inside {0, 1} she has no legal move: that
+        # line ends without a play in the count over states as in the
+        # replay, and only the line (0, 1) is counted.
+        ms = mathias_silver(4, 2, 1)
+        base = ms.admits
+        climb = ms.derive(
+            admits=lambda h, p: base(h, p) and (len(h) < 2 or h[-1] > h[0]),
+            admission=FULL_HISTORY,
+        )
+        top = top_subspace(climb)
+        payoff = build_payoff(climb, "everything", 2)
+        game = MicroGame("climb/G/h2", climb, GameKind.GOWERS_G, top, payoff, Player.I)
+        check_against_the_oracle(game)
+        strat = solve(climb, GameKind.GOWERS_G, top, payoff, Player.I).strategy
+        report = verify_strategy(climb, strat, payoff)
+        assert (report.plays, report.in_accepts) == (1, 1)
 
     def test_sampled_mode_is_seed_deterministic(self, ms6):
         top = top_subspace(ms6)
