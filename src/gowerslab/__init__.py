@@ -32,10 +32,8 @@ from .solver import (
 )
 from .space import (
     AxiomReport,
-    DerivedRelations,
     SpaceInstance,
     check_axioms,
-    derive_relations,
     iterated_meet,
     with_system,
 )
@@ -43,7 +41,6 @@ from .space import (
 __all__ = [
     "AxiomReport",
     "Budget",
-    "DerivedRelations",
     "ExhaustionBudget",
     "FiniteExhaustion",
     "GameKind",
@@ -68,7 +65,6 @@ __all__ = [
     "VerificationReport",
     "build_payoff",
     "check_axioms",
-    "derive_relations",
     "iterated_meet",
     "naive_solve_oracle",
     "negate",

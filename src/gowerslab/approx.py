@@ -58,16 +58,26 @@ class DeltaSeq:
 # -- expansions -----------------------------------------------------------------
 
 
+def _balls(space: SpaceInstance, radii, centres) -> dict:
+    """``ball[r][y]``: the points x with ``distance(x, y) <= r``, ascending,
+    for each radius r and each centre y.  One distance per (x, y) pair,
+    however many radii share it."""
+    balls = {r: {} for r in set(radii)}
+    everything = range(len(space.points))
+    for y in centres:
+        row = [space.distance(x, y) for x in everything]
+        for r, ball in balls.items():
+            ball[y] = tuple(x for x in everything if row[x] <= r)
+    return balls
+
+
 def expand_point_set(space: SpaceInstance, points, delta) -> frozenset:
     """All points within delta of the set (non-strict)."""
     space.require_metric()
     delta = parse_fraction(delta)
     points = frozenset(points)
-    return frozenset(
-        x
-        for x in range(len(space.points))
-        if any(space.distance(x, y) <= delta for y in points)
-    )
+    ball = _balls(space, (delta,), points)[delta]
+    return frozenset(x for y in points for x in ball[y])
 
 
 def materialize_payoff_set(space: SpaceInstance, payoff: Payoff) -> frozenset:
@@ -81,18 +91,19 @@ def materialize_payoff_set(space: SpaceInstance, payoff: Payoff) -> frozenset:
 
 
 def expand_sequence_set(space: SpaceInstance, seqs, delta: DeltaSeq) -> frozenset:
-    """Coordinatewise delta-expansion of a set of equal-length sequences."""
+    """Coordinatewise delta-expansion of a set of equal-length sequences:
+    the union over y in the set of the products of the balls of radius
+    ``delta[i]`` around ``y[i]`` (non-strict)."""
     space.require_metric()
     seqs = list(seqs)
     if not seqs:
         return frozenset()
     k = len(seqs[0])
+    radii = [delta[i] for i in range(k)]
+    balls = _balls(space, radii, {c for y in seqs for c in y})
     out = set()
-    for cand in product(range(len(space.points)), repeat=k):
-        for y in seqs:
-            if all(space.distance(cand[i], y[i]) <= delta[i] for i in range(k)):
-                out.add(cand)
-                break
+    for y in seqs:
+        out.update(product(*(balls[radii[i]][y[i]] for i in range(k))))
     return frozenset(out)
 
 
@@ -103,13 +114,13 @@ def expand_sequence_membership(
     space.require_metric()
     if len(seq) != target.horizon or len(delta) != target.horizon:
         raise SpecInvalid("sequence, payoff, and delta lengths must agree")
-    k = len(seq)
-    for y in product(range(len(space.points)), repeat=k):
-        if not target.accepts(y):
-            continue
-        if all(space.distance(seq[i], y[i]) <= delta[i] for i in range(k)):
-            return True
-    return False
+    everything = range(len(space.points))
+    balls = _balls(space, delta.values, everything)
+    near = [
+        [y for y in everything if seq[i] in balls[r][y]]
+        for i, r in enumerate(delta.values)
+    ]
+    return any(target.accepts(y) for y in product(*near))
 
 
 def expanded_payoff(space: SpaceInstance, payoff: Payoff) -> Payoff:
@@ -252,36 +263,51 @@ def ms_singleton_system(space: SpaceInstance) -> PrecompactSystem:
 
 def field_subspace_system(space: SpaceInstance) -> PrecompactSystem:
     """Over a finite-field instance: nonzero parts of all subspaces, with
-    the sum-span as the operation."""
+    the sum-span as the operation.  The sum is memoized on the union of
+    its arguments, and equal spans are one shared set."""
     if space.meta.get("kind") != "rosendal":
         raise SpecInvalid("the field system needs a Rosendal instance")
     q = space.meta["field_order"]
-    index = {v: i for i, v in enumerate(space.points)}
+    vectors = space.points
+    index = {v: i for i, v in enumerate(vectors)}
+    # Vector arithmetic on point ids; None stands for the zero vector.
+    plus = [
+        [index.get(tuple((x + y) % q for x, y in zip(u, v))) for v in vectors]
+        for u in vectors
+    ]
+    multiples = [
+        [index[tuple(lam * x % q for x in v)] for lam in range(1, q)] for v in vectors
+    ]
+    shared: dict = {}  # a span -> the one set standing for it
+    bits: dict = {}  # a summand -> the bitmask of its ids
+    sums: dict = {}  # the bitmask of a union -> its span
 
-    def close(ids: frozenset) -> frozenset:
-        vecs = {space.points[i] for i in ids}
-        changed = True
-        while changed:
-            changed = False
-            current = list(vecs)
-            for a in current:
-                for b in current:
-                    s = tuple((x + y) % q for x, y in zip(a, b))
-                    if any(s) and s not in vecs:
-                        vecs.add(s)
-                        changed = True
-                for lam in range(2, q):
-                    s = tuple(lam * x % q for x in a)
-                    if s not in vecs:
-                        vecs.add(s)
-                        changed = True
-        return frozenset(index[v] for v in vecs)
+    def close(ids) -> frozenset:
+        """Nonzero part of the span, one vector at a time: a vector v
+        outside the span S so far adds lam * v and s + lam * v for every s
+        in S and every nonzero scalar lam."""
+        span: set = set()
+        for i in ids:
+            if i not in span:
+                line = multiples[i]
+                span.update([plus[s][m] for s in span for m in line] + line)
+        out = frozenset(span)
+        return shared.setdefault(out, out)
+
+    def mask(ids) -> int:
+        hit = bits.get(ids)
+        if hit is None:
+            hit = bits[ids] = sum(1 << i for i in ids)
+        return hit
 
     def oplus(a, b):
-        return close(frozenset(a | b))
+        key = mask(a) | mask(b)
+        hit = sums.get(key)
+        if hit is None:
+            hit = sums[key] = close(a | b)
+        return hit
 
-    lines = {close(frozenset({i})) for i in range(len(space.points))}
-    family = {frozenset(k) for k in lines}
+    family = {close((i,)) for i in range(len(vectors))}
     frontier = list(family)
     while frontier:
         fresh = []

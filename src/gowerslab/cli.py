@@ -175,6 +175,10 @@ class Scenario:
             payoff = data.get("payoff", {"name": "everything"})
             if payoff["name"] not in PAYOFFS:
                 raise SpecInvalid(f"unknown payoff {payoff['name']!r}")
+            if payoff["name"] == "in_counterexample":
+                which = payoff.get("params", {}).get("which")
+                if which not in COUNTEREXAMPLES:
+                    raise SpecInvalid(f"payoff: unknown counterexample {which!r}")
             pipeline = data.get("pipeline", [])
             _check_pipeline(pipeline, horizon, has_system)
             return Scenario(

@@ -620,12 +620,9 @@ class PigeonholeProvider:
     approximate: bool = False
 
     def _expanded(self, space, point_set, delta):
-        delta = parse_fraction(delta)
-        return frozenset(
-            x
-            for x in range(len(space.points))
-            if any(space.distance(x, y) <= delta for y in point_set)
-        )
+        from .approx import expand_point_set  # local import; approx sits above
+
+        return expand_point_set(space, point_set, delta)
 
     def decide(self, space, history, point_set, p, delta=None):
         inside = (

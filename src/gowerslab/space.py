@@ -194,45 +194,6 @@ class SpaceInstance:
 
 
 @dataclass
-class DerivedRelations:
-    """Tabulated `lessapprox` and compatibility over the palette.
-
-    Rows are bitmasks over subspace ids: bit j of ``lessapprox_rows[i]``
-    says subspace i is lessapprox subspace j.
-    """
-
-    size: int
-    lessapprox_rows: list[int]
-    compatible_rows: list[int]
-
-    def lessapprox(self, p: SubspaceId, q: SubspaceId) -> bool:
-        return bool(self.lessapprox_rows[p] >> q & 1)
-
-    def compatible(self, p: SubspaceId, q: SubspaceId) -> bool:
-        return bool(self.compatible_rows[p] >> q & 1)
-
-
-def derive_relations(space: SpaceInstance, budget: Optional[Budget] = None) -> DerivedRelations:
-    """Tabulate the derived relations over the whole palette."""
-    budget = budget or Budget(where="derive_relations")
-    n = len(space.palette)
-    la_rows = [0] * n
-    co_rows = [0] * n
-    for p in range(n):
-        budget.tick(n)
-        row_la = 0
-        row_co = 0
-        for q in range(n):
-            if space.lessapprox(p, q):
-                row_la |= 1 << q
-            if space.compatible(p, q):
-                row_co |= 1 << q
-        la_rows[p] = row_la
-        co_rows[p] = row_co
-    return DerivedRelations(n, la_rows, co_rows)
-
-
-@dataclass
 class AxiomCheck:
     passed: bool
     counterexample: Optional[tuple] = None
@@ -256,22 +217,16 @@ class AxiomReport:
 
 
 def _decreasing_chains(space: SpaceInstance, max_len: int, budget: Budget):
-    """All nonempty leq-decreasing palette chains of length <= max_len."""
-    n = len(space.palette)
-
-    def extend(chain):
-        yield chain
-        if len(chain) == max_len:
-            return
-        last = chain[-1]
-        for q in range(n):
-            if space.leq(q, last):
-                budget.tick()
-                yield from extend(chain + (q,))
-
-    for p in range(n):
+    """All nonempty leq-decreasing palette chains of length <= max_len, in
+    depth-first canonical order, one tick per chain.  A chain is extended
+    over the cached ``space.below`` of its last element."""
+    stack = [(p,) for p in reversed(space.subspaces())]
+    while stack:
+        chain = stack.pop()
         budget.tick()
-        yield from extend((p,))
+        yield chain
+        if len(chain) < max_len:
+            stack.extend(chain + (q,) for q in reversed(space.below(chain[-1])))
 
 
 def check_axioms(
@@ -283,33 +238,42 @@ def check_axioms(
     axioms and the chain lengths fed to the fusion witness.  Approximate
     instances (metric present) are checked with the point-only admission
     axioms.
+
+    Each quantifier runs in canonical p-major order and stops at its
+    first counterexample; ``checked`` counts the cases up to and
+    including it.  The budget is charged what a per-pair sweep would
+    charge (a tick per pair, chain or history), a row at a time.  ``leq``
+    is read once per pair, through ``space.below``: chains extend over
+    it, and axioms 1 and 5 walk only the pairs with p <= q (axiom 1
+    still counts all n * n pairs as checked).
     """
     budget = budget or Budget(where="check_axioms")
     report = AxiomReport()
     n = len(space.palette)
     npts = len(space.points)
+    # above[p]: every q with p <= q, ascending.
+    above = [[] for _ in range(n)]
+    for q in range(n):
+        for p in space.below(q):
+            above[p].append(q)
 
     # Axiom 1: leq implies leq_star.
     check = AxiomCheck(True)
     for p in range(n):
-        for q in range(n):
-            budget.tick()
-            check.checked += 1
-            if space.leq(p, q) and not space.leq_star(p, q):
-                check.passed = False
-                check.counterexample = (p, q)
-                break
-        if not check.passed:
+        bad = next((q for q in above[p] if not space.leq_star(p, q)), None)
+        row = n if bad is None else bad + 1
+        budget.tick(row)
+        check.checked += row
+        if bad is not None:
+            check.passed = False
+            check.counterexample = (p, bad)
             break
     report.axioms["axiom1"] = check
 
     # Axiom 2: the meet witness, where defined, behaves.
     check = AxiomCheck(True)
     for p in range(n):
-        for q in range(n):
-            budget.tick()
-            if not space.leq_star(p, q):
-                continue
+        for q in [q for q in range(n) if space.leq_star(p, q)]:
             r = space.meet_witness(p, q)
             if r is None:
                 continue
@@ -318,6 +282,7 @@ def check_axioms(
                 check.passed = False
                 check.counterexample = (p, q, r)
                 break
+        budget.tick(n if check.passed else q + 1)
         if not check.passed:
             break
     report.axioms["axiom2"] = check
@@ -373,17 +338,24 @@ def check_axioms(
             break
     report.axioms["axiom4"] = check
 
+    # Axiom 5 over the pairs p <= q, p-major: admission below p implies
+    # admission below q.
     all_hists = histories(1 if point_only else horizon)
-    leq_pairs = [(p, q) for p in range(n) for q in range(n) if space.leq(p, q)]
     check = AxiomCheck(True)
     for s in all_hists:
-        for p, q in leq_pairs:
-            budget.tick()
-            check.checked += 1
-            if space.admits(s, p) and not space.admits(s, q):
-                check.passed = False
-                check.counterexample = (s, p, q)
-                break
+        admitted = [space.admits(s, p) for p in range(n)]
+        row = 0
+        for p in range(n):
+            if admitted[p]:
+                bad = next((j for j, q in enumerate(above[p]) if not admitted[q]), None)
+                if bad is not None:
+                    row += bad + 1
+                    check.passed = False
+                    check.counterexample = (s, p, above[p][bad])
+                    break
+            row += len(above[p])
+        budget.tick(row)
+        check.checked += row
         if not check.passed:
             break
     report.axioms["axiom5"] = check

@@ -1,8 +1,9 @@
 """Expansions, nets, discretization, lifts, systems, block sequences."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -34,7 +35,7 @@ from gowerslab.approx import (
     verify_strong_asymptotic,
 )
 from gowerslab.errors import NoMetric, NotDense, SpecInvalid
-from gowerslab.instances import provider_for, top_subspace
+from gowerslab.instances import provider_for, rosendal, top_subspace
 from gowerslab.payoffs import Payoff
 
 
@@ -128,6 +129,123 @@ class TestSequenceExpansion:
             seq = (rng.randrange(n), rng.randrange(n))
             if seq in twice:
                 assert seq in full
+
+
+# The pairwise-distance definitions the ball-based expansions replaced,
+# kept as oracles.
+
+
+def brute_point_set(space, points, delta):
+    delta = Fraction(delta)
+    return frozenset(
+        x
+        for x in range(len(space.points))
+        if any(space.distance(x, y) <= delta for y in points)
+    )
+
+
+def brute_sequence_set(space, seqs, delta):
+    seqs = list(seqs)
+    if not seqs:
+        return frozenset()
+    k = len(seqs[0])
+    out = set()
+    for cand in product(range(len(space.points)), repeat=k):
+        for y in seqs:
+            if all(space.distance(cand[i], y[i]) <= delta[i] for i in range(k)):
+                out.add(cand)
+                break
+    return frozenset(out)
+
+
+def brute_membership(space, seq, target, delta):
+    k = len(seq)
+    for y in product(range(len(space.points)), repeat=k):
+        if not target.accepts(y):
+            continue
+        if all(space.distance(seq[i], y[i]) <= delta[i] for i in range(k)):
+            return True
+    return False
+
+
+def distances(space):
+    n = len(space.points)
+    return sorted({space.distance(x, y) for x in range(n) for y in range(n)})
+
+
+def lopsided(x, y):
+    # Not symmetric, so a swapped distance(x, y) shows.
+    return Fraction(x - y) if x >= y else Fraction(2 * (y - x), 3)
+
+
+def metric_spaces(request):
+    # Two grids, a plain instance measured by its discrete distance, and
+    # one by a lopsided distance.
+    ms6 = request.getfixturevalue("ms6")
+    return [
+        request.getfixturevalue("grid_quarter"),
+        request.getfixturevalue("grid_half"),
+        ms6.derive(metric=ms6.distance),
+        ms6.derive(metric=lopsided),
+    ]
+
+
+def radius(rng, space):
+    """A positive radius: half the time exactly a distance of the space
+    (the non-strict boundary), else halfway between two distances."""
+    ds = distances(space)
+    i = rng.randrange(1, len(ds))
+    return ds[i] if rng.random() < 0.5 else (ds[i - 1] + ds[i]) / 2
+
+
+class TestExpansionsAgainstPairwiseOracle:
+    def test_point_sets(self, request):
+        rng = random.Random(11)
+        for space in metric_spaces(request):
+            n = len(space.points)
+            for r in distances(space):
+                for size in (0, 1, 3, n // 2):
+                    points = rng.sample(range(n), size)
+                    got = expand_point_set(space, points, r)
+                    assert got == brute_point_set(space, points, r), (space.name, r)
+
+    def test_sequence_sets(self, request):
+        rng = random.Random(12)
+        for space in metric_spaces(request):
+            n = len(space.points)
+            for k in (1, 2):
+                for _ in range(4):
+                    delta = DeltaSeq(tuple(radius(rng, space) for _ in range(k)))
+                    seqs = {
+                        tuple(rng.randrange(n) for _ in range(k))
+                        for _ in range(rng.randrange(1, 12))
+                    }
+                    got = expand_sequence_set(space, seqs, delta)
+                    want = brute_sequence_set(space, seqs, delta)
+                    assert got == want, (space.name, delta.values)
+            assert expand_sequence_set(space, [], DeltaSeq.of("1")) == frozenset()
+
+    def test_membership(self, request):
+        rng = random.Random(13)
+        for space in metric_spaces(request):
+            n = len(space.points)
+            for _ in range(3):
+                delta = DeltaSeq(tuple(radius(rng, space) for _ in range(2)))
+                accepted = {(rng.randrange(n), rng.randrange(n)) for _ in range(5)}
+                target = Payoff(2, accepted.__contains__, "seeded-pairs")
+                for _ in range(15):
+                    seq = (rng.randrange(n), rng.randrange(n))
+                    got = expand_sequence_membership(space, seq, target, delta)
+                    assert got == brute_membership(space, seq, target, delta)
+
+    def test_boundary_radius_is_included(self, grid_quarter):
+        # Distance exactly the radius counts; just below it does not.
+        x = grid_quarter.points.index((Fraction(1), Fraction(1, 2)))
+        y = grid_quarter.points.index((Fraction(1), Fraction(-1, 4)))
+        r = grid_quarter.distance(y, x)
+        assert y in expand_point_set(grid_quarter, {x}, r)
+        assert y not in expand_point_set(grid_quarter, {x}, r - Fraction(1, 100))
+        assert (y, y) in expand_sequence_set(grid_quarter, {(x, y)}, DeltaSeq((r, r)))
 
 
 class TestNets:
@@ -318,6 +436,63 @@ class TestPrecompactSystems:
         system = field_subspace_system(f2d3)
         system.validate(f2d3)
         assert len(system.family) == 15
+
+    def test_field_system_over_f3_d4(self, f3d4):
+        # Every nonzero subspace of F_3^4 once: the Gaussian binomials
+        # 40 + 130 + 40 + 1, with q^k - 1 nonzero vectors in dimension k.
+        system = field_subspace_system(f3d4)
+        assert len(system.family) == 211
+        assert Counter(len(k) for k in system.family) == {2: 40, 8: 130, 26: 40, 80: 1}
+        assert set(system.closure()) == set(system.family)
+
+    @pytest.mark.parametrize("q,d", [(2, 3), (3, 2), (5, 2)])
+    def test_field_sum_matches_the_pairwise_closure(self, q, d):
+        space = rosendal(q, d, 1)
+        index = {v: i for i, v in enumerate(space.points)}
+
+        def pairwise_close(ids):
+            # The definition the one-vector-at-a-time span replaced.
+            vecs = {space.points[i] for i in ids}
+            changed = True
+            while changed:
+                changed = False
+                current = list(vecs)
+                for a in current:
+                    for b in current:
+                        s = tuple((x + y) % q for x, y in zip(a, b))
+                        if any(s) and s not in vecs:
+                            vecs.add(s)
+                            changed = True
+                    for lam in range(2, q):
+                        s = tuple(lam * x % q for x in a)
+                        if s not in vecs:
+                            vecs.add(s)
+                            changed = True
+            return frozenset(index[v] for v in vecs)
+
+        family = {pairwise_close({i}) for i in range(len(space.points))}
+        frontier = list(family)
+        while frontier:
+            fresh = []
+            for a in list(family):
+                for b in frontier:
+                    s = pairwise_close(a | b)
+                    if s not in family:
+                        family.add(s)
+                        fresh.append(s)
+            frontier = fresh
+        system = field_subspace_system(space)
+        assert system.family == tuple(sorted(family, key=sorted))
+        for a in system.family:
+            for b in system.family:
+                assert system.oplus(a, b) == pairwise_close(a | b)
+                assert system.oplus(a, b) is system.oplus(b, a)
+        rng = random.Random(q * 10 + d)
+        n = len(space.points)
+        for _ in range(60):
+            a = frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
+            b = frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
+            assert system.oplus(a, b) == pairwise_close(a | b)
 
     def test_nonempty_invariant(self):
         with pytest.raises(SpecInvalid):

@@ -173,6 +173,10 @@ def _no_labels(data):
     data["pipeline"][0]["params"] = {}
 
 
+def _payoff_which(data):
+    data["payoff"]["params"]["which"] = "Nope"
+
+
 # Malformed copies of bundled scenarios: (label, scenario, edit).
 MALFORMED = [
     ("unknown-rule", "ms-kastanas-h1.json", _stage(0, rule="no-such-rule")),
@@ -191,6 +195,7 @@ MALFORMED = [
     ("strategy-target-misspelled", "ms-kastanas-h1.json", _stage(0, target="acepts")),
     ("counterexample-unknown", "f3-pigeonhole-counterexample.json", _stage(0, which="Nope")),
     ("strong-game-without-system", "ms-f-dichotomy.json", _stage(0, kind="SF")),
+    ("payoff-counterexample-unknown", "f3-pigeonhole-counterexample.json", _payoff_which),
 ]
 
 
@@ -341,6 +346,13 @@ class TestSystemDescriptions:
         )
         assert outcome.exit_code == 0
         assert outcome.report["game"]["kind"] == "SF"
+
+    def test_field_system_over_f3_d4(self, tmp_path):
+        data = json.loads(scenario_path("f3-pigeonhole-counterexample.json").read_text())
+        data["instance"]["system"] = "field-subspaces"
+        path = tmp_path / "f3-field-system.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
 
     def test_explicit_sum_table(self):
         from gowerslab.instances import InstanceSpec, build_instance

@@ -1,15 +1,17 @@
 """Space contract: axioms, derived relations, witnesses."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gowerslab import check_axioms, derive_relations, iterated_meet
-from gowerslab.errors import FiniteExhaustion
-from gowerslab.instances import mathias_silver, single_subspace, top_subspace
-from gowerslab.space import SpaceInstance
+from gowerslab import check_axioms, iterated_meet
+from gowerslab.errors import Budget, ExhaustionBudget, FiniteExhaustion
+from gowerslab import instances
+from gowerslab.instances import mathias_silver, rosendal, single_subspace, top_subspace
+from gowerslab.space import FORGETFUL, FULL_HISTORY, AxiomCheck, SpaceInstance
 
 
 def palette_id(space, label):
@@ -64,22 +66,19 @@ class TestDerivedRelations:
         # N missing one point of M sits lessapprox below it at slack 1.
         m = palette_id(ms6, (0, 1, 2, 3, 4, 5))
         n = palette_id(ms6, (0, 1, 2, 4, 5))
-        relations = derive_relations(ms6)
-        assert relations.lessapprox(n, m)
-        assert not relations.lessapprox(m, n)
+        assert ms6.lessapprox(n, m)
+        assert not ms6.lessapprox(m, n)
 
     def test_lessapprox_reflexive(self, ms6):
-        relations = derive_relations(ms6)
         for p in range(len(ms6.palette)):
-            assert relations.lessapprox(p, p)
+            assert ms6.lessapprox(p, p)
 
     def test_compatibility_matches_palette_search(self, ms6):
-        relations = derive_relations(ms6)
         a = palette_id(ms6, (0, 1, 2))
         b = palette_id(ms6, (3, 4, 5))
         c = palette_id(ms6, (0, 1, 4))
-        assert not relations.compatible(a, b)
-        assert relations.compatible(a, c)
+        assert not ms6.compatible(a, b)
+        assert ms6.compatible(a, c)
 
     def test_compatibility_hint_agrees_with_scan(self, ms6):
         # The fast hint must match the defining palette search.
@@ -113,7 +112,6 @@ class TestWitnesses:
         # Wherever the meet witness is defined under the star order, the
         # result sits lessapprox below its first argument.
         n = len(ms6.palette)
-        relations = derive_relations(ms6)
         checked = 0
         for p in range(n):
             for q in range(n):
@@ -123,7 +121,7 @@ class TestWitnesses:
                 if r is None:
                     continue
                 checked += 1
-                assert relations.lessapprox(r, p)
+                assert ms6.lessapprox(r, p)
                 assert ms6.leq(r, q)
         assert checked > 0
 
@@ -211,8 +209,6 @@ def test_property_fusion_of_decreasing_chains(data):
 
 
 def test_axiom_check_respects_node_budget(ms10):
-    from gowerslab.errors import Budget, ExhaustionBudget
-
     with pytest.raises(ExhaustionBudget):
         check_axioms(ms10, 3, Budget(100, "tight"))
 
@@ -229,3 +225,203 @@ def test_plain_space_has_no_metric(ms6):
 
     with pytest.raises(NoMetric):
         ms6.require_metric()
+
+
+def p_major_axioms(space, horizon, budget):
+    """The per-pair sweep that check_axioms replaced, kept as an oracle:
+    every pair of every quantifier visited in p-major order with one
+    tick each, and chains extended by scanning the palette with leq.
+    Returns {axiom: (passed, counterexample, checked)}."""
+    n = len(space.palette)
+    npts = len(space.points)
+    out = {}
+
+    check = AxiomCheck(True)
+    for p in range(n):
+        for q in range(n):
+            budget.tick()
+            check.checked += 1
+            if space.leq(p, q) and not space.leq_star(p, q):
+                check.passed, check.counterexample = False, (p, q)
+                break
+        if not check.passed:
+            break
+    out["axiom1"] = check
+
+    check = AxiomCheck(True)
+    for p in range(n):
+        for q in range(n):
+            budget.tick()
+            if not space.leq_star(p, q):
+                continue
+            r = space.meet_witness(p, q)
+            if r is None:
+                continue
+            check.checked += 1
+            if not (space.leq(r, p) and space.leq(r, q) and space.leq_star(p, r)):
+                check.passed, check.counterexample = False, (p, q, r)
+                break
+        if not check.passed:
+            break
+    out["axiom2"] = check
+
+    def chains():
+        def extend(chain):
+            yield chain
+            if len(chain) == horizon:
+                return
+            for q in range(n):
+                if space.leq(q, chain[-1]):
+                    budget.tick()
+                    yield from extend(chain + (q,))
+
+        for p in range(n):
+            budget.tick()
+            yield from extend((p,))
+
+    check = AxiomCheck(True)
+    for chain in chains():
+        check.checked += 1
+        try:
+            star = space.fusion_witness(chain)
+        except FiniteExhaustion:
+            continue
+        if not space.leq(star, chain[0]) or not all(space.leq_star(star, p) for p in chain):
+            check.passed, check.counterexample = False, (chain, star)
+            break
+    out["axiom3"] = check
+
+    point_only = space.metric is not None or space.admission == FORGETFUL
+
+    def histories(max_len):
+        out, frontier = [], [()]
+        for _ in range(max_len):
+            new = []
+            for h in frontier:
+                for x in range(npts):
+                    budget.tick()
+                    new.append(h + (x,))
+            out.extend(new)
+            frontier = new
+        return out
+
+    prefixes = [()] + histories(0 if point_only else horizon - 1)
+    check = AxiomCheck(True)
+    for p in range(n):
+        for s in prefixes:
+            budget.tick(npts)
+            check.checked += 1
+            if not any(space.admits(s + (x,), p) for x in range(npts)):
+                check.passed, check.counterexample = False, (p, s)
+                break
+        if not check.passed:
+            break
+    out["axiom4"] = check
+
+    all_hists = histories(1 if point_only else horizon)
+    leq_pairs = [(p, q) for p in range(n) for q in range(n) if space.leq(p, q)]
+    check = AxiomCheck(True)
+    for s in all_hists:
+        for p, q in leq_pairs:
+            budget.tick()
+            check.checked += 1
+            if space.admits(s, p) and not space.admits(s, q):
+                check.passed, check.counterexample = False, (s, p, q)
+                break
+        if not check.passed:
+            break
+    out["axiom5"] = check
+    return {k: (c.passed, c.counterexample, c.checked) for k, c in out.items()}
+
+
+def planted_instances():
+    """Instances with a wrong leq_star, meet witness, fusion witness or
+    admission planted at seeded places, several per instance, so the
+    first counterexample in p-major order is not the first planted one."""
+    rng = random.Random(5)
+    out = []
+    for base in (mathias_silver(5, 2, 1), rosendal(2, 3, 1)):
+        n = len(base.palette)
+        top = top_subspace(base)
+        pairs = [(p, q) for p in range(n) for q in range(n)]
+        leq_pairs = [pq for pq in pairs if base.leq(*pq)]
+        bad = set(rng.sample(leq_pairs, 3) + rng.sample(pairs, 3))
+        out.append(base.derive(
+            name=f"wrong leq_star {base.name}",
+            leq_star=lambda p, q, b=base, bad=bad: b.leq_star(p, q) and (p, q) not in bad,
+        ))
+        star_pairs = [pq for pq in pairs if base.leq_star(*pq) and top not in pq]
+        bad = set(rng.sample(star_pairs, 3))
+        out.append(base.derive(
+            name=f"wrong meet {base.name}",
+            meet_witness=lambda p, q, b=base, bad=bad, top=top: (
+                top if (p, q) in bad else b.meet_witness(p, q)
+            ),
+        ))
+        last = set(rng.sample(range(n), 3)) - {top}
+        out.append(base.derive(
+            name=f"wrong fusion {base.name}",
+            fusion_witness=lambda chain, b=base, last=last, top=top: (
+                top if len(chain) > 1 and chain[-1] in last else b.fusion_witness(chain)
+            ),
+        ))
+        extra = {(rng.randrange(n), rng.randrange(len(base.points))) for _ in range(3)}
+        out.append(base.derive(
+            name=f"wrong admission {base.name}",
+            admits=lambda h, p, b=base, extra=extra: b.admits(h, p) or (p, h[-1]) in extra,
+        ))
+        # History-dependent admission, wrong only after an odd-length
+        # history: axioms 4 and 5 run over histories longer than one.
+        out.append(base.derive(
+            name=f"wrong full-history admission {base.name}",
+            admission=FULL_HISTORY,
+            admits=lambda h, p, b=base, extra=extra: b.admits(h, p) or (
+                len(h) % 2 == 0 and (p, h[-1]) in extra
+            ),
+        ))
+    return out
+
+
+class TestAxiomSweepAgainstPairwiseOracle:
+    @pytest.mark.parametrize("space", planted_instances(), ids=lambda s: s.name)
+    def test_same_counterexamples_checked_and_ticks(self, space):
+        for horizon in (1, 2, 3):
+            mine, theirs = Budget(10**8), Budget(10**8)
+            report = check_axioms(space, horizon, mine)
+            got = {k: (c.passed, c.counterexample, c.checked) for k, c in report.axioms.items()}
+            want = p_major_axioms(space, horizon, theirs)
+            assert got == want
+            assert mine.used == theirs.used
+        # Every planted fault is found by at least one axiom.
+        assert not report.all_pass
+
+    @pytest.mark.parametrize(
+        "space", [rosendal(2, 3, 1), planted_instances()[0]], ids=["passing", "failing"]
+    )
+    def test_budget_one_short_of_the_sweep_runs_out(self, space):
+        need = Budget(10**8)
+        check_axioms(space, 3, need)
+        check_axioms(space, 3, Budget(need.used))
+        with pytest.raises(ExhaustionBudget):
+            check_axioms(space, 3, Budget(need.used - 1))
+
+
+# Budget.used and the per-axiom counts of the per-pair sweep, on the
+# benchmark's six axiom instances.
+BENCH_AXIOMS = [
+    ("mathias_silver", (9, 2, 1), 3, 861119, [252004, 64396, 200781, 502, 151803]),
+    ("mathias_silver", (10, 2, 1), 2, 2645446, [1026169, 221575, 53918, 1013, 529050]),
+    ("rosendal", (2, 4, 1), 3, 5255, [1156, 363, 468, 34, 1950]),
+    ("rosendal", (3, 4, 1), 3, 43377, [5776, 1042, 1105, 76, 24560]),
+    ("projective_rosendal", (3, 4, 1), 3, 28017, [5776, 1042, 1105, 76, 12280]),
+    ("grid_sphere", (2, Fraction(1, 4), 1), 3, 2309, [289, 49, 99, 17, 1056]),
+]
+
+
+@pytest.mark.parametrize("factory,args,horizon,ticks,checked", BENCH_AXIOMS)
+def test_axiom_ticks_match_the_per_pair_sweep(factory, args, horizon, ticks, checked):
+    budget = Budget(30_000_000)
+    report = check_axioms(getattr(instances, factory)(*args), horizon, budget)
+    assert report.all_pass
+    assert budget.used == ticks
+    assert [report.axioms[k].checked for k in sorted(report.axioms)] == checked
