@@ -18,7 +18,12 @@ from typing import Callable, Optional
 from .errors import Budget, FiniteExhaustion, NotDense, SpecInvalid
 from .games import GameKind, Move, Player, initial_position, move_legal
 from .payoffs import Payoff
-from .reductions import _length_lex_sequences, asymptotic_recommendation
+from .reductions import (
+    AsymptoticTransfer,
+    _length_lex_sequences,
+    asymptotic_recommendation,
+    reachable_set,
+)
 from .solver import Strategy, VerificationReport, expand, table_rule
 from .space import LENGTH_INDEXED, SpaceInstance, iterated_meet
 from .util import parse_fraction
@@ -105,34 +110,6 @@ def expand_sequence_set(space: SpaceInstance, seqs, delta: DeltaSeq) -> frozense
     for y in seqs:
         out.update(product(*(balls[radii[i]][y[i]] for i in range(k))))
     return frozenset(out)
-
-
-def expand_sequence_membership(
-    space: SpaceInstance, seq: tuple, target: Payoff, delta: DeltaSeq
-) -> bool:
-    """Is the sequence within delta (coordinatewise) of an accepted one?"""
-    space.require_metric()
-    if len(seq) != target.horizon or len(delta) != target.horizon:
-        raise SpecInvalid("sequence, payoff, and delta lengths must agree")
-    everything = range(len(space.points))
-    balls = _balls(space, delta.values, everything)
-    near = [
-        [y for y in everything if seq[i] in balls[r][y]]
-        for i, r in enumerate(delta.values)
-    ]
-    return any(target.accepts(y) for y in product(*near))
-
-
-def expanded_payoff(space: SpaceInstance, payoff: Payoff) -> Payoff:
-    """Resolve a payoff carrying a delta into a plain membership payoff."""
-    if payoff.delta is None:
-        return payoff
-    delta = payoff.delta
-    base = Payoff(payoff.horizon, payoff.accepts, payoff.name)
-    expanded = expand_sequence_set(space, materialize_payoff_set(space, base), delta)
-    return Payoff(
-        payoff.horizon, lambda seq: seq in expanded, f"({payoff.name})_delta"
-    )
 
 
 def expanded_target(
@@ -509,13 +486,6 @@ def _lift_interleaved(space, discretized, strat, delta):
 # -- approximate chooser-to-asymptotic transfer ------------------------------------------
 
 
-@dataclass
-class ApproxAsymptoticTransfer:
-    q: int
-    strategy: Strategy
-    chain: list
-
-
 def approx_asymptotic_from_gowers(
     space: SpaceInstance,
     sigma: Strategy,
@@ -523,7 +493,7 @@ def approx_asymptotic_from_gowers(
     delta: DeltaSeq,
     provider,
     budget: Optional[Budget] = None,
-) -> ApproxAsymptoticTransfer:
+) -> AsymptoticTransfer:
     """Metric version of the chooser-to-asymptotic transfer.
 
     States realise sequences only up to twice the stage delta; the chain
@@ -544,18 +514,7 @@ def approx_asymptotic_from_gowers(
     seq_index = {s: n for n, s in enumerate(seqs)}
 
     states: dict = {(): initial_position(GameKind.GOWERS_G, root, horizon)}
-    reach_cache: dict = {}
-
-    def reachable(pos):
-        key = pos.key()
-        if key not in reach_cache:
-            pts = set()
-            for r in space.below(root):
-                budget.tick()
-                pts.add(sigma.move_at(pos.child(Move(Player.I, subspace=r))).point)
-            reach_cache[key] = frozenset(pts)
-        return reach_cache[key]
-
+    reach_cache: dict = {}  # one reachable set per realised position
     for s in seqs[1:]:
         parent = states.get(s[:-1])
         if parent is None:
@@ -578,8 +537,11 @@ def approx_asymptotic_from_gowers(
         if state is None:
             chain.append(chain[-1])
             continue
+        key = state.key()
+        if key not in reach_cache:
+            reach_cache[key] = reachable_set(space, state, sigma, budget)
         refined = provider.subset_refinement_expanded(
-            space, reachable(state), chain[-1], delta[len(s)]
+            space, reach_cache[key], chain[-1], delta[len(s)]
         )
         chain.append(refined)
 
@@ -613,7 +575,7 @@ def approx_asymptotic_from_gowers(
 
     f0 = initial_position(GameKind.ASYMPTOTIC_F, q, horizon)
     expand(space, f0, Player.I, rule, (), budget=budget, table=out.table)
-    return ApproxAsymptoticTransfer(q, out, chain)
+    return AsymptoticTransfer(q, out, chain)
 
 
 # -- block sequences and the strong asymptotic game ----------------------------------------

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -165,7 +166,7 @@ class Scenario:
 
     @staticmethod
     def from_json(data: dict) -> "Scenario":
-        try:
+        with _validating("scenario"):
             instance = InstanceSpec.from_json(data["instance"])
             game = data["game"]
             kind = GameKind(game["kind"])
@@ -198,8 +199,18 @@ class Scenario:
                     data.get("budgets", {}).get("seconds", 0.0)
                 ),
             )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise SpecInvalid(f"scenario does not validate: {exc}") from exc
+
+
+@contextmanager
+def _validating(what: str):
+    """Malformed input read inside the block (a missing field, a value of
+    the wrong type or shape, a zero denominator) raises SpecInvalid,
+    exit 2, not a traceback."""
+    try:
+        yield
+    except (LookupError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        raise SpecInvalid(f"{what} does not validate: {detail}") from exc
 
 
 # The stage fields that name something, and the names each may take.
@@ -238,6 +249,8 @@ def _check_pipeline(pipeline, horizon, has_system) -> None:
         for name, known in STAGE_NAMES.items():
             if name in stage and stage[name] not in known:
                 raise SpecInvalid(f"stage {i}: unknown {name} {stage[name]!r}")
+        if not isinstance(stage.get("trials", 0), int):
+            raise SpecInvalid(f"stage {i}: trials must be an integer")
         games = [GameKind(stage["kind"])] if "kind" in stage else []
         if op == "dichotomy":
             games += DICHOTOMY_GAMES[stage.get("flavor", "strategic")]
@@ -307,9 +320,10 @@ def _run_parsed(data: dict, out_dir=None, budget_nodes=None) -> RunOutcome:
     scenario = Scenario.from_json(data)
     if budget_nodes is not None:
         scenario.budget_nodes = budget_nodes
-    space = build_instance(scenario.instance)
-    root = _resolve_root(space, scenario.root_spec)
-    payoff = _build_payoff(space, scenario)
+    with _validating("scenario"):
+        space = build_instance(scenario.instance)
+        root = _resolve_root(space, scenario.root_spec)
+        payoff = _build_payoff(space, scenario)
     if payoff.horizon != scenario.horizon:
         raise SpecInvalid("payoff and game horizons disagree")
 
@@ -412,10 +426,8 @@ def _run_stage(
     kind = GameKind(stage.get("kind", scenario.game_kind.value))
 
     if op == "strategy":
-        try:
+        with _validating(f"rule {stage['rule']!r}"):
             builder = RULES[stage["rule"]](space, stage.get("params", {}))
-        except KeyError as exc:
-            raise SpecInvalid(f"rule {stage['rule']!r} needs parameter {exc}") from exc
         owner = Player(stage.get("owner", "II"))
         strat = strategy_from_rule(
             space, kind, root, scenario.horizon, owner, builder, stage["rule"], budget
@@ -633,42 +645,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "axioms":
-        try:
-            data = json.loads(Path(args.instance).read_text())
-            space = build_instance(InstanceSpec.from_json(data))
-            report = check_axioms(space, args.horizon)
-        except (SpecInvalid, json.JSONDecodeError) as exc:
-            print(f"validation error: {exc}", file=sys.stderr)
-            return 2
-        payload = {
-            "instance": space.name,
-            "horizon": args.horizon,
-            "axioms": {
-                name: {
-                    "passed": c.passed,
-                    "checked": c.checked,
-                    "counterexample": repr(c.counterexample)
-                    if c.counterexample
-                    else None,
-                }
-                for name, c in report.axioms.items()
-            },
-            "all_pass": report.all_pass,
-        }
-        if args.format == "json":
-            print(canonical_json(payload))
-        else:
-            for name in sorted(payload["axioms"]):
-                entry = payload["axioms"][name]
-                print(
-                    f"{name}: {'pass' if entry['passed'] else 'FAIL'} "
-                    f"({entry['checked']} checks)"
-                )
-            print(f"all: {'pass' if report.all_pass else 'FAIL'}")
-        return 0 if report.all_pass else 4
-
     try:
+        if args.command == "axioms":
+            return _axioms_command(args)
         if args.command == "run":
             outcome = run_scenario(
                 args.scenario,
@@ -688,12 +667,46 @@ def main(argv=None) -> int:
     return outcome.exit_code
 
 
+def _axioms_command(args) -> int:
+    data = json.loads(Path(args.instance).read_text())
+    with _validating("instance"):
+        space = build_instance(InstanceSpec.from_json(data))
+    report = check_axioms(space, args.horizon)
+    payload = {
+        "instance": space.name,
+        "horizon": args.horizon,
+        "axioms": {
+            name: {
+                "passed": c.passed,
+                "checked": c.checked,
+                "counterexample": repr(c.counterexample)
+                if c.counterexample
+                else None,
+            }
+            for name, c in report.axioms.items()
+        },
+        "all_pass": report.all_pass,
+    }
+    if args.format == "json":
+        print(canonical_json(payload))
+    else:
+        for name in sorted(payload["axioms"]):
+            entry = payload["axioms"][name]
+            print(
+                f"{name}: {'pass' if entry['passed'] else 'FAIL'} "
+                f"({entry['checked']} checks)"
+            )
+        print(f"all: {'pass' if report.all_pass else 'FAIL'}")
+    return 0 if report.all_pass else 4
+
+
 def _run_single_stage_command(args) -> RunOutcome:
     data = json.loads(Path(args.scenario).read_text())
     wanted = {"solve": ("solve",), "reduce": ("strategy", "solve", "reduce"), "dichotomy": ("dichotomy",)}[
         args.command
     ]
-    data["pipeline"] = [s for s in data.get("pipeline", []) if s.get("op") in wanted]
+    with _validating("scenario"):
+        data["pipeline"] = [s for s in data.get("pipeline", []) if s.get("op") in wanted]
     return _run_parsed(data, out_dir=args.out or _default_out())
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import IllegalMove, IllegalPosition, NotTerminal
+from .errors import IllegalPosition, NotTerminal
 from .space import SpaceInstance, SubspaceId
 
 
@@ -141,14 +141,6 @@ class GamePosition:
     def child(self, move: Move) -> "GamePosition":
         return GamePosition(self.kind, self.root, self.horizon, self.moves + (move,))
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "root": self.root,
-            "horizon": self.horizon,
-            "moves": [m.to_json() for m in self.moves],
-        }
-
 
 START_STATE = (0, (), None, ())
 
@@ -261,12 +253,6 @@ def legal_moves(space: SpaceInstance, pos: GamePosition) -> list:
         for q in _each(subspaces)
         for k in _each(blocks)
     ]
-
-
-def apply_move(space: SpaceInstance, pos: GamePosition, move: Move) -> GamePosition:
-    if not move_legal(space, pos, move):
-        raise IllegalMove(f"move {move} illegal at {pos.key()}")
-    return pos.child(move)
 
 
 def play_outcome(pos: GamePosition, space: Optional[SpaceInstance] = None):

@@ -372,6 +372,27 @@ def _dim_from_count(count: int, q: int, projective: bool) -> int:
     return k
 
 
+def _codimension_leq_star(masks, dims, slack):
+    """The star order of the vector and sphere instances, cached per pair:
+    p <=* r iff p <= r or a palette subspace of dimension at least
+    ``dims[p] - slack`` lies inside their common part."""
+    cache: dict = {}
+    palette = range(len(masks))
+
+    def leq_star(p, r):
+        hit = cache.get((p, r))
+        if hit is None:
+            common = masks[p] & masks[r]
+            want = dims[p] - slack
+            hit = common == masks[p] or any(
+                dims[z] >= want and masks[z] & ~common == 0 for z in palette
+            )
+            cache[p, r] = hit
+        return hit
+
+    return leq_star
+
+
 def _vector_space_instance(
     q: int, d: int, slack: int, projective: bool, name: str
 ) -> SpaceInstance:
@@ -421,24 +442,6 @@ def _vector_space_instance(
     def leq(p, r):
         return masks[p] & ~masks[r] == 0
 
-    star_cache: dict = {}
-
-    def leq_star(p, r):
-        key = (p, r)
-        hit = star_cache.get(key)
-        if hit is None:
-            if leq(p, r):
-                hit = True
-            else:
-                common = masks[p] & masks[r]
-                want = dims[p] - slack
-                hit = any(
-                    dims[z] >= want and masks[z] & ~common == 0
-                    for z in range(len(masks))
-                )
-            star_cache[key] = hit
-        return hit
-
     def admits(history, p):
         return bool(masks[p] >> history[-1] & 1)
 
@@ -463,7 +466,7 @@ def _vector_space_instance(
         points=points,
         palette=labels,
         leq=leq,
-        leq_star=leq_star,
+        leq_star=_codimension_leq_star(masks, dims, slack),
         admits=admits,
         meet_witness=meet,
         fusion_witness=fusion,
@@ -531,15 +534,6 @@ def grid_sphere(
     def leq(p, r):
         return masks[p] & ~masks[r] == 0
 
-    def leq_star(p, r):
-        if leq(p, r):
-            return True
-        common = masks[p] & masks[r]
-        want = dims[p] - slack
-        return any(
-            dims[z] >= want and masks[z] & ~common == 0 for z in range(len(masks))
-        )
-
     def admits(history, p):
         return bool(masks[p] >> history[-1] & 1)
 
@@ -563,7 +557,7 @@ def grid_sphere(
         points=points,
         palette=labels,
         leq=leq,
-        leq_star=leq_star,
+        leq_star=_codimension_leq_star(masks, dims, slack),
         admits=admits,
         meet_witness=meet,
         fusion_witness=fusion,
@@ -666,11 +660,6 @@ def provider_for(space: SpaceInstance) -> PigeonholeProvider:
     return PigeonholeProvider(
         name=f"exhaustive-scan({space.name})", approximate=space.metric is not None
     )
-
-
-def pigeonhole(provider, space, history, point_set, p, delta=None):
-    """Spec-shaped entry point: returns (subspace, side achieved)."""
-    return provider.decide(space, history, point_set, p, delta)
 
 
 # -- counterexample constructions ---------------------------------------------

@@ -10,8 +10,8 @@ their own).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 from .space import SpaceInstance
 from .util import stable_fraction_hash
@@ -22,15 +22,9 @@ class Payoff:
     horizon: int
     accepts: Callable[[tuple], bool]
     name: str = "custom"
-    delta: Optional[object] = None  # DeltaSeq; evaluated through expansion
-
-    def with_delta(self, delta) -> "Payoff":
-        return replace(self, delta=delta)
 
 
 def negate(payoff: Payoff) -> Payoff:
-    if payoff.delta is not None:
-        raise ValueError("negate an exact payoff, then expand explicitly")
     base = payoff.accepts
     return Payoff(payoff.horizon, lambda seq: not base(seq), f"not({payoff.name})")
 

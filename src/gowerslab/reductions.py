@@ -41,58 +41,19 @@ from .solver import Strategy, expand, solve
 from .space import FULL_HISTORY, SpaceInstance, iterated_meet
 
 
-# -- states and reachability ---------------------------------------------------
+# -- reachability ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StateRecord:
-    """A partial play in which the strategy owner made every one of their
-    moves; for the nested game these end with a second-player move, for
-    the chooser games with a point answer (or are empty)."""
-
-    play: GamePosition
-
-    @property
-    def rank(self) -> int:
-        return len(self.play.point_prefix) // (
-            2 if self.play.kind in (GameKind.KASTANAS,) else 1
-        )
-
-    @property
-    def realized(self) -> tuple:
-        return self.play.point_prefix
-
-    def key(self) -> tuple:
-        return self.play.key()
-
-
-@dataclass(frozen=True)
-class ReachableSet:
-    state: StateRecord
-    points: frozenset
-
-
-def state_consistent(space: SpaceInstance, state: StateRecord, tau: Strategy) -> bool:
-    """Replay the state's moves, checking the owner always followed tau."""
-    pos = initial_position(state.play.kind, state.play.root, state.play.horizon)
-    for move in state.play.moves:
-        if not move_legal(space, pos, move):
-            return False
-        if move.player is tau.owner and tau.move_at(pos) != move:
-            return False
-        pos = pos.child(move)
-    return True
-
-
-def reachable_set(space: SpaceInstance, state: StateRecord, tau: Strategy) -> ReachableSet:
-    """Points the chooser-game strategy can be steered to from a state,
-    scanning every palette subspace below the root."""
+def reachable_set(
+    space: SpaceInstance, pos: GamePosition, tau: Strategy, budget: Budget
+) -> frozenset:
+    """Points the chooser-game strategy can be steered to from ``pos``:
+    one probe, and one budget tick, per palette subspace below the root."""
     points = set()
     for r in space.below(tau.root):
-        probe = state.play.child(Move(Player.I, subspace=r))
-        reply = tau.move_at(probe)
-        points.add(reply.point)
-    return ReachableSet(state, frozenset(points))
+        budget.tick()
+        points.add(tau.move_at(pos.child(Move(Player.I, subspace=r))).point)
+    return frozenset(points)
 
 
 # -- diagonalization over states (the chain construction) -----------------------
@@ -164,8 +125,7 @@ def diagonalize_states(
     budget = budget or Budget(where="diagonalize_states")
     chain = [r]
     n_points = len(space.points)
-    for state in states:
-        pos = state.play if isinstance(state, StateRecord) else state
+    for pos in states:
         adversary_points, _, _ = _continuations(space, pos)
         for a in adversary_points:
             for b in range(n_points):
@@ -190,8 +150,7 @@ def check_diagonalization(space, states, tau, r_star, budget=None) -> list:
     violating (state index, a, b) triples (empty list means verified)."""
     budget = budget or Budget(where="check_diagonalization")
     bad = []
-    for idx, state in enumerate(states):
-        pos = state.play if isinstance(state, StateRecord) else state
+    for idx, pos in enumerate(states):
         adversary_points, _, _ = _continuations(space, pos)
         for a in adversary_points:
             for b in range(len(space.points)):
@@ -854,8 +813,8 @@ def asymptotic_from_gowers(
         if state is None:
             chain.append(chain[-1])
             continue
-        reach = reachable_set(space, StateRecord(state), sigma)
-        refined = provider.subset_refinement(space, s, reach.points, chain[-1])
+        reach = reachable_set(space, state, sigma, budget)
+        refined = provider.subset_refinement(space, s, reach, chain[-1])
         chain.append(refined)
 
     q = space.fusion_witness(tuple(chain))
@@ -958,10 +917,6 @@ class DichotomyReport:
     @property
     def realized_at(self) -> list:
         return [e.q for e in self.entries if e.realized]
-
-    @property
-    def any_realized(self) -> bool:
-        return bool(self.realized_at)
 
     def to_json(self) -> dict:
         return {

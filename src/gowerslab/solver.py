@@ -159,11 +159,6 @@ class VerificationReport:
 
 
 def _accepts_fn(space: SpaceInstance, payoff: Payoff) -> Callable[[GamePosition], bool]:
-    if payoff.delta is not None:
-        from .approx import expanded_payoff  # local import; approx sits above
-
-        payoff = expanded_payoff(space, payoff)
-
     def accepts(pos: GamePosition) -> bool:
         return payoff.accepts(play_outcome(pos, space))
 

@@ -23,7 +23,6 @@ from gowerslab.approx import (
     discretize,
     enumerate_block_sequences,
     expand_point_set,
-    expand_sequence_membership,
     expand_sequence_set,
     expanded_target,
     field_subspace_system,
@@ -97,21 +96,15 @@ class TestPointExpansion:
 class TestSequenceExpansion:
     def test_tiny_delta_matches_plain_acceptance(self, grid_half):
         payoff = lex_positive_payoff(grid_half, 2)
-        delta = DeltaSeq.of("1/8", "1/8")
+        expanded = expanded_target(grid_half, payoff, DeltaSeq.of("1/8", "1/8"))
         for seq in [(0, 1), (5, 9), (12, 3)]:
-            assert expand_sequence_membership(
-                grid_half, seq, payoff, delta
-            ) == payoff.accepts(seq)
+            assert expanded.accepts(seq) == payoff.accepts(seq)
 
     def test_coordinatewise_ball(self, grid_quarter):
         x = grid_quarter.points.index((Fraction(1), Fraction(1, 2)))
         payoff = Payoff(1, lambda s: s[0] == x, "pinned")
-        delta = DeltaSeq.of("1/4")
-        hits = [
-            i
-            for i in range(len(grid_quarter.points))
-            if expand_sequence_membership(grid_quarter, (i,), payoff, delta)
-        ]
+        expanded = expanded_target(grid_quarter, payoff, DeltaSeq.of("1/4"))
+        hits = [i for i in range(len(grid_quarter.points)) if expanded.accepts((i,))]
         assert hits == sorted(expand_point_set(grid_quarter, {x}, "1/4"))
 
     def test_nested_expansion_inside_full_expansion(self, grid_half):
@@ -233,9 +226,10 @@ class TestExpansionsAgainstPairwiseOracle:
                 delta = DeltaSeq(tuple(radius(rng, space) for _ in range(2)))
                 accepted = {(rng.randrange(n), rng.randrange(n)) for _ in range(5)}
                 target = Payoff(2, accepted.__contains__, "seeded-pairs")
+                expanded = expanded_target(space, target, delta)
                 for _ in range(15):
                     seq = (rng.randrange(n), rng.randrange(n))
-                    got = expand_sequence_membership(space, seq, target, delta)
+                    got = expanded.accepts(seq)
                     assert got == brute_membership(space, seq, target, delta)
 
     def test_boundary_radius_is_included(self, grid_quarter):
@@ -621,15 +615,15 @@ class TestStrongAsymptotic:
 
 class TestDeltaPayoffs:
     def test_solver_evaluates_expanded_acceptance(self, grid_half):
-        # A payoff carrying a delta is decided through expansion: the
-        # pinned corner is unreachable exactly, but with half a step of
-        # slack around it the second player reaches the ball.
+        # The delta-expansion is decided like any payoff: the pinned
+        # corner is unreachable exactly, but with slack around it the
+        # second player reaches the ball.
         top = top_subspace(grid_half)
         corner = grid_half.points.index((Fraction(1), Fraction(1)))
         pinned = Payoff(1, lambda s: s[0] == corner, "corner")
         exact = solve(grid_half, GameKind.GOWERS_G, top, pinned, Player.II)
         assert exact.winner is Player.I
-        widened = pinned.with_delta(DeltaSeq.of("2"))
+        widened = expanded_target(grid_half, pinned, DeltaSeq.of("2"))
         loose = solve(grid_half, GameKind.GOWERS_G, top, widened, Player.II)
         assert loose.winner is Player.II
         report = verify_strategy(grid_half, loose.strategy, widened, target="accepts")

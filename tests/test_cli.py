@@ -177,6 +177,29 @@ def _payoff_which(data):
     data["payoff"]["params"]["which"] = "Nope"
 
 
+def _top(**fields):
+    def edit(data):
+        data.update(fields)
+
+    return edit
+
+
+def _no_universe(data):
+    del data["instance"]["universe"]
+
+
+def _universe_x(data):
+    data["instance"]["universe"] = "x"
+
+
+def _sampled_trials_x(data):
+    data["pipeline"].append({"op": "verify", "mode": "sampled", "trials": "x"})
+
+
+def _system_table_out_of_range(data):
+    data["instance"]["system"] = {"family": [[0]], "table": [[0, 0, 5]]}
+
+
 # Malformed copies of bundled scenarios: (label, scenario, edit).
 MALFORMED = [
     ("unknown-rule", "ms-kastanas-h1.json", _stage(0, rule="no-such-rule")),
@@ -196,6 +219,20 @@ MALFORMED = [
     ("counterexample-unknown", "f3-pigeonhole-counterexample.json", _stage(0, which="Nope")),
     ("strong-game-without-system", "ms-f-dichotomy.json", _stage(0, kind="SF")),
     ("payoff-counterexample-unknown", "f3-pigeonhole-counterexample.json", _payoff_which),
+    ("budgets-list", "ms-f-dichotomy.json", _top(budgets=[])),
+    ("instance-list", "ms-f-dichotomy.json", _top(instance=[])),
+    ("stage-list", "ms-f-dichotomy.json", _top(pipeline=[[1]])),
+    ("instance-without-universe", "ms-f-dichotomy.json", _no_universe),
+    ("universe-x", "ms-f-dichotomy.json", _universe_x),
+    ("first-in-without-labels", "ms-f-dichotomy.json", _top(payoff={"name": "first_in"})),
+    ("sampled-trials-x", "ms-f-dichotomy.json", _sampled_trials_x),
+    ("labels-not-a-list", "ms-kastanas-h1.json", _stage(0, params={"labels": 5})),
+    ("system-table-out-of-range", "ms-kastanas-h1.json", _system_table_out_of_range),
+    (
+        "grid-step-zero",
+        "ms-f-dichotomy.json",
+        _top(instance={"kind": "grid-sphere", "step": "0"}),
+    ),
 ]
 
 
@@ -255,6 +292,25 @@ class TestSubcommands:
         assert main(["axioms", str(instance), "--horizon", "2"]) == 0
         out = capsys.readouterr().out
         assert "all: pass" in out
+
+    @pytest.mark.parametrize(
+        "instance,code",
+        [
+            (None, 2),
+            ({"kind": "mathias-silver"}, 2),
+            ({"kind": "grid-sphere", "step": "0"}, 2),
+            ([{"kind": "mathias-silver", "universe": 5}], 2),
+            ({"kind": "mathias-silver", "universe": 12}, 3),
+        ],
+        ids=["missing-file", "no-universe", "step-zero", "top-level-list", "exhausted"],
+    )
+    def test_axioms_exit_codes(self, instance, code, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        if instance is not None:
+            path.write_text(json.dumps(instance))
+        assert main(["axioms", str(path), "--horizon", "2"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:" if code == 2 else "error:")
 
     def test_solve_subcommand_filters_pipeline(self, tmp_path, capsys):
         code = main(

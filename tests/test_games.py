@@ -10,7 +10,6 @@ from gowerslab import GameKind, Move, Player, with_system
 from gowerslab.approx import ms_singleton_system
 from gowerslab.errors import IllegalMove, IllegalPosition, NotTerminal
 from gowerslab.games import (
-    apply_move,
     initial_position,
     legal_moves,
     move_legal,
@@ -203,34 +202,40 @@ class TestOutsideThePalette:
             )
 
 
-class TestApplyMove:
+def play(space, pos, move):
+    assert move_legal(space, pos, move)
+    return pos.child(move)
+
+
+class TestMoveThenChild:
     def test_subspace_only_move_keeps_depth(self, ms6):
         top = top_subspace(ms6)
         pos = initial_position(GameKind.ADVERSARIAL_A, top, 2)
         opening = legal_moves(ms6, pos)[0]
-        nxt = apply_move(ms6, pos, opening)
+        nxt = play(ms6, pos, opening)
         assert nxt.depth == 0 and nxt.point_prefix == ()
 
     def test_point_move_extends_prefix(self, ms6):
         top = top_subspace(ms6)
         pos = initial_position(GameKind.ASYMPTOTIC_F, top, 2)
-        pos = apply_move(ms6, pos, legal_moves(ms6, pos)[0])
-        pos = apply_move(ms6, pos, legal_moves(ms6, pos)[0])
+        pos = play(ms6, pos, legal_moves(ms6, pos)[0])
+        pos = play(ms6, pos, legal_moves(ms6, pos)[0])
         assert pos.depth == 1 and len(pos.point_prefix) == 1
 
     def test_kastanas_pair_projects_to_prefix(self, ms6):
         top = top_subspace(ms6)
         pos = initial_position(GameKind.KASTANAS, top, 2)
-        pos = apply_move(ms6, pos, legal_moves(ms6, pos)[0])
+        pos = play(ms6, pos, legal_moves(ms6, pos)[0])
         pair = legal_moves(ms6, pos)[0]
-        pos = apply_move(ms6, pos, pair)
+        pos = play(ms6, pos, pair)
         assert pos.point_prefix == (pair.point,)
 
     def test_illegal_move_rejected(self, ms6):
         top = top_subspace(ms6)
         pos = initial_position(GameKind.ASYMPTOTIC_F, top, 1)
-        with pytest.raises(IllegalMove):
-            apply_move(ms6, pos, Move(Player.II, point=0))
+        assert move_legal(ms6, pos, Move(Player.II, point=0)) is False
+        with pytest.raises(IllegalPosition):
+            replay(ms6, GameKind.ASYMPTOTIC_F, top, 1, [Move(Player.II, point=0)])
 
 
 class TestOutcome:

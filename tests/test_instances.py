@@ -22,7 +22,6 @@ from gowerslab.instances import (
     mathias_silver,
     meets_both_scan,
     phi_support_block_scan,
-    pigeonhole,
     provider_for,
     rosendal,
     subspace_of_labels,
@@ -93,7 +92,7 @@ class TestPigeonhole:
     def test_even_half_is_decided(self, ms8):
         top = top_subspace(ms8)
         evens = frozenset({0, 2, 4, 6})
-        q, side = pigeonhole(provider_for(ms8), ms8, (), evens, top)
+        q, side = provider_for(ms8).decide(ms8, (), evens, top)
         assert side == "subset"
         assert all(x in evens for x in ms8.admitted_points((), q))
 
@@ -102,7 +101,7 @@ class TestPigeonhole:
         target = frozenset(
             i for i, v in enumerate(f2d4.points) if v[0] == 1
         )
-        q, side = pigeonhole(provider_for(f2d4), f2d4, (), target, top)
+        q, side = provider_for(f2d4).decide(f2d4, (), target, top)
         admitted = f2d4.admitted_points((), q)
         if side == "subset":
             assert all(x in target for x in admitted)
@@ -113,15 +112,15 @@ class TestPigeonhole:
         top = top_subspace(f3d4)
         target = counterexample_sets(f3d4, FIRST_COORD_ONE)
         with pytest.raises(PigeonholeUnavailable) as exc:
-            pigeonhole(provider_for(f3d4), f3d4, (), target, top)
+            provider_for(f3d4).decide(f3d4, (), target, top)
         a, b = exc.value.witness
         assert a in target and b not in target
 
     def test_approximate_form_expands_the_set(self, grid_quarter):
         top = top_subspace(grid_quarter)
         x = grid_quarter.points.index((Fraction(1), Fraction(0)))
-        q, side = pigeonhole(
-            provider_for(grid_quarter), grid_quarter, (), frozenset({x}), top, "1/4"
+        q, side = provider_for(grid_quarter).decide(
+            grid_quarter, (), frozenset({x}), top, "1/4"
         )
         assert side in ("subset", "complement")
 

@@ -23,7 +23,7 @@ from gowerslab import (
     verify_strategy,
 )
 from gowerslab.cli import RULES
-from gowerslab.errors import FiniteExhaustion, PigeonholeUnavailable
+from gowerslab.errors import Budget, FiniteExhaustion, PigeonholeUnavailable
 from gowerslab.games import initial_position
 from gowerslab.instances import (
     counterexample_sets,
@@ -33,8 +33,6 @@ from gowerslab.instances import (
 )
 from gowerslab.payoffs import Payoff
 from gowerslab.reductions import (
-    StateRecord,
-    state_consistent,
     adversarial_from_kastanas,
     asymptotic_from_gowers,
     check_diagonalization,
@@ -88,7 +86,7 @@ class TestDiagonalization:
             payoff,
         )
         start = initial_position(GameKind.KASTANAS, top, 2)
-        state = StateRecord(start.child(tau.move_at(start)))
+        state = start.child(tau.move_at(start))
         out = diagonalize_states(ms8, [state], tau, top)
         assert ms8.leq(out, top)
         assert check_diagonalization(ms8, [state], tau, out) == []
@@ -111,30 +109,9 @@ class TestDiagonalization:
             payoff,
         )
         start = initial_position(GameKind.KASTANAS, top, 2)
-        state = StateRecord(start.child(tau.move_at(start)))
+        state = start.child(tau.move_at(start))
         out = diagonalize_states(ms6, [state], tau, top)
         assert check_diagonalization(ms6, [state], tau, out) == []
-
-
-class TestStateRecords:
-    def test_consistency_check_tracks_the_owner(self, ms6):
-        top = top_subspace(ms6)
-        payoff = build_payoff(ms6, "point_odd", 2, {"index": 1})
-        tau = verified(
-            ms6,
-            strategy_from_rule(
-                ms6, GameKind.KASTANAS, top, 2, Player.II, odd_responder(ms6)
-            ),
-            payoff,
-        )
-        start = initial_position(GameKind.KASTANAS, top, 2)
-        state = StateRecord(start.child(tau.move_at(start)))
-        assert state_consistent(ms6, state, tau)
-        assert state.rank == 0 and state.realized == ()
-        rogue = StateRecord(
-            start.child(Move(Player.II, subspace=ms6.palette.index((0, 1))))
-        )
-        assert not state_consistent(ms6, rogue, tau)
 
 
 class TestAdversarialFromKastanas:
@@ -419,9 +396,10 @@ class TestReachability:
             ),
             payoff,
         )
-        state = StateRecord(initial_position(GameKind.GOWERS_G, 0, 1))
-        reach = reachable_set(degenerate, state, sigma)
-        assert reach.points == frozenset({0})
+        state = initial_position(GameKind.GOWERS_G, 0, 1)
+        budget = Budget()
+        assert reachable_set(degenerate, state, sigma, budget) == frozenset({0})
+        assert budget.used == len(degenerate.below(0))
 
     def test_least_admitted_responder(self, ms6):
         top = top_subspace(ms6)
@@ -436,12 +414,11 @@ class TestReachability:
             strategy_from_rule(ms6, GameKind.GOWERS_G, top, 1, Player.II, least),
             payoff,
         )
-        state = StateRecord(initial_position(GameKind.GOWERS_G, top, 1))
-        reach = reachable_set(ms6, state, sigma)
+        state = initial_position(GameKind.GOWERS_G, top, 1)
         expected = frozenset(
             min(ms6.admitted_points((), r)) for r in ms6.below(top)
         )
-        assert reach.points == expected
+        assert reachable_set(ms6, state, sigma, Budget()) == expected
 
 
 class TestAsymptoticFromGowers:
@@ -527,7 +504,7 @@ class TestDichotomy:
         top = top_subspace(ms8)
         payoff = build_payoff(ms8, "point_even", 1, {"index": 0})
         report = check_ramsey_dichotomy(ms8, payoff, top, "strategic")
-        assert report.any_realized
+        assert report.realized_at
         evens = ms8.palette.index((0, 2, 4, 6))
         entry = next(e for e in report.entries if e.q == evens)
         assert entry.second_side  # she reaches the even set below evens
