@@ -475,7 +475,7 @@ def _run_stage(
             result["transcript"] = transfer.transcript()
             return _StageOutcome(StageResult(op, result), transfer.strategy)
         if name == "gowers_from_asymptotic":
-            out = gowers_from_asymptotic(space, current, payoff)
+            out = gowers_from_asymptotic(space, current, payoff, budget)
             return _StageOutcome(
                 StageResult(op, {"name": name, "entries": len(out.table)}), out
             )
@@ -668,6 +668,8 @@ def main(argv=None) -> int:
 
 
 def _axioms_command(args) -> int:
+    if args.horizon < 1:
+        raise SpecInvalid(f"axioms horizon must be positive, got {args.horizon}")
     data = json.loads(Path(args.instance).read_text())
     with _validating("instance"):
         space = build_instance(InstanceSpec.from_json(data))

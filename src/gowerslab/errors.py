@@ -94,7 +94,7 @@ class SpecInvalid(GowersLabError):
     """An instance or scenario description is internally inconsistent."""
 
 
-class PaletteNotClosedUnderMeet(GowersLabError):
+class PaletteNotClosedUnderMeet(SpecInvalid):
     """An explicit palette is missing the intersection of two members."""
 
     def __init__(self, p, q):

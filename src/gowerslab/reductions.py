@@ -666,13 +666,17 @@ def asymptotic_recommendation(
 
 
 def unfold_asymptotic(
-    space: SpaceInstance, tau_prime: Strategy, payoff_prime: Payoff
+    space: SpaceInstance,
+    tau_prime: Strategy,
+    payoff_prime: Payoff,
+    budget: Optional[Budget] = None,
 ) -> Strategy:
     """Collapse a winning decorated-game strategy to an undecorated one.
 
     His move after a history is an iterated meet of his decorated moves
     over all bit decorations of that history; outcomes then avoid every
-    decoration of the decorated target at once.
+    decoration of the decorated target at once.  The move reads only
+    the point prefix, so the table is positional.
     """
     _require_verified(tau_prime, Player.I, GameKind.ASYMPTOTIC_F, "unfold_asymptotic")
     decorated = decorate_space(space)
@@ -684,6 +688,7 @@ def unfold_asymptotic(
         root,
         horizon,
         name=f"unfolded:{tau_prime.name}",
+        positional=True,
     )
 
     def rule(f_pos, shadow):
@@ -697,7 +702,8 @@ def unfold_asymptotic(
         return Move(Player.I, subspace=iterated_meet(space, recommendations, root)), shadow
 
     f0 = initial_position(GameKind.ASYMPTOTIC_F, root, horizon)
-    expand(space, f0, Player.I, rule, table=out.table)
+    budget = budget or Budget(where="unfold_asymptotic")
+    expand(space, f0, Player.I, rule, budget=budget, table=out.table, positional=True)
     return out
 
 
@@ -705,11 +711,12 @@ def unfold_asymptotic(
 
 
 def gowers_from_asymptotic(
-    space: SpaceInstance, tau: Strategy, payoff: Payoff
+    space: SpaceInstance, tau: Strategy, payoff: Payoff, budget: Optional[Budget] = None
 ) -> Strategy:
     """Her chooser-game strategy from his asymptotic one: answer each of
     his subspaces by a point admitted below its meet with the
-    recommendation of the simulated asymptotic play."""
+    recommendation of the simulated asymptotic play.  That play is a
+    function of her point prefix, so the table is positional."""
     _require_verified(tau, Player.I, GameKind.ASYMPTOTIC_F, "gowers_from_asymptotic")
     root = tau.root
     out = Strategy(
@@ -718,6 +725,7 @@ def gowers_from_asymptotic(
         root,
         tau.horizon,
         name=f"G-from-F:{tau.name}",
+        positional=True,
     )
 
     def pending(f_pos):
@@ -749,7 +757,9 @@ def gowers_from_asymptotic(
         Player.II,
         rule,
         shadow=pending(initial_position(GameKind.ASYMPTOTIC_F, root, tau.horizon)),
+        budget=budget or Budget(where="gowers_from_asymptotic"),
         table=out.table,
+        positional=True,
     )
     return out
 
@@ -782,7 +792,8 @@ def asymptotic_from_gowers(
     it (when reachable); refine a subspace chain so that below the n-th
     element every admitted continuation is a point she can be steered to;
     fuse the chain and let him play meets of the fused subspace with the
-    chain, keeping the play inside realised states.
+    chain, keeping the play inside realised states.  His move reads only
+    the point prefix, so the table is positional.
     """
     budget = budget or Budget(where="asymptotic_from_gowers")
     _require_verified(sigma, Player.II, GameKind.GOWERS_G, "asymptotic_from_gowers")
@@ -824,6 +835,7 @@ def asymptotic_from_gowers(
         q,
         horizon,
         name=f"F-from-G:{sigma.name}",
+        positional=True,
     )
 
     def rule(f_pos, shadow):
@@ -841,7 +853,7 @@ def asymptotic_from_gowers(
         return Move(Player.I, subspace=meet), shadow
 
     f0 = initial_position(GameKind.ASYMPTOTIC_F, q, horizon)
-    expand(space, f0, Player.I, rule, budget=budget, table=out.table)
+    expand(space, f0, Player.I, rule, budget=budget, table=out.table, positional=True)
     return AsymptoticTransfer(q, out, chain)
 
 

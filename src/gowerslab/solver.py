@@ -23,11 +23,14 @@ number of plays below a state and how many land in the payoff are
 functions of the state, so the same integers come out of a memoized
 recursion as out of the replay.
 
-Every walk over the history tree (the oracle's extraction, exhaustive
-replay of a history table, and each strategy transformation) goes
-through ``expand``: the owner follows a rule carrying shadow state, the
-opponent tries every legal move, and each visited position costs one
-budget tick.
+Every walk of a strategy's game tree outside the solve and the count
+(the oracle's extraction, exhaustive replay of a history table, each
+strategy transformation) goes through ``expand``: the owner follows a
+rule carrying shadow state, the opponent tries every legal move, and
+each visited position costs one budget tick.  The chooser-game
+transfers walk over states, since their moves read only the state (and
+through its point prefix the simulated play); the other
+transformations' shadows depend on the history.
 
 A player with no legal move at a non-terminal position loses; finite
 truncations can strand a player even though the infinite games cannot.
@@ -208,6 +211,7 @@ def expand(
     leaf: Optional[Callable] = None,
     budget: Optional[Budget] = None,
     table: Optional[dict] = None,
+    positional: bool = False,
 ) -> None:
     """Walk every play from ``pos0`` in which ``owner`` follows ``rule``
     and the opponent plays every legal move, depth first in canonical
@@ -222,10 +226,26 @@ def expand(
     the owner's moves are written to ``table`` when one is given.
     Legality is the rule's business, and an opponent without a legal
     move ends the line without reaching a leaf.
-    """
-    tick = (budget or Budget(where="expand")).tick
 
-    def visit(pos: GamePosition, shadow) -> None:
+    A ``positional`` walk runs over states instead of histories: it
+    carries the state down with ``next_state``, visits each state once
+    for one tick and writes ``table[state]``, as ``_minimax`` and
+    ``_count_plays`` do.  It is for rules whose move, shadow included,
+    is a function of the state: the state is ruled at the first history
+    that reaches it, and every other history with that state would get
+    the same move, so the walk skips them.  It takes no ``leaf``, since
+    it does not reach every history.
+    """
+    if positional and leaf is not None:
+        raise ValueError("a positional walk takes no leaf")
+    tick = (budget or Budget(where="expand")).tick
+    seen: set = set()
+
+    def visit(pos: GamePosition, state, shadow) -> None:
+        if positional:
+            if state in seen:
+                return
+            seen.add(state)
         tick()
         if pos.terminal:
             if leaf is not None:
@@ -234,13 +254,13 @@ def expand(
         if pos.to_move is owner:
             move, shadow = rule(pos, shadow)
             if table is not None:
-                table[pos.key()] = move
-            visit(pos.child(move), shadow)
+                table[state if positional else pos.key()] = move
+            visit(pos.child(move), positional and next_state(state, move), shadow)
             return
         for m in legal_moves(space, pos):
-            visit(pos.child(m), shadow)
+            visit(pos.child(m), positional and next_state(state, m), shadow)
 
-    visit(pos0, shadow)
+    visit(pos0, positional and pos0.state(), shadow)
 
 
 def table_rule(space: SpaceInstance, strat: Strategy) -> Callable:

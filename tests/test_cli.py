@@ -122,6 +122,36 @@ class TestExitCodes:
         report = json.loads((tmp_path / "starved-meet.json").read_text())
         assert "exhaustion" in report["diagnostic"]["error"]
 
+    def test_transfer_stage_spends_the_scenario_budget(self, tmp_path):
+        # The strategy stage spends 100 nodes and the transfer 373, so
+        # the transfer runs out inside the scenario's budget of 150.
+        scenario = {
+            "name": "tight-transfer",
+            "seed": 1,
+            "instance": {"kind": "mathias-silver", "universe": 6, "min_size": 2, "slack": 1},
+            "game": {"kind": "F", "root": "top", "horizon": 2},
+            "payoff": {"name": "everything"},
+            "budgets": {"nodes": 150},
+            "pipeline": [
+                {
+                    "op": "strategy",
+                    "rule": "pass-set",
+                    "owner": "I",
+                    "params": {"labels": [0, 1, 2, 3, 4, 5]},
+                },
+                {"op": "reduce", "name": "gowers_from_asymptotic"},
+            ],
+        }
+        path = tmp_path / "tight-transfer.json"
+        path.write_text(json.dumps(scenario))
+        code = main(["run", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        report = json.loads((tmp_path / "tight-transfer.json").read_text())
+        assert report["status"] == "budget-exhausted"
+        assert report["diagnostic"]["stage"] == 1
+        assert report["diagnostic"]["op"] == "reduce"
+        assert "node budget of 150 exhausted" in report["diagnostic"]["error"]
+
     def test_failed_verification_is_four(self, tmp_path):
         data = json.loads(scenario_path("ms-f-dichotomy.json").read_text())
         # His solve loses toward the even target, so its strategy forces
@@ -184,6 +214,13 @@ def _top(**fields):
     return edit
 
 
+def _instance(**fields):
+    def edit(data):
+        data["instance"].update(fields)
+
+    return edit
+
+
 def _no_universe(data):
     del data["instance"]["universe"]
 
@@ -228,6 +265,11 @@ MALFORMED = [
     ("sampled-trials-x", "ms-f-dichotomy.json", _sampled_trials_x),
     ("labels-not-a-list", "ms-kastanas-h1.json", _stage(0, params={"labels": 5})),
     ("system-table-out-of-range", "ms-kastanas-h1.json", _system_table_out_of_range),
+    (
+        "palette-not-closed-under-meet",
+        "ms-kastanas-h1.json",
+        _instance(palette=[[0, 1], [1, 2]], palette_rule="explicit"),
+    ),
     (
         "grid-step-zero",
         "ms-f-dichotomy.json",
@@ -294,21 +336,31 @@ class TestSubcommands:
         assert "all: pass" in out
 
     @pytest.mark.parametrize(
-        "instance,code",
+        "instance,horizon,code",
         [
-            (None, 2),
-            ({"kind": "mathias-silver"}, 2),
-            ({"kind": "grid-sphere", "step": "0"}, 2),
-            ([{"kind": "mathias-silver", "universe": 5}], 2),
-            ({"kind": "mathias-silver", "universe": 12}, 3),
+            (None, "2", 2),
+            ({"kind": "mathias-silver"}, "2", 2),
+            ({"kind": "grid-sphere", "step": "0"}, "2", 2),
+            ([{"kind": "mathias-silver", "universe": 5}], "2", 2),
+            ({"kind": "mathias-silver", "universe": 12}, "2", 3),
+            ({"kind": "mathias-silver", "universe": 5}, "0", 2),
+            ({"kind": "mathias-silver", "universe": 5}, "-1", 2),
         ],
-        ids=["missing-file", "no-universe", "step-zero", "top-level-list", "exhausted"],
+        ids=[
+            "missing-file",
+            "no-universe",
+            "step-zero",
+            "top-level-list",
+            "exhausted",
+            "horizon-zero",
+            "horizon-negative",
+        ],
     )
-    def test_axioms_exit_codes(self, instance, code, tmp_path, capsys):
+    def test_axioms_exit_codes(self, instance, horizon, code, tmp_path, capsys):
         path = tmp_path / "instance.json"
         if instance is not None:
             path.write_text(json.dumps(instance))
-        assert main(["axioms", str(path), "--horizon", "2"]) == code
+        assert main(["axioms", str(path), "--horizon", horizon]) == code
         err = capsys.readouterr().err
         assert err.startswith("validation error:" if code == 2 else "error:")
 

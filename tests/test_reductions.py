@@ -6,6 +6,7 @@ raises FiniteExhaustion naming the failing step.  Silent degradation is
 the one outcome these tests exist to rule out.
 """
 
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -24,14 +25,16 @@ from gowerslab import (
 )
 from gowerslab.cli import RULES
 from gowerslab.errors import Budget, FiniteExhaustion, PigeonholeUnavailable
-from gowerslab.games import initial_position
+from gowerslab.games import initial_position, legal_moves
 from gowerslab.instances import (
     counterexample_sets,
     mathias_silver,
     provider_for,
+    rosendal,
     top_subspace,
 )
 from gowerslab.payoffs import Payoff
+from gowerslab import reductions
 from gowerslab.reductions import (
     adversarial_from_kastanas,
     asymptotic_from_gowers,
@@ -48,6 +51,7 @@ from gowerslab.reductions import (
     tilde_lift,
     unfold_asymptotic,
 )
+from gowerslab.solver import expand, table_rule
 
 
 def constant_rule(subspace):
@@ -450,6 +454,172 @@ class TestAsymptoticFromGowers:
         assert result.winner is Player.II
         with pytest.raises(PigeonholeUnavailable):
             asymptotic_from_gowers(f3d4, result.strategy, payoff, provider_for(f3d4))
+
+
+# -- the chooser-game transfers, walked over states and over histories ---------------
+
+
+def _gowers_from_constant(space, subspace, payoff_name):
+    top = top_subspace(space)
+    payoff = build_payoff(space, payoff_name, 2)
+    tau = verified(
+        space,
+        strategy_from_rule(
+            space,
+            GameKind.ASYMPTOTIC_F,
+            top,
+            2,
+            Player.I,
+            constant_rule(top if subspace is None else subspace),
+        ),
+        payoff,
+    )
+    return space, gowers_from_asymptotic(space, tau, payoff), payoff, "accepts"
+
+
+def _asymptotic_from_solved(space, payoff):
+    result = solve(space, GameKind.GOWERS_G, top_subspace(space), payoff, Player.II)
+    assert result.winner is Player.II
+    transfer = asymptotic_from_gowers(space, result.strategy, payoff, provider_for(space))
+    return space, transfer.strategy, payoff, "accepts"
+
+
+def _unfolded(space, horizon):
+    decorated = decorate_space(space)
+    if horizon == 1:
+        payoff_prime = Payoff(1, lambda s: decorated.points[s[0]] == (3, 1), "hit-3-bit1")
+    else:
+        payoff_prime = Payoff(
+            2,
+            lambda s: decorated.points[s[0]] == (3, 1) or decorated.points[s[1]] == (5, 0),
+            "decorated-pair",
+        )
+    result = solve(
+        decorated, GameKind.ASYMPTOTIC_F, top_subspace(space), negate(payoff_prime), Player.I
+    )
+    tau = unfold_asymptotic(space, result.strategy, payoff_prime)
+    return space, tau, projected_payoff(payoff_prime), "complement"
+
+
+def _evens(space):
+    return space.palette.index((0, 2, 4, 6))
+
+
+def _f3_counterexample():
+    f3 = rosendal(3, 4, 1)
+    target = counterexample_sets(f3, "FirstCoordOne")
+    return _asymptotic_from_solved(f3, Payoff(1, lambda s: s[0] in target, "first-coord-one"))
+
+
+# label -> (build, the replay's (plays, in_accepts) or the refusal's type)
+POSITIONAL_TRANSFERS = {
+    "G-from-F/ms6": (
+        lambda: _gowers_from_constant(mathias_silver(6, 2, 1), None, "everything"),
+        (3_249, 3_249),
+    ),
+    "G-from-F/ms7": (
+        lambda: _gowers_from_constant(mathias_silver(7, 2, 1), None, "everything"),
+        (14_400, 14_400),
+    ),
+    "G-from-F/ms8": (
+        lambda: _gowers_from_constant(mathias_silver(8, 2, 1), None, "everything"),
+        (61_009, 61_009),
+    ),
+    "G-from-F/ms84-evens-starved": (
+        lambda: _gowers_from_constant(
+            mathias_silver(8, 2, 4), _evens(mathias_silver(8, 2, 4)), "all_even"
+        ),
+        "FiniteExhaustion",
+    ),
+    "F-from-G/ms6": (
+        lambda: _asymptotic_from_solved(
+            mathias_silver(6, 2, 1), Payoff(2, lambda s: all(x >= 1 for x in s), "all-nonzero")
+        ),
+        (4, 4),
+    ),
+    "F-from-G/f3-counterexample": (_f3_counterexample, "PigeonholeUnavailable"),
+    "unfold/h1": (lambda: _unfolded(mathias_silver(6, 2, 1), 1), (5, 0)),
+    "unfold/h2": (lambda: _unfolded(mathias_silver(6, 2, 1), 2), (25, 0)),
+}
+
+
+def _walked(monkeypatch, build, over_states, mutate):
+    """Build a transfer with ``reductions.expand`` patched: the walk
+    stays over states or is forced onto histories, and ``mutate`` may
+    swap the transfer's rule.  A refusal comes back as its message."""
+
+    def patched(space, pos0, owner, rule, *args, positional=False, **kwargs):
+        expand(
+            space, pos0, owner, mutate(space, rule), *args,
+            positional=positional and over_states, **kwargs,
+        )
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reductions, "expand", patched)
+        try:
+            return build()
+        except (FiniteExhaustion, PigeonholeUnavailable) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
+def _differential(monkeypatch, build, mutate=lambda space, rule: rule):
+    """``(table, (plays, in_accepts))`` of the transfer walked over
+    states and over histories.  The positional table is projected to
+    the histories its replay reaches; each strategy is verified by its
+    own path (the count over states, the history replay)."""
+    over_states = _walked(monkeypatch, build, True, mutate)
+    over_histories = _walked(monkeypatch, build, False, mutate)
+    if isinstance(over_states, str) or isinstance(over_histories, str):
+        return over_states, over_histories
+    space, positional, payoff, target = over_states
+    history = replace(over_histories[1], positional=False)
+    assert positional.positional
+    projected: dict = {}
+    pos0 = initial_position(positional.kind, positional.root, positional.horizon)
+    expand(space, pos0, positional.owner, table_rule(space, positional), table=projected)
+    counts = [
+        (report.plays, report.in_accepts)
+        for report in (
+            verify_strategy(space, strat, payoff, target=target)
+            for strat in (positional, history)
+        )
+    ]
+    return (projected, counts[0]), (history.table, counts[1])
+
+
+def _reads_his_first_move(space, rule):
+    """A mutant reading past the state: her point depends on his first
+    subspace, which the state forgets once he has moved again."""
+
+    def mutant(pos, shadow):
+        _, shadow = rule(pos, shadow)
+        options = legal_moves(space, pos)
+        return options[pos.moves[0].subspace % len(options)], shadow
+
+    return mutant
+
+
+class TestPositionalTransfers:
+    @pytest.mark.parametrize("label", list(POSITIONAL_TRANSFERS))
+    def test_state_walk_matches_history_walk(self, label, monkeypatch):
+        build, expected = POSITIONAL_TRANSFERS[label]
+        over_states, over_histories = _differential(monkeypatch, build)
+        assert over_states == over_histories
+        if isinstance(expected, str):
+            assert over_states.startswith(expected)
+        else:
+            assert over_states[1] == expected
+
+    def test_gowers_from_asymptotic_keeps_one_entry_per_state(self):
+        _, sigma, _, _ = POSITIONAL_TRANSFERS["G-from-F/ms8"][0]()
+        assert sigma.positional and len(sigma.table) == 1_976
+
+    def test_rule_reading_past_the_state_fails_the_differential(self, monkeypatch):
+        over_states, over_histories = _differential(
+            monkeypatch, POSITIONAL_TRANSFERS["G-from-F/ms6"][0], _reads_his_first_move
+        )
+        assert isinstance(over_states, tuple) and isinstance(over_histories, tuple)
+        assert over_states[0] != over_histories[0]
 
 
 class TestHomogeneousExtraction:
