@@ -20,9 +20,8 @@ from .games import GameKind, Move, Player, initial_position, move_legal
 from .payoffs import Payoff
 from .reductions import (
     AsymptoticTransfer,
-    _length_lex_sequences,
+    _transfer_to_asymptotic,
     asymptotic_recommendation,
-    reachable_set,
 )
 from .solver import Strategy, VerificationReport, expand, table_rule
 from .space import LENGTH_INDEXED, SpaceInstance, iterated_meet
@@ -483,7 +482,7 @@ def _lift_interleaved(space, discretized, strat, delta):
     return out
 
 
-# -- approximate chooser-to-asymptotic transfer ------------------------------------------
+# -- chooser-to-asymptotic transfer, with the stage deltas as radii ------------------------
 
 
 def approx_asymptotic_from_gowers(
@@ -494,88 +493,20 @@ def approx_asymptotic_from_gowers(
     provider,
     budget: Optional[Budget] = None,
 ) -> AsymptoticTransfer:
-    """Metric version of the chooser-to-asymptotic transfer.
+    """Metric version of the chooser-to-asymptotic transfer: the same
+    construction with the stage deltas as radii.
 
     States realise sequences only up to twice the stage delta; the chain
     is refined against the delta-expansions of the reachable sets, and
-    the resulting asymptotic strategy forces the three-delta expansion
-    of the target (verify it against ``expanded_target`` with the
-    tripled delta).
+    the resulting asymptotic strategy (positional, like the exact one)
+    forces the three-delta expansion of the target (verify it against
+    ``expanded_target`` with the tripled delta).
     """
-    budget = budget or Budget(where="approx_asymptotic_from_gowers")
-    if not sigma.verified or sigma.owner is not Player.II:
-        raise ValueError("approx transfer needs her verified chooser strategy")
     space.require_metric()
-    root = sigma.root
-    horizon = payoff.horizon
-    n_points = len(space.points)
-
-    seqs = _length_lex_sequences(n_points, horizon - 1)
-    seq_index = {s: n for n, s in enumerate(seqs)}
-
-    states: dict = {(): initial_position(GameKind.GOWERS_G, root, horizon)}
-    reach_cache: dict = {}  # one reachable set per realised position
-    for s in seqs[1:]:
-        parent = states.get(s[:-1])
-        if parent is None:
-            states[s] = None
-            continue
-        stage = len(s) - 1
-        found = None
-        for r in space.below(root):
-            budget.tick()
-            reply = sigma.move_at(parent.child(Move(Player.I, subspace=r)))
-            if space.distance(reply.point, s[-1]) <= 2 * delta[stage]:
-                found = parent.child(Move(Player.I, subspace=r)).child(reply)
-                break
-        states[s] = found
-
-    chain = [root]
-    for s in seqs:
-        budget.tick()
-        state = states[s]
-        if state is None:
-            chain.append(chain[-1])
-            continue
-        key = state.key()
-        if key not in reach_cache:
-            reach_cache[key] = reachable_set(space, state, sigma, budget)
-        refined = provider.subset_refinement_expanded(
-            space, reach_cache[key], chain[-1], delta[len(s)]
-        )
-        chain.append(refined)
-
-    q = space.fusion_witness(tuple(chain))
-    out = Strategy(
-        Player.I, GameKind.ASYMPTOTIC_F, q, horizon, name=f"approxF-from-G:{sigma.name}"
+    return _transfer_to_asymptotic(
+        space, sigma, payoff, provider, delta.values, budget,
+        "approx_asymptotic_from_gowers", "approxF-from-G",
     )
-
-    def rule(f_pos, tracked):
-        # The shadow is the tracked sequence before her last answer.
-        if f_pos.moves:
-            stage = len(tracked)
-            answer = f_pos.moves[-1].point
-            shadow = None
-            for y in range(n_points):
-                if space.distance(answer, y) <= delta[stage]:
-                    shadow = y
-                    break
-            tracked = tracked + (shadow,)
-            if states.get(tracked) is None:
-                raise FiniteExhaustion(
-                    "approx_asymptotic_from_gowers",
-                    f"no realised state near {tracked}",
-                )
-        meet = space.meet_witness(q, chain[seq_index[tracked] + 1])
-        if meet is None:
-            raise FiniteExhaustion(
-                "approx_asymptotic_from_gowers", "meet with chain element undefined"
-            )
-        return Move(Player.I, subspace=meet), tracked
-
-    f0 = initial_position(GameKind.ASYMPTOTIC_F, q, horizon)
-    expand(space, f0, Player.I, rule, (), budget=budget, table=out.table)
-    return AsymptoticTransfer(q, out, chain)
 
 
 # -- block sequences and the strong asymptotic game ----------------------------------------

@@ -52,7 +52,7 @@ from .reductions import (
 )
 from .solver import VERIFY_MODES, VERIFY_TARGETS, solve, strategy_from_rule, verify_strategy
 from .space import check_axioms
-from .util import canonical_json, fraction_str, split_seed
+from .util import canonical_json, fraction_str, json_int, split_seed
 
 STAGE_KINDS = {
     "strategy",
@@ -170,7 +170,7 @@ class Scenario:
             instance = InstanceSpec.from_json(data["instance"])
             game = data["game"]
             kind = GameKind(game["kind"])
-            horizon = int(game["horizon"])
+            horizon = json_int(game["horizon"], "horizon")
             has_system = instance.params.get("system") is not None
             _check_game(kind, horizon, has_system)
             payoff = data.get("payoff", {"name": "everything"})
@@ -182,9 +182,14 @@ class Scenario:
                     raise SpecInvalid(f"payoff: unknown counterexample {which!r}")
             pipeline = data.get("pipeline", [])
             _check_pipeline(pipeline, horizon, has_system)
+            budgets = data.get("budgets", {})
+            seconds = budgets.get("seconds", 0.0)
+            wrong_type = isinstance(seconds, bool) or not isinstance(seconds, (int, float))
+            if wrong_type or not seconds >= 0:
+                raise SpecInvalid(f"budgets: seconds must be nonnegative, got {seconds!r}")
             return Scenario(
                 name=data.get("name", "scenario"),
-                seed=int(data.get("seed", 0)),
+                seed=json_int(data.get("seed", 0), "seed"),
                 instance=instance,
                 game_kind=kind,
                 root_spec=game.get("root", "top"),
@@ -192,12 +197,8 @@ class Scenario:
                 payoff_name=payoff["name"],
                 payoff_params=payoff.get("params", {}),
                 pipeline=pipeline,
-                budget_nodes=int(
-                    data.get("budgets", {}).get("nodes", 5_000_000)
-                ),
-                budget_seconds=float(
-                    data.get("budgets", {}).get("seconds", 0.0)
-                ),
+                budget_nodes=json_int(budgets.get("nodes", 5_000_000), "budgets: nodes", 1),
+                budget_seconds=float(seconds),
             )
 
 
@@ -249,8 +250,8 @@ def _check_pipeline(pipeline, horizon, has_system) -> None:
         for name, known in STAGE_NAMES.items():
             if name in stage and stage[name] not in known:
                 raise SpecInvalid(f"stage {i}: unknown {name} {stage[name]!r}")
-        if not isinstance(stage.get("trials", 0), int):
-            raise SpecInvalid(f"stage {i}: trials must be an integer")
+        if "trials" in stage:
+            json_int(stage["trials"], f"stage {i}: trials", 1)
         games = [GameKind(stage["kind"])] if "kind" in stage else []
         if op == "dichotomy":
             games += DICHOTOMY_GAMES[stage.get("flavor", "strategic")]
@@ -491,7 +492,7 @@ def _run_stage(
                 transfer.strategy,
             )
         if name == "homogeneous_from_asymptotic":
-            homogeneous = homogeneous_from_asymptotic(space, current, payoff)
+            homogeneous = homogeneous_from_asymptotic(space, current, payoff, budget)
             from itertools import combinations
 
             subseqs = list(combinations(homogeneous, payoff.horizon))

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .payoffs import Payoff, register
 from .space import SpaceInstance
-from .util import parse_fraction
+from .util import json_int, parse_fraction
 
 MATHIAS_SILVER = "mathias-silver"
 ROSENDAL = "rosendal"
@@ -78,7 +78,7 @@ class InstanceSpec:
         return InstanceSpec(
             kind=kind,
             params=params,
-            slack=int(data.get("slack", 1)),
+            slack=json_int(data.get("slack", 1), "slack"),
             palette_rule=data.get("palette_rule", ""),
             explicit_palette=data.get("palette"),
             name=data.get("name", ""),
@@ -151,35 +151,36 @@ def build_instance(spec: InstanceSpec) -> SpaceInstance:
         return _attach_system(space, system)
     if spec.kind == MATHIAS_SILVER:
         return mathias_silver(
-            int(spec.params["universe"]),
-            min_size=int(spec.params.get("min_size", 2)),
+            json_int(spec.params["universe"], "universe"),
+            min_size=json_int(spec.params.get("min_size", 2), "min_size"),
             slack=spec.slack,
             explicit_palette=spec.explicit_palette,
             name=spec.name,
         )
     if spec.kind == ROSENDAL:
         return rosendal(
-            int(spec.params["field_order"]),
-            int(spec.params["dimension"]),
+            json_int(spec.params["field_order"], "field_order"),
+            json_int(spec.params["dimension"], "dimension"),
             slack=spec.slack,
             name=spec.name,
         )
     if spec.kind == PROJECTIVE_ROSENDAL:
         return projective_rosendal(
-            int(spec.params["field_order"]),
-            int(spec.params["dimension"]),
+            json_int(spec.params["field_order"], "field_order"),
+            json_int(spec.params["dimension"], "dimension"),
             slack=spec.slack,
             name=spec.name,
         )
     if spec.kind == GRID_SPHERE:
         return grid_sphere(
-            int(spec.params.get("dimension", 2)),
+            json_int(spec.params.get("dimension", 2), "dimension"),
             parse_fraction(spec.params.get("step", "1/4")),
             slack=spec.slack,
             name=spec.name,
         )
     if spec.kind == SINGLE_SUBSPACE:
-        return single_subspace(int(spec.params.get("universe", 2)), name=spec.name)
+        n_points = json_int(spec.params.get("universe", 2), "universe")
+        return single_subspace(n_points, name=spec.name)
     raise SpecInvalid(f"unknown instance kind {spec.kind!r}")
 
 
@@ -191,6 +192,55 @@ def _mask(indices) -> int:
     for i in indices:
         out |= 1 << i
     return out
+
+
+def _mask_space(
+    name, points, labels, leq_star, meta, fusion_message, slack, min_common=1, metric=None
+) -> SpaceInstance:
+    """An instance whose subspaces are the point bitmasks ``meta["masks"]``:
+    inclusion is the order, admission is membership of the last point,
+    meets and fusions are intersections that must stay in the palette,
+    and two subspaces are compatible when they share ``min_common``
+    points (a palette scan when it is None).  ``fusion_message`` may name
+    the ``{size}`` of an intersection that left the palette."""
+    masks = meta["masks"]
+    index = {m: i for i, m in enumerate(masks)}
+
+    def leq(p, q):
+        return masks[p] & ~masks[q] == 0
+
+    def admits(history, p):
+        return bool(masks[p] >> history[-1] & 1)
+
+    def meet(p, q):
+        return index.get(masks[p] & masks[q])
+
+    def fusion(chain):
+        m = masks[chain[0]]
+        for p in chain[1:]:
+            m &= masks[p]
+        hit = index.get(m)
+        if hit is None:
+            raise FiniteExhaustion("fusion", fusion_message.format(size=m.bit_count()))
+        return hit
+
+    def compatible(p, q):
+        return (masks[p] & masks[q]).bit_count() >= min_common
+
+    return SpaceInstance(
+        name,
+        points=points,
+        palette=labels,
+        leq=leq,
+        leq_star=leq_star,
+        admits=admits,
+        meet_witness=meet,
+        fusion_witness=fusion,
+        metric=metric,
+        asymptotic_slack=slack,
+        compatible_hint=None if min_common is None else compatible,
+        meta=meta,
+    )
 
 
 def mathias_silver(
@@ -211,62 +261,28 @@ def mathias_silver(
             t for r in range(min_size, n + 1) for t in combinations(range(n), r)
         )
     masks = [_mask(t) for t in subsets]
-    index = {m: i for i, m in enumerate(masks)}
     if explicit_palette is not None:
         # Explicit palettes must already be meet-closed.
+        present = set(masks)
         for i, a in enumerate(masks):
             for j, b in enumerate(masks):
                 meet = a & b
-                if meet and meet not in index:
+                if meet and meet not in present:
                     raise PaletteNotClosedUnderMeet(subsets[i], subsets[j])
-
-    def leq(p, q):
-        return masks[p] & ~masks[q] == 0
 
     def leq_star(p, q):
         return (masks[p] & ~masks[q]).bit_count() <= slack
 
-    def admits(history, p):
-        return bool(masks[p] >> history[-1] & 1)
-
-    def meet(p, q):
-        m = masks[p] & masks[q]
-        return index.get(m)
-
-    def fusion(chain):
-        m = masks[chain[0]]
-        for p in chain[1:]:
-            m &= masks[p]
-        hit = index.get(m)
-        if hit is None:
-            raise FiniteExhaustion(
-                "fusion", f"chain intersection of size {m.bit_count()} left the palette"
-            )
-        return hit
-
-    def compatible(p, q):
-        return (masks[p] & masks[q]).bit_count() >= min_size
-
-    if explicit_palette is not None:
-        compatible = None  # fall back to the palette scan
-
-    return SpaceInstance(
+    return _mask_space(
         name or f"mathias-silver(N={n},m={min_size},t={slack})",
-        points=range(n),
-        palette=subsets,
-        leq=leq,
-        leq_star=leq_star,
-        admits=admits,
-        meet_witness=meet,
-        fusion_witness=fusion,
-        asymptotic_slack=slack,
-        compatible_hint=compatible,
-        meta={
-            "kind": MATHIAS_SILVER,
-            "universe": n,
-            "min_size": min_size,
-            "masks": masks,
-        },
+        range(n),
+        subsets,
+        leq_star,
+        {"kind": MATHIAS_SILVER, "universe": n, "min_size": min_size, "masks": masks},
+        "chain intersection of size {size} left the palette",
+        slack,
+        # An explicit palette falls back to the palette scan.
+        min_common=None if explicit_palette is not None else min_size,
     )
 
 
@@ -435,50 +451,17 @@ def _vector_space_instance(
 
     order = sorted(range(len(masks)), key=lambda i: mask_points(masks[i]))
     masks = [masks[i] for i in order]
-    index = {m: i for i, m in enumerate(masks)}
     dims = [_dim_from_count(m.bit_count(), q, projective) for m in masks]
     labels = [mask_points(m)[:1] + (dims[i],) for i, m in enumerate(masks)]
-
-    def leq(p, r):
-        return masks[p] & ~masks[r] == 0
-
-    def admits(history, p):
-        return bool(masks[p] >> history[-1] & 1)
-
-    def meet(p, r):
-        return index.get(masks[p] & masks[r])
-
-    def fusion(chain):
-        m = masks[chain[0]]
-        for p in chain[1:]:
-            m &= masks[p]
-        hit = index.get(m)
-        if hit is None:
-            raise FiniteExhaustion("fusion", "chain intersection is the zero subspace")
-        return hit
-
-    def compatible(p, r):
-        return masks[p] & masks[r] != 0
-
     kind = PROJECTIVE_ROSENDAL if projective else ROSENDAL
-    return SpaceInstance(
+    return _mask_space(
         name or f"{kind}(F{q},d={d},t={slack})",
-        points=points,
-        palette=labels,
-        leq=leq,
-        leq_star=_codimension_leq_star(masks, dims, slack),
-        admits=admits,
-        meet_witness=meet,
-        fusion_witness=fusion,
-        asymptotic_slack=slack,
-        compatible_hint=compatible,
-        meta={
-            "kind": kind,
-            "field_order": q,
-            "dimension": d,
-            "masks": masks,
-            "dims": dims,
-        },
+        points,
+        labels,
+        _codimension_leq_star(masks, dims, slack),
+        {"kind": kind, "field_order": q, "dimension": d, "masks": masks, "dims": dims},
+        "chain intersection is the zero subspace",
+        slack,
     )
 
 
@@ -527,50 +510,27 @@ def grid_sphere(
         return tuple(i for i in range(len(points)) if mm >> i & 1)
 
     masks = sorted(dim_of, key=mask_points)
-    index = {mm: i for i, mm in enumerate(masks)}
     dims = [dim_of[mm] for mm in masks]
     labels = [(dims[i],) + mask_points(masks[i])[:1] for i in range(len(masks))]
-
-    def leq(p, r):
-        return masks[p] & ~masks[r] == 0
-
-    def admits(history, p):
-        return bool(masks[p] >> history[-1] & 1)
-
-    def meet(p, r):
-        return index.get(masks[p] & masks[r])
-
-    def fusion(chain):
-        mm = masks[chain[0]]
-        for p in chain[1:]:
-            mm &= masks[p]
-        hit = index.get(mm)
-        if hit is None:
-            raise FiniteExhaustion("fusion", "chain intersection left the palette")
-        return hit
 
     def metric(x, y):
         return max(abs(a - b) for a, b in zip(points[x], points[y]))
 
-    return SpaceInstance(
+    return _mask_space(
         name or f"grid-sphere(dim={dimension},step={step},t={slack})",
-        points=points,
-        palette=labels,
-        leq=leq,
-        leq_star=_codimension_leq_star(masks, dims, slack),
-        admits=admits,
-        meet_witness=meet,
-        fusion_witness=fusion,
-        metric=metric,
-        asymptotic_slack=slack,
-        compatible_hint=lambda p, r: masks[p] & masks[r] != 0,
-        meta={
+        points,
+        labels,
+        _codimension_leq_star(masks, dims, slack),
+        {
             "kind": GRID_SPHERE,
             "dimension": dimension,
             "step": step,
             "masks": masks,
             "dims": dims,
         },
+        "chain intersection left the palette",
+        slack,
+        metric=metric,
     )
 
 
@@ -613,17 +573,17 @@ class PigeonholeProvider:
     name: str
     approximate: bool = False
 
-    def _expanded(self, space, point_set, delta):
-        from .approx import expand_point_set  # local import; approx sits above
+    def _inside(self, space, point_set, delta):
+        """The set, or on an approximate provider given a positive delta,
+        its delta-expansion."""
+        if self.approximate and delta:
+            from .approx import expand_point_set  # local import; approx sits above
 
-        return expand_point_set(space, point_set, delta)
+            return expand_point_set(space, point_set, delta)
+        return frozenset(point_set)
 
     def decide(self, space, history, point_set, p, delta=None):
-        inside = (
-            self._expanded(space, point_set, delta)
-            if self.approximate and delta is not None
-            else frozenset(point_set)
-        )
+        inside = self._inside(space, point_set, delta)
         outside_of = frozenset(point_set)
         for q in space.below(p):
             admitted = space.admitted_points(history, q)
@@ -638,21 +598,17 @@ class PigeonholeProvider:
             f"no subspace below {p} decides the set", witness=(a_hit, b_hit)
         )
 
-    def subset_refinement(self, space, history, point_set, p):
-        """First q below p admitting only points of the set (the one-sided
-        strengthening the strategy transformations rely on)."""
-        wanted = frozenset(point_set)
+    def subset_refinement(self, space, history, point_set, p, delta=None):
+        """First q below p admitting only points inside the set, read as
+        ``decide`` reads it (the one-sided strengthening the strategy
+        transformations rely on)."""
+        inside = self._inside(space, point_set, delta)
         for q in space.below(p):
-            if all(x in wanted for x in space.admitted_points(history, q)):
+            if all(x in inside for x in space.admitted_points(history, q)):
                 return q
         raise PigeonholeUnavailable(
             f"no subspace below {p} lands inside the reachable set",
             witness=None,
-        )
-
-    def subset_refinement_expanded(self, space, point_set, p, delta):
-        return self.subset_refinement(
-            space, (), self._expanded(space, point_set, delta), p
         )
 
 

@@ -312,11 +312,39 @@ def _meet_or_exhaust(space, a, b, stage):
     return r
 
 
+def _kastanas_round(space, tau, q, chain, stored_by_round, sim_pos, n, probe, meet_stage):
+    """The round both owners simulate at the real nested state
+    ``sim_pos``: the fictive reply to ``probe``, compatible with the next
+    diagonal subspace; the stored pair for the probe's point and the
+    reply point, replayed for real (the replay must give the stored
+    reply); and the answer, the reply with its subspace met with ``q``.
+    Returns the fictive reply, the stored pair, the answer and the real
+    nested state after the replay."""
+    fict_reply = tau.move_at(sim_pos.child(probe))
+    if not space.compatible(fict_reply.subspace, chain[n + 1]):
+        raise FiniteExhaustion(
+            "fictive compatibility",
+            f"reply subspace {fict_reply.subspace} incompatible with "
+            f"diagonal {chain[n + 1]} at round {n}",
+        )
+    pair = stored_by_round[n].get((sim_pos.key(), probe.point, fict_reply.point))
+    if pair is None:
+        raise FiniteExhaustion("stored pair", f"no stored continuation for round {n}")
+    theirs, mine = pair
+    real_mid = sim_pos.child(Move(probe.player, point=probe.point, subspace=theirs))
+    real_reply = tau.move_at(real_mid)
+    assert real_reply == Move(fict_reply.player, point=fict_reply.point, subspace=mine)
+    met = _meet_or_exhaust(space, q, mine, f"{meet_stage} (round {n})")
+    answer = Move(real_reply.player, point=real_reply.point, subspace=met)
+    return fict_reply, pair, answer, real_mid.child(real_reply)
+
+
 def _build_second_player(space, tau, q, chain, stored_by_round, transfer, budget):
     """Her adversarial strategy: open with the fused subspace, then per
     round probe the nested game fictively, replay the stored pair for
-    real, and answer below the real reply.  The shadow is the real
-    nested state of rank n and the round n."""
+    real, and answer below the real reply; in the last round, answer
+    with the fictive reply's point.  The shadow is the real nested state
+    of rank n and the round n."""
     strategy = transfer.strategy
     horizon = strategy.horizon
     rounds_total = horizon // 2
@@ -326,48 +354,25 @@ def _build_second_player(space, tau, q, chain, stored_by_round, transfer, budget
             return Move(Player.II, subspace=q), (_opening_state(tau, horizon), 0)
         sim_pos, n = shadow
         i_move = b_pos.moves[-1]
-        x, u = i_move.point, i_move.subspace
         v_sim = sim_pos.moves[-1].subspace
-        u_fict = _meet_or_exhaust(space, u, v_sim, f"fictive meet (round {n})")
-        probe = Move(Player.I, point=x, subspace=u_fict)
+        u_fict = _meet_or_exhaust(space, i_move.subspace, v_sim, f"fictive meet (round {n})")
+        probe = Move(Player.I, point=i_move.point, subspace=u_fict)
         if not move_legal(space, sim_pos, probe):
             raise FiniteExhaustion(
                 "fictive probe", f"probe {probe} illegal at round {n}"
             )
-        fict_reply = tau.move_at(sim_pos.child(probe))
-        y = fict_reply.point
         if n == rounds_total - 1:
-            reply = Move(Player.II, point=y)
-            transfer.rounds[b_pos.key()] = RoundRecord(
-                n, i_move.key(), probe.key(), fict_reply.key(), None, reply.key()
+            fict_reply = tau.move_at(sim_pos.child(probe))
+            pair, reply, shadow = None, Move(Player.II, point=fict_reply.point), None
+        else:
+            fict_reply, pair, reply, real = _kastanas_round(
+                space, tau, q, chain, stored_by_round, sim_pos, n, probe, "answer meet"
             )
-            return reply, None
-        if not space.compatible(fict_reply.subspace, chain[n + 1]):
-            raise FiniteExhaustion(
-                "fictive compatibility",
-                f"reply subspace {fict_reply.subspace} incompatible with "
-                f"diagonal {chain[n + 1]} at round {n}",
-            )
-        key = (sim_pos.key(), x, y)
-        if key not in stored_by_round[n]:
-            raise FiniteExhaustion(
-                "stored pair", f"no stored continuation for round {n}"
-            )
-        u_real, v_real = stored_by_round[n][key]
-        real_mid = sim_pos.child(Move(Player.I, point=x, subspace=u_real))
-        real_reply = tau.move_at(real_mid)
-        assert real_reply == Move(Player.II, point=y, subspace=v_real)
-        v_next = _meet_or_exhaust(space, q, v_real, f"answer meet (round {n})")
-        reply = Move(Player.II, point=y, subspace=v_next)
+            shadow = (real, n + 1)
         transfer.rounds[b_pos.key()] = RoundRecord(
-            n,
-            i_move.key(),
-            probe.key(),
-            fict_reply.key(),
-            (u_real, v_real),
-            reply.key(),
+            n, i_move.key(), probe.key(), fict_reply.key(), pair, reply.key()
         )
-        return reply, (real_mid.child(real_reply), n + 1)
+        return reply, shadow
 
     b0 = initial_position(strategy.kind, q, horizon)
     expand(space, b0, Player.II, rule, budget=budget, table=strategy.table)
@@ -393,50 +398,25 @@ def _build_first_player(space, tau, q, chain, stored_by_round, transfer, budget)
         her = a_pos.moves[-1]
         if shadow is None:
             # Her opening is nested-legal as it stands: it sits below the root.
-            sim_pos, n, probe_move = (
-                initial_position(GameKind.KASTANAS, tau.root, horizon), 0, her
-            )
+            sim_pos, n, probe = initial_position(GameKind.KASTANAS, tau.root, horizon), 0, her
         else:
             sim_pos, prev, u_prev = shadow
             w_fict = _meet_or_exhaust(
                 space, her.subspace, u_prev, f"her fictive meet (round {prev})"
             )
-            probe_move = Move(Player.II, point=her.point, subspace=w_fict)
-            if not move_legal(space, sim_pos, probe_move):
+            probe = Move(Player.II, point=her.point, subspace=w_fict)
+            if not move_legal(space, sim_pos, probe):
                 raise FiniteExhaustion(
-                    "fictive probe", f"probe {probe_move} illegal at round {prev + 1}"
+                    "fictive probe", f"probe {probe} illegal at round {prev + 1}"
                 )
             n = prev + 1
-        fict_reply = tau.move_at(sim_pos.child(probe_move))
-        x = fict_reply.point
-        if not space.compatible(fict_reply.subspace, chain[n + 1]):
-            raise FiniteExhaustion(
-                "fictive compatibility",
-                f"reply subspace {fict_reply.subspace} incompatible with "
-                f"diagonal {chain[n + 1]} at round {n}",
-            )
-        a = probe_move.point  # None at the opening
-        key = (sim_pos.key(), a, x)
-        if key not in stored_by_round[n]:
-            raise FiniteExhaustion("stored pair", f"no stored continuation (round {n})")
-        w_real, u_real = stored_by_round[n][key]
-        if a is None:
-            real_mid = sim_pos.child(Move(Player.II, subspace=w_real))
-        else:
-            real_mid = sim_pos.child(Move(Player.II, point=a, subspace=w_real))
-        real_reply = tau.move_at(real_mid)
-        assert real_reply == Move(Player.I, point=x, subspace=u_real)
-        u_mine = _meet_or_exhaust(space, q, u_real, f"his meet (round {n})")
-        my_move = Move(Player.I, point=x, subspace=u_mine)
-        transfer.rounds[a_pos.key()] = RoundRecord(
-            n,
-            probe_move.key(),
-            probe_move.key(),
-            fict_reply.key(),
-            (w_real, u_real),
-            my_move.key(),
+        fict_reply, pair, my_move, real = _kastanas_round(
+            space, tau, q, chain, stored_by_round, sim_pos, n, probe, "his meet"
         )
-        return my_move, (real_mid.child(real_reply), n, u_real)
+        transfer.rounds[a_pos.key()] = RoundRecord(
+            n, probe.key(), probe.key(), fict_reply.key(), pair, my_move.key()
+        )
+        return my_move, (real, n, pair[1])
 
     def leaf(a_pos, shadow):
         # Complete the nested play with her bare point.
@@ -778,6 +758,80 @@ def _length_lex_sequences(n_points: int, max_len: int):
     return out
 
 
+def _transfer_to_asymptotic(space, sigma, payoff, provider, radius, budget, stage, tag):
+    """His asymptotic strategy from her chooser-game strategy, through the
+    pigeonhole principle, up to a per-stage ``radius``.
+
+    Build, for every short sequence, a partial play of her game realising
+    it: her answers lie within twice the stage's radius of its entries.
+    Refine a subspace chain so that below the n-th element every admitted
+    continuation is within the next stage's radius of a point she can be
+    steered to.  Fuse the chain, read each of her answers as the first
+    point within its stage's radius, and let him play meets of the fused
+    subspace with the chain element of the sequence read so far.  At
+    radius zero every test is the exact one, since ``distance(x, y) == 0``
+    only when ``x == y``.  His move reads only the point prefix, so the
+    table is positional.
+    """
+    budget = budget or Budget(where=stage)
+    _require_verified(sigma, Player.II, GameKind.GOWERS_G, stage)
+    root = sigma.root
+    horizon = payoff.horizon
+    point_ids = range(len(space.points))
+    seqs = _length_lex_sequences(len(space.points), horizon - 1)
+    seq_index = {s: n for n, s in enumerate(seqs)}
+
+    states: dict = {(): initial_position(GameKind.GOWERS_G, root, horizon)}
+    for s in seqs[1:]:
+        parent = states.get(s[:-1])
+        states[s] = None
+        if parent is None:
+            continue
+        for r in space.below(root):
+            budget.tick()
+            mid = parent.child(Move(Player.I, subspace=r))
+            reply = sigma.move_at(mid)
+            if space.distance(reply.point, s[-1]) <= 2 * radius[len(s) - 1]:
+                states[s] = mid.child(reply)
+                break
+
+    chain = [root]
+    reach: dict = {}  # one reachable set per realised position
+    for s in seqs:
+        budget.tick()
+        state = states[s]
+        if state is None:
+            chain.append(chain[-1])
+            continue
+        key = state.key()
+        if key not in reach:
+            reach[key] = reachable_set(space, state, sigma, budget)
+        chain.append(
+            provider.subset_refinement(space, s, reach[key], chain[-1], radius[len(s)])
+        )
+
+    q = space.fusion_witness(tuple(chain))
+    out = Strategy(
+        Player.I, GameKind.ASYMPTOTIC_F, q, horizon, name=f"{tag}:{sigma.name}", positional=True
+    )
+
+    def rule(f_pos, shadow):
+        s = tuple(
+            next(y for y in point_ids if space.distance(x, y) <= radius[i])
+            for i, x in enumerate(f_pos.point_prefix)
+        )
+        if states.get(s) is None:
+            raise FiniteExhaustion(stage, f"reached a sequence {s} with no realised state")
+        meet = space.meet_witness(q, chain[seq_index[s] + 1])
+        if meet is None:
+            raise FiniteExhaustion(stage, f"meet of {q} and chain element undefined")
+        return Move(Player.I, subspace=meet), shadow
+
+    f0 = initial_position(GameKind.ASYMPTOTIC_F, q, horizon)
+    expand(space, f0, Player.I, rule, budget=budget, table=out.table, positional=True)
+    return AsymptoticTransfer(q, out, chain)
+
+
 def asymptotic_from_gowers(
     space: SpaceInstance,
     sigma: Strategy,
@@ -786,82 +840,20 @@ def asymptotic_from_gowers(
     budget: Optional[Budget] = None,
 ) -> AsymptoticTransfer:
     """His asymptotic strategy from her chooser-game strategy, through the
-    pigeonhole principle.
-
-    Build, for every short sequence, a partial play of her game realising
-    it (when reachable); refine a subspace chain so that below the n-th
-    element every admitted continuation is a point she can be steered to;
-    fuse the chain and let him play meets of the fused subspace with the
-    chain, keeping the play inside realised states.  His move reads only
-    the point prefix, so the table is positional.
-    """
-    budget = budget or Budget(where="asymptotic_from_gowers")
-    _require_verified(sigma, Player.II, GameKind.GOWERS_G, "asymptotic_from_gowers")
-    root = sigma.root
-    horizon = payoff.horizon
-    seqs = _length_lex_sequences(len(space.points), horizon - 1)
-    seq_index = {s: n for n, s in enumerate(seqs)}
-
-    states: dict = {(): initial_position(GameKind.GOWERS_G, root, horizon)}
-    for s in seqs[1:]:
-        parent = states.get(s[:-1])
-        if parent is None:
-            states[s] = None
-            continue
-        found = None
-        for r in space.below(root):
-            budget.tick()
-            reply = sigma.move_at(parent.child(Move(Player.I, subspace=r)))
-            if reply.point == s[-1]:
-                found = parent.child(Move(Player.I, subspace=r)).child(reply)
-                break
-        states[s] = found
-
-    chain = [root]
-    for s in seqs:
-        budget.tick()
-        state = states[s]
-        if state is None:
-            chain.append(chain[-1])
-            continue
-        reach = reachable_set(space, state, sigma, budget)
-        refined = provider.subset_refinement(space, s, reach, chain[-1])
-        chain.append(refined)
-
-    q = space.fusion_witness(tuple(chain))
-    out = Strategy(
-        Player.I,
-        GameKind.ASYMPTOTIC_F,
-        q,
-        horizon,
-        name=f"F-from-G:{sigma.name}",
-        positional=True,
+    pigeonhole principle: the transfer at radius zero, so her answers
+    realise each sequence exactly and the chain lands inside her
+    reachable sets."""
+    return _transfer_to_asymptotic(
+        space, sigma, payoff, provider, (0,) * payoff.horizon, budget,
+        "asymptotic_from_gowers", "F-from-G",
     )
-
-    def rule(f_pos, shadow):
-        s = f_pos.point_prefix
-        if states.get(s) is None:
-            raise FiniteExhaustion(
-                "asymptotic_from_gowers",
-                f"reached a sequence {s} with no realised state",
-            )
-        meet = space.meet_witness(q, chain[seq_index[s] + 1])
-        if meet is None:
-            raise FiniteExhaustion(
-                "asymptotic_from_gowers", f"meet of {q} and chain element undefined"
-            )
-        return Move(Player.I, subspace=meet), shadow
-
-    f0 = initial_position(GameKind.ASYMPTOTIC_F, q, horizon)
-    expand(space, f0, Player.I, rule, budget=budget, table=out.table, positional=True)
-    return AsymptoticTransfer(q, out, chain)
 
 
 # -- homogeneous set extraction ------------------------------------------------------
 
 
 def homogeneous_from_asymptotic(
-    space: SpaceInstance, tau: Strategy, payoff: Payoff
+    space: SpaceInstance, tau: Strategy, payoff: Payoff, budget: Optional[Budget] = None
 ) -> tuple:
     """Extract an integer set every increasing subsequence of which the
     asymptotic strategy already wins on.
@@ -872,8 +864,9 @@ def homogeneous_from_asymptotic(
     membership in the recommended subspaces is demanded, not a
     min-threshold, since palette subspaces may have gaps; on strategies
     playing final segments this is the familiar max-of-thresholds
-    recursion.
+    recursion.  Each replay of the strategy costs one budget tick.
     """
+    budget = budget or Budget(where="homogeneous_from_asymptotic")
     if space.meta.get("kind") != "mathias-silver":
         raise KindMismatch("homogeneous extraction needs a Mathias-Silver instance")
     _require_verified(tau, Player.I, GameKind.ASYMPTOTIC_F, "homogeneous extraction")
@@ -889,6 +882,7 @@ def homogeneous_from_asymptotic(
         allowed = root_mask
         for length in range(0, horizon):
             for sub in combinations(chosen, length):
+                budget.tick()
                 rec = asymptotic_recommendation(space, tau, sub)
                 allowed &= masks[rec.subspace]
         lo = chosen[-1] + 1 if chosen else 0

@@ -28,8 +28,10 @@ Every walk of a strategy's game tree outside the solve and the count
 strategy transformation) goes through ``expand``: the owner follows a
 rule carrying shadow state, the opponent tries every legal move, and
 each visited position costs one budget tick.  The chooser-game
-transfers walk over states, since their moves read only the state (and
-through its point prefix the simulated play); the other
+transfers (``gowers_from_asymptotic``, ``unfold_asymptotic``, and the
+exact and approximate transfers to the asymptotic game) walk over
+states, since their moves read only the state (and through its point
+prefix the simulated play or the tracked sequence); the other
 transformations' shadows depend on the history.
 
 A player with no legal move at a non-terminal position loses; finite
@@ -231,7 +233,8 @@ def expand(
     carries the state down with ``next_state``, visits each state once
     for one tick and writes ``table[state]``, as ``_minimax`` and
     ``_count_plays`` do.  It is for rules whose move, shadow included,
-    is a function of the state: the state is ruled at the first history
+    is a function of the state, as in the chooser-game transfers named
+    in the module docstring: the state is ruled at the first history
     that reaches it, and every other history with that state would get
     the same move, so the walk skips them.  It takes no ``leaf``, since
     it does not reach every history.

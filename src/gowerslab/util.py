@@ -6,6 +6,8 @@ import hashlib
 import json
 from fractions import Fraction
 
+from .errors import SpecInvalid
+
 
 def split_seed(seed: int, label: str) -> int:
     """Derive a child seed from ``seed`` and a stage label.
@@ -33,6 +35,17 @@ def parse_fraction(text) -> Fraction:
     if isinstance(text, str):
         return Fraction(text.strip())
     raise TypeError(f"cannot parse fraction from {text!r}")
+
+
+def json_int(value, what: str, least=None) -> int:
+    """``value`` when it is a JSON integer (not a bool) of at least
+    ``least``; otherwise SpecInvalid, since a float, bool or string
+    coerced to an integer would run another input than the one given."""
+    wrong_type = isinstance(value, bool) or not isinstance(value, int)
+    if wrong_type or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise SpecInvalid(f"{what} must be an integer{bound}, got {value!r}")
+    return value
 
 
 def fraction_str(value: Fraction) -> str:

@@ -152,6 +152,37 @@ class TestExitCodes:
         assert report["diagnostic"]["op"] == "reduce"
         assert "node budget of 150 exhausted" in report["diagnostic"]["error"]
 
+    def test_homogeneous_extraction_spends_the_scenario_budget(self, tmp_path):
+        # The strategy stage spends 340 nodes and the extraction 91
+        # strategy replays, so the extraction runs out inside the
+        # scenario's budget of 400.
+        scenario = {
+            "name": "tight-extraction",
+            "seed": 1,
+            "instance": {"kind": "mathias-silver", "universe": 12, "min_size": 2, "slack": 1},
+            "game": {"kind": "F", "root": "top", "horizon": 2},
+            "payoff": {"name": "everything"},
+            "budgets": {"nodes": 400},
+            "pipeline": [
+                {
+                    "op": "strategy",
+                    "rule": "pass-set",
+                    "owner": "I",
+                    "params": {"labels": list(range(12))},
+                },
+                {"op": "reduce", "name": "homogeneous_from_asymptotic"},
+            ],
+        }
+        path = tmp_path / "tight-extraction.json"
+        path.write_text(json.dumps(scenario))
+        code = main(["reduce", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        report = json.loads((tmp_path / "tight-extraction.json").read_text())
+        assert report["stages"][0]["nodes"] == 340
+        assert report["diagnostic"]["stage"] == 1
+        assert report["diagnostic"]["op"] == "reduce"
+        assert "node budget of 400 exhausted" in report["diagnostic"]["error"]
+
     def test_failed_verification_is_four(self, tmp_path):
         data = json.loads(scenario_path("ms-f-dichotomy.json").read_text())
         # His solve loses toward the even target, so its strategy forces
@@ -229,8 +260,11 @@ def _universe_x(data):
     data["instance"]["universe"] = "x"
 
 
-def _sampled_trials_x(data):
-    data["pipeline"].append({"op": "verify", "mode": "sampled", "trials": "x"})
+def _sampled_trials(value):
+    def edit(data):
+        data["pipeline"].append({"op": "verify", "mode": "sampled", "trials": value})
+
+    return edit
 
 
 def _system_table_out_of_range(data):
@@ -262,7 +296,7 @@ MALFORMED = [
     ("instance-without-universe", "ms-f-dichotomy.json", _no_universe),
     ("universe-x", "ms-f-dichotomy.json", _universe_x),
     ("first-in-without-labels", "ms-f-dichotomy.json", _top(payoff={"name": "first_in"})),
-    ("sampled-trials-x", "ms-f-dichotomy.json", _sampled_trials_x),
+    ("sampled-trials-x", "ms-f-dichotomy.json", _sampled_trials("x")),
     ("labels-not-a-list", "ms-kastanas-h1.json", _stage(0, params={"labels": 5})),
     ("system-table-out-of-range", "ms-kastanas-h1.json", _system_table_out_of_range),
     (
@@ -275,6 +309,20 @@ MALFORMED = [
         "ms-f-dichotomy.json",
         _top(instance={"kind": "grid-sphere", "step": "0"}),
     ),
+    # Integer fields are checked, not coerced: each of these used to run
+    # as the integer it rounds or parses to (or to exit 3 or 4).
+    ("horizon-float", "ms-f-dichotomy.json", _game(horizon=2.5)),
+    ("horizon-bool", "ms-f-dichotomy.json", _game(horizon=True)),
+    ("horizon-string", "ms-f-dichotomy.json", _game(horizon="2")),
+    ("seed-float", "ms-f-dichotomy.json", _top(seed=1.9)),
+    ("universe-float", "ms-f-dichotomy.json", _instance(universe=6.5)),
+    ("slack-float", "ms-f-dichotomy.json", _instance(slack=1.5)),
+    ("min-size-string", "ms-f-dichotomy.json", _instance(min_size="2")),
+    ("budget-nodes-zero", "ms-f-dichotomy.json", _top(budgets={"nodes": 0})),
+    ("budget-nodes-negative", "ms-f-dichotomy.json", _top(budgets={"nodes": -5})),
+    ("budget-seconds-negative", "ms-f-dichotomy.json", _top(budgets={"seconds": -1})),
+    ("sampled-trials-negative", "ms-f-dichotomy.json", _sampled_trials(-3)),
+    ("sampled-trials-bool", "ms-f-dichotomy.json", _sampled_trials(True)),
 ]
 
 

@@ -23,11 +23,13 @@ from gowerslab import (
     verified,
     verify_strategy,
 )
+from gowerslab.approx import DeltaSeq, approx_asymptotic_from_gowers, expanded_target
 from gowerslab.cli import RULES
 from gowerslab.errors import Budget, FiniteExhaustion, PigeonholeUnavailable
 from gowerslab.games import initial_position, legal_moves
 from gowerslab.instances import (
     counterexample_sets,
+    grid_sphere,
     mathias_silver,
     provider_for,
     rosendal,
@@ -446,6 +448,31 @@ class TestAsymptoticFromGowers:
         )
         assert verify_strategy(ms6, transfer.strategy, payoff).passed
 
+    def test_budget_pins_the_exact_transfer(self, ms6):
+        top = top_subspace(ms6)
+        payoff = Payoff(2, lambda s: all(x >= 1 for x in s), "all-nonzero")
+        result = solve(ms6, GameKind.GOWERS_G, top, payoff, Player.II)
+        budget = Budget()
+        asymptotic_from_gowers(ms6, result.strategy, payoff, provider_for(ms6), budget)
+        assert budget.used == 519
+
+    def test_exact_transfer_refused_where_the_approximate_one_succeeds(self, grid_half):
+        # Radius zero asks the pigeonhole principle to hold exactly, which
+        # it does not on the grid sphere; at delta 1/2 it holds up to
+        # expansion and the transfer goes through.
+        payoff = _lex_positive_first(grid_half)
+        result = solve(grid_half, GameKind.GOWERS_G, top_subspace(grid_half), payoff, Player.II)
+        assert result.winner is Player.II
+        budget = Budget()
+        with pytest.raises(PigeonholeUnavailable):
+            asymptotic_from_gowers(
+                grid_half, result.strategy, payoff, provider_for(grid_half), budget
+            )
+        assert budget.used == 118
+        _, strategy, target, _ = _approx_from_solved(grid_half, ("1/2", "1/2"))
+        assert strategy.positional
+        assert verify_strategy(grid_half, strategy, target).passed
+
     def test_counterexample_payoff_refused_by_provider(self, f3d4):
         top = top_subspace(f3d4)
         target = counterexample_sets(f3d4, "FirstCoordOne")
@@ -511,6 +538,26 @@ def _f3_counterexample():
     return _asymptotic_from_solved(f3, Payoff(1, lambda s: s[0] in target, "first-coord-one"))
 
 
+def _lex_positive_first(grid):
+    # Her target at horizon 2: the first entry's first nonzero coordinate is positive.
+    return Payoff(
+        2, lambda s: next(c for c in grid.points[s[0]] if c != 0) > 0, "lex-positive"
+    )
+
+
+def _approx_from_solved(grid, delta):
+    """His approximate transfer from her solved strategy, verified against
+    the tripled expansion of the target."""
+    payoff = _lex_positive_first(grid)
+    result = solve(grid, GameKind.GOWERS_G, top_subspace(grid), payoff, Player.II)
+    assert result.winner is Player.II
+    delta = DeltaSeq.of(*delta)
+    transfer = approx_asymptotic_from_gowers(
+        grid, result.strategy, payoff, delta, provider_for(grid)
+    )
+    return grid, transfer.strategy, expanded_target(grid, payoff, delta.tripled()), "accepts"
+
+
 # label -> (build, the replay's (plays, in_accepts) or the refusal's type)
 POSITIONAL_TRANSFERS = {
     "G-from-F/ms6": (
@@ -538,6 +585,31 @@ POSITIONAL_TRANSFERS = {
         (4, 4),
     ),
     "F-from-G/f3-counterexample": (_f3_counterexample, "PigeonholeUnavailable"),
+    "approxF-from-G/grid-half/delta-half": (
+        lambda: _approx_from_solved(grid_sphere(2, "1/2", 1), ("1/2", "1/2")),
+        (4, 4),
+    ),
+    "approxF-from-G/grid-half/delta-two": (
+        lambda: _approx_from_solved(grid_sphere(2, "1/2", 1), ("2", "2")),
+        (256, 256),
+    ),
+    "approxF-from-G/grid-half/delta-quarter": (
+        lambda: _approx_from_solved(grid_sphere(2, "1/2", 1), ("1/4", "1/4")),
+        "PigeonholeUnavailable",
+    ),
+    # Uneven deltas: the refinement of a sequence reads the next stage's delta.
+    "approxF-from-G/grid-half/delta-half-one": (
+        lambda: _approx_from_solved(grid_sphere(2, "1/2", 1), ("1/2", "1")),
+        (4, 4),
+    ),
+    "approxF-from-G/grid-half/delta-one-half": (
+        lambda: _approx_from_solved(grid_sphere(2, "1/2", 1), ("1", "1/2")),
+        "PigeonholeUnavailable",
+    ),
+    "approxF-from-G/grid-quarter/delta-quarter": (
+        lambda: _approx_from_solved(grid_sphere(2, "1/4", 1), ("1/4", "1/4")),
+        (4, 4),
+    ),
     "unfold/h1": (lambda: _unfolded(mathias_silver(6, 2, 1), 1), (5, 0)),
     "unfold/h2": (lambda: _unfolded(mathias_silver(6, 2, 1), 2), (25, 0)),
 }
