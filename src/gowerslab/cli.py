@@ -252,6 +252,8 @@ def _check_pipeline(pipeline, horizon, has_system) -> None:
                 raise SpecInvalid(f"stage {i}: unknown {name} {stage[name]!r}")
         if "trials" in stage:
             json_int(stage["trials"], f"stage {i}: trials", 1)
+        if "min_dim" in stage:
+            json_int(stage["min_dim"], f"stage {i}: min_dim")
         games = [GameKind(stage["kind"])] if "kind" in stage else []
         if op == "dichotomy":
             games += DICHOTOMY_GAMES[stage.get("flavor", "strategic")]
@@ -294,11 +296,12 @@ class RunOutcome:
 def _resolve_root(space, root_spec) -> int:
     if root_spec == "top" or root_spec is None:
         return top_subspace(space)
-    if isinstance(root_spec, int) and 0 <= root_spec < len(space.palette):
-        return root_spec
     if isinstance(root_spec, list):
         return subspace_of_labels(space, root_spec)
-    raise SpecInvalid(f"cannot resolve game root {root_spec!r}")
+    root = json_int(root_spec, "game root", 0)
+    if root >= len(space.palette):
+        raise SpecInvalid(f"cannot resolve game root {root_spec!r}")
+    return root
 
 
 def _build_payoff(space, scenario: Scenario) -> Payoff:
@@ -320,7 +323,7 @@ def run_scenario(path, out_dir=None, budget_nodes=None) -> RunOutcome:
 def _run_parsed(data: dict, out_dir=None, budget_nodes=None) -> RunOutcome:
     scenario = Scenario.from_json(data)
     if budget_nodes is not None:
-        scenario.budget_nodes = budget_nodes
+        scenario.budget_nodes = json_int(budget_nodes, "budgets: nodes", 1)
     with _validating("scenario"):
         space = build_instance(scenario.instance)
         root = _resolve_root(space, scenario.root_spec)

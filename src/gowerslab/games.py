@@ -180,32 +180,44 @@ _SUBSPACE_RULES = {
 }
 
 
+def _anchor(pos: GamePosition, rule: str) -> SubspaceId:
+    return pos.moves[-1].subspace if rule == "nested" else pos.root
+
+
 def _subspaces(space: SpaceInstance, pos: GamePosition, rule: str) -> tuple:
-    if rule == "leq":
-        return space.below(pos.root)
-    if rule == "la":
-        return space.lessapprox_below(pos.root)
-    return space.below(pos.moves[-1].subspace)
+    """The subspaces the rule allows, in canonical order."""
+    anchor = _anchor(pos, rule)
+    return space.lessapprox_below(anchor) if rule == "la" else space.below(anchor)
+
+
+def _subspace_allowed(space: SpaceInstance, pos: GamePosition, rule: str, q) -> bool:
+    """Whether q is among ``_subspaces(space, pos, rule)``, read from the
+    relation for the one pair."""
+    if not isinstance(q, int) or not 0 <= q < len(space.palette):
+        return False
+    anchor = _anchor(pos, rule)
+    return space.lessapprox(q, anchor) if rule == "la" else space.leq(q, anchor)
 
 
 def _options(space: SpaceInstance, pos: GamePosition) -> tuple:
-    """The rules of every game: ``(points, subspaces, blocks)`` allowed to
-    the player to move at a non-terminal position.  Each field is a
-    tuple of ids in canonical order, or None when the move leaves that
-    field empty."""
+    """The rules of every game: ``(points, subspace rule, blocks)`` for
+    the player to move at a non-terminal position.  Points and blocks
+    are tuples of ids in canonical order, the subspace rule one of
+    "leq", "la" and "nested" (read by ``_subspaces`` and
+    ``_subspace_allowed``); each is None when the move leaves that field
+    empty."""
     rules = _SUBSPACE_RULES[pos.kind]
     if pos.kind in INTERLEAVED:
         if not pos.moves:
-            return None, _subspaces(space, pos, rules[0]), None
+            return None, rules[0], None
         points = space.admitted_points(pos.point_prefix, pos.moves[-1].subspace)
         if len(pos.moves) == pos.horizon:
             return points, None, None  # her last answer is a bare point
-        rule = rules[1] if pos.to_move is Player.I else rules[2]
-        return points, _subspaces(space, pos, rule), None
+        return points, rules[1] if pos.to_move is Player.I else rules[2], None
     if pos.kind is GameKind.STRONG_ASYMPTOTIC_SF and space.system is None:
         raise IllegalPosition("strong asymptotic game needs a precompact system")
     if pos.to_move is Player.I:
-        return None, _subspaces(space, pos, rules[0]), None
+        return None, rules[0], None
     constraint = pos.moves[-1].subspace
     if pos.kind in CHOOSER:
         return space.admitted_points(pos.point_prefix, constraint), None, None
@@ -230,12 +242,12 @@ def move_legal(space: SpaceInstance, pos: GamePosition, move: Move) -> bool:
     outside them (outside the palette, say) is illegal."""
     if pos.terminal or move.player is not pos.to_move:
         return False
-    points, subspaces, blocks = _options(space, pos)
-    return (
-        _allowed(move.point, points)
-        and _allowed(move.subspace, subspaces)
-        and _allowed(move.block, blocks)
-    )
+    points, rule, blocks = _options(space, pos)
+    if rule is None:
+        subspace_ok = move.subspace is None
+    else:
+        subspace_ok = _subspace_allowed(space, pos, rule, move.subspace)
+    return _allowed(move.point, points) and subspace_ok and _allowed(move.block, blocks)
 
 
 def legal_moves(space: SpaceInstance, pos: GamePosition) -> list:
@@ -245,7 +257,8 @@ def legal_moves(space: SpaceInstance, pos: GamePosition) -> list:
     """
     if pos.terminal:
         return []
-    points, subspaces, blocks = _options(space, pos)
+    points, rule, blocks = _options(space, pos)
+    subspaces = None if rule is None else _subspaces(space, pos, rule)
     player = pos.to_move
     return [
         Move(player, x, q, k)

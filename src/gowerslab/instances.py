@@ -36,8 +36,8 @@ from .errors import (
     PigeonholeUnavailable,
     SpecInvalid,
 )
-from .payoffs import Payoff, register
-from .space import SpaceInstance
+from .payoffs import Payoff, outcome_index, register
+from .space import SpaceInstance, bits
 from .util import json_int, parse_fraction
 
 MATHIAS_SILVER = "mathias-silver"
@@ -195,19 +195,87 @@ def _mask(indices) -> int:
 
 
 def _mask_space(
-    name, points, labels, leq_star, meta, fusion_message, slack, min_common=1, metric=None
+    name, points, labels, meta, fusion_message, slack, min_common=1, metric=None
 ) -> SpaceInstance:
     """An instance whose subspaces are the point bitmasks ``meta["masks"]``:
     inclusion is the order, admission is membership of the last point,
     meets and fusions are intersections that must stay in the palette,
     and two subspaces are compatible when they share ``min_common``
     points (a palette scan when it is None).  ``fusion_message`` may name
-    the ``{size}`` of an intersection that left the palette."""
+    the ``{size}`` of an intersection that left the palette.
+
+    The star order is "misses at most ``slack`` points", or, when
+    ``meta`` carries ``dims``, "contains a palette subspace of
+    codimension at most ``slack`` in the common part".  Both relations
+    are palette-bitset rows built per subspace on first use (see
+    ``gowerslab.space``), and the pairwise tests read those rows."""
     masks = meta["masks"]
+    dims = meta.get("dims")
     index = {m: i for i, m in enumerate(masks)}
+    n = len(masks)
+    full = (1 << n) - 1
+    contains: list = []
+    above_rows: list = [None] * n
+    star_rows: list = [None] * n
+
+    def holders():
+        """contains[x]: the palette ids whose mask holds point x."""
+        if not contains:
+            # Digit width - 1 - x of each mask's binary text is point x.
+            width = len(points)
+            text = "".join([format(m, f"0{width}b") for m in reversed(masks)])
+            contains.extend(int(text[width - 1 - x :: width], 2) for x in range(width))
+        return contains
+
+    def above(p):
+        row = above_rows[p]
+        if row is None:
+            row = full
+            point_rows = holders()
+            for x in bits(masks[p]):
+                row &= point_rows[x]
+            above_rows[p] = row
+        return row
+
+    def below(p):
+        # Not cached: the instance caches the enumeration it reads off.
+        outside = 0
+        for x, row in enumerate(holders()):
+            if not masks[p] >> x & 1:
+                outside |= row
+        return full & ~outside
+
+    def star(p):
+        row = star_rows[p]
+        if row is None:
+            if dims is None:
+                # p <=* q iff q holds all of p but at most slack points.
+                pts = bits(masks[p])
+                point_rows = holders()
+                row = 0
+                for kept in combinations(pts, max(len(pts) - slack, 0)):
+                    common = full
+                    for x in kept:
+                        common &= point_rows[x]
+                    row |= common
+            else:
+                # p <=* q iff p <= q or some z <= p of dimension at least
+                # dims[p] - slack has z <= q.
+                want = dims[p] - slack
+                row = above(p)
+                for z in bits(below(p)):
+                    if dims[z] >= want:
+                        row |= above(z)
+            star_rows[p] = row
+        return row
 
     def leq(p, q):
-        return masks[p] & ~masks[q] == 0
+        return (above_rows[p] or above(p)) >> q & 1 == 1
+
+    def leq_star(p, q):
+        return (star_rows[p] or star(p)) >> q & 1 == 1
+
+    leq.row, leq.column, leq_star.row = above, below, star
 
     def admits(history, p):
         return bool(masks[p] >> history[-1] & 1)
@@ -270,14 +338,10 @@ def mathias_silver(
                 if meet and meet not in present:
                     raise PaletteNotClosedUnderMeet(subsets[i], subsets[j])
 
-    def leq_star(p, q):
-        return (masks[p] & ~masks[q]).bit_count() <= slack
-
     return _mask_space(
         name or f"mathias-silver(N={n},m={min_size},t={slack})",
         range(n),
         subsets,
-        leq_star,
         {"kind": MATHIAS_SILVER, "universe": n, "min_size": min_size, "masks": masks},
         "chain intersection of size {size} left the palette",
         slack,
@@ -388,27 +452,6 @@ def _dim_from_count(count: int, q: int, projective: bool) -> int:
     return k
 
 
-def _codimension_leq_star(masks, dims, slack):
-    """The star order of the vector and sphere instances, cached per pair:
-    p <=* r iff p <= r or a palette subspace of dimension at least
-    ``dims[p] - slack`` lies inside their common part."""
-    cache: dict = {}
-    palette = range(len(masks))
-
-    def leq_star(p, r):
-        hit = cache.get((p, r))
-        if hit is None:
-            common = masks[p] & masks[r]
-            want = dims[p] - slack
-            hit = common == masks[p] or any(
-                dims[z] >= want and masks[z] & ~common == 0 for z in palette
-            )
-            cache[p, r] = hit
-        return hit
-
-    return leq_star
-
-
 def _vector_space_instance(
     q: int, d: int, slack: int, projective: bool, name: str
 ) -> SpaceInstance:
@@ -458,7 +501,6 @@ def _vector_space_instance(
         name or f"{kind}(F{q},d={d},t={slack})",
         points,
         labels,
-        _codimension_leq_star(masks, dims, slack),
         {"kind": kind, "field_order": q, "dimension": d, "masks": masks, "dims": dims},
         "chain intersection is the zero subspace",
         slack,
@@ -520,7 +562,6 @@ def grid_sphere(
         name or f"grid-sphere(dim={dimension},step={step},t={slack})",
         points,
         labels,
-        _codimension_leq_star(masks, dims, slack),
         {
             "kind": GRID_SPHERE,
             "dimension": dimension,
@@ -714,7 +755,7 @@ def phi_support_block_scan(space: SpaceInstance):
 
 @register("first_nonzero_is")
 def _first_nonzero_is(space, horizon, params):
-    idx = params.get("index", 0)
+    idx = outcome_index(params, horizon)
     value = params["value"]
 
     def accepts(seq):
@@ -726,7 +767,7 @@ def _first_nonzero_is(space, horizon, params):
 @register("in_counterexample")
 def _in_counterexample(space, horizon, params):
     target = counterexample_sets(space, params["which"])
-    idx = params.get("index", 0)
+    idx = outcome_index(params, horizon)
     return Payoff(
         horizon, lambda seq: seq[idx] in target, f"in_counterexample[{params['which']}]"
     )

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .errors import SpecInvalid
 from .space import SpaceInstance
-from .util import stable_fraction_hash
+from .util import json_int, stable_fraction_hash
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,18 @@ def _label(space, x):
     return space.points[x]
 
 
+def outcome_index(params, horizon: int) -> int:
+    """The ``index`` parameter (default 0): a position in an outcome of
+    ``horizon`` entries, negative counting from the end."""
+    idx = json_int(params.get("index", 0), "payoff: index")
+    if not -horizon <= idx < horizon:
+        raise SpecInvalid(f"payoff: index {idx} is outside an outcome of length {horizon}")
+    return idx
+
+
 @register("point_even")
 def _point_even(space, horizon, params):
-    idx = params.get("index", 0)
+    idx = outcome_index(params, horizon)
     return Payoff(
         horizon, lambda seq: _label(space, seq[idx]) % 2 == 0, f"point_even[{idx}]"
     )
@@ -101,7 +111,7 @@ def _point_even(space, horizon, params):
 
 @register("point_odd")
 def _point_odd(space, horizon, params):
-    idx = params.get("index", 0)
+    idx = outcome_index(params, horizon)
     return Payoff(
         horizon, lambda seq: _label(space, seq[idx]) % 2 == 1, f"point_odd[{idx}]"
     )
@@ -131,7 +141,7 @@ def _equal_pair(space, horizon, params):
 @register("first_in")
 def _first_in(space, horizon, params):
     wanted = set(tuple(v) if isinstance(v, list) else v for v in params["labels"])
-    idx = params.get("index", 0)
+    idx = outcome_index(params, horizon)
 
     def accepts(seq):
         label = _label(space, seq[idx])
@@ -143,7 +153,7 @@ def _first_in(space, horizon, params):
 
 @register("coord_eq")
 def _coord_eq(space, horizon, params):
-    idx = params.get("index", 0)
+    idx = outcome_index(params, horizon)
     coord = params["coord"]
     value = params["value"]
 

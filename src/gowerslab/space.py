@@ -12,6 +12,12 @@ Points and subspaces are handled as integer ids indexing the instance's
 canonical enumerations; all witness searches break ties by taking the
 first hit in enumeration order, which keeps every construction in the
 package reproducible.
+
+A relation may carry bulk rows as palette bitsets (bit ``q`` of an int
+for subspace id ``q``): ``relation.row(p)`` is the set of every ``q``
+with ``relation(p, q)``, and ``leq.column(q)`` the set of every ``p``
+with ``leq(p, q)``.  The instance picks them up at construction; a
+relation without them gets its rows from one call per pair.
 """
 
 from __future__ import annotations
@@ -99,13 +105,45 @@ class SpaceInstance:
         self._lessapprox_below: dict[SubspaceId, tuple] = {}
         self._admitted: dict = {}
         self._compat: dict = {}
+        # Rows are read off the relations as given, so a wrapper put on
+        # ``self.leq`` later does not turn the bulk rows off.
+        self._leq_row = self._rows(leq, "row", lambda p, q: self.leq(p, q))
+        self._leq_column = self._rows(leq, "column", lambda p, q: self.leq(q, p))
+        self._star_row = self._rows(leq_star, "row", lambda p, q: self.leq_star(p, q))
+
+    def _rows(self, relation, name, holds):
+        """The relation's bulk rows ``relation.<name>``, else rows built
+        from ``holds(p, q)`` on every q and cached."""
+        bulk = getattr(relation, name, None)
+        if bulk is not None:
+            return bulk
+        cache: dict = {}
+        n = len(self.palette)
+
+        def row(p):
+            hit = cache.get(p)
+            if hit is None:
+                hit = 0
+                for q in range(n):
+                    if holds(p, q):
+                        hit |= 1 << q
+                cache[p] = hit
+            return hit
+
+        return row
 
     def derive(self, **overrides) -> "SpaceInstance":
         """A new instance with the given constructor fields replaced and
-        the rest shared; its caches start empty.  The public attributes
-        are exactly the constructor's parameters."""
+        the rest shared, rows of the relations it keeps included; its
+        other caches start empty.  The public attributes are exactly the
+        constructor's parameters."""
         fields = {k: v for k, v in vars(self).items() if not k.startswith("_")}
-        return SpaceInstance(**{**fields, **overrides})
+        view = SpaceInstance(**{**fields, **overrides})
+        if "leq" not in overrides:
+            view._leq_row, view._leq_column = self._leq_row, self._leq_column
+        if "leq_star" not in overrides:
+            view._star_row = self._star_row
+        return view
 
     # -- derived relations -------------------------------------------------
 
@@ -121,19 +159,14 @@ class SpaceInstance:
             if self.compatible_hint is not None:
                 hit = self.compatible_hint(key[0], key[1])
             else:
-                hit = any(
-                    self.leq(r, key[0]) and self.leq(r, key[1])
-                    for r in range(len(self.palette))
-                )
+                hit = self._leq_column(key[0]) & self._leq_column(key[1]) != 0
             self._compat[key] = hit
         return hit
 
     def common_lower_bound(self, p: SubspaceId, q: SubspaceId) -> Optional[SubspaceId]:
         """First palette r with r <= p and r <= q, or None."""
-        for r in range(len(self.palette)):
-            if self.leq(r, p) and self.leq(r, q):
-                return r
-        return None
+        common = self._leq_column(p) & self._leq_column(q)
+        return (common & -common).bit_length() - 1 if common else None
 
     # -- enumeration helpers (cached) ---------------------------------------
 
@@ -143,14 +176,14 @@ class SpaceInstance:
     def below(self, p: SubspaceId) -> tuple:
         hit = self._below.get(p)
         if hit is None:
-            hit = tuple(q for q in self.subspaces() if self.leq(q, p))
-            self._below[p] = hit
+            hit = self._below[p] = tuple(bits(self._leq_column(p)))
         return hit
 
     def lessapprox_below(self, p: SubspaceId) -> tuple:
+        """Every q with q <= p and p <=* q."""
         hit = self._lessapprox_below.get(p)
         if hit is None:
-            hit = tuple(q for q in self.subspaces() if self.lessapprox(q, p))
+            hit = tuple(bits(self._leq_column(p) & self._star_row(p)))
             self._lessapprox_below[p] = hit
         return hit
 
@@ -193,6 +226,17 @@ class SpaceInstance:
         )
 
 
+def bits(row: int) -> list:
+    """The set bits of a palette bitset, ascending."""
+    out = []
+    text = bin(row)[:1:-1]
+    i = text.find("1")
+    while i >= 0:
+        out.append(i)
+        i = text.find("1", i + 1)
+    return out
+
+
 @dataclass
 class AxiomCheck:
     passed: bool
@@ -216,19 +260,6 @@ class AxiomReport:
         return " ".join(parts)
 
 
-def _decreasing_chains(space: SpaceInstance, max_len: int, budget: Budget):
-    """All nonempty leq-decreasing palette chains of length <= max_len, in
-    depth-first canonical order, one tick per chain.  A chain is extended
-    over the cached ``space.below`` of its last element."""
-    stack = [(p,) for p in reversed(space.subspaces())]
-    while stack:
-        chain = stack.pop()
-        budget.tick()
-        yield chain
-        if len(chain) < max_len:
-            stack.extend(chain + (q,) for q in reversed(space.below(chain[-1])))
-
-
 def check_axioms(
     space: SpaceInstance, horizon: int, budget: Optional[Budget] = None
 ) -> AxiomReport:
@@ -242,43 +273,45 @@ def check_axioms(
     Each quantifier runs in canonical p-major order and stops at its
     first counterexample; ``checked`` counts the cases up to and
     including it.  The budget is charged what a per-pair sweep would
-    charge (a tick per pair, chain or history), a row at a time.  ``leq``
-    is read once per pair, through ``space.below``: chains extend over
-    it, and axioms 1 and 5 walk only the pairs with p <= q (axiom 1
-    still counts all n * n pairs as checked).
+    charge (a tick per pair, chain or history), a row at a time.  The
+    relations are read as rows: ``above[p]`` holds every q with
+    p <= q and ``star[p]`` every q with p <=* q, so axioms 1 and 5 test
+    a row with one bit operation (axiom 1 still counts all n * n pairs
+    as checked), and a decreasing chain carries the bitset of its
+    members.
     """
     budget = budget or Budget(where="check_axioms")
     report = AxiomReport()
     n = len(space.palette)
     npts = len(space.points)
-    # above[p]: every q with p <= q, ascending.
-    above = [[] for _ in range(n)]
-    for q in range(n):
-        for p in space.below(q):
-            above[p].append(q)
+    above = [space._leq_row(p) for p in range(n)]
+    star = [space._star_row(p) for p in range(n)]
 
     # Axiom 1: leq implies leq_star.
     check = AxiomCheck(True)
     for p in range(n):
-        bad = next((q for q in above[p] if not space.leq_star(p, q)), None)
-        row = n if bad is None else bad + 1
+        bad = above[p] & ~star[p]
+        row = (bad & -bad).bit_length() if bad else n
         budget.tick(row)
         check.checked += row
-        if bad is not None:
+        if bad:
             check.passed = False
-            check.counterexample = (p, bad)
+            check.counterexample = (p, row - 1)
             break
     report.axioms["axiom1"] = check
 
     # Axiom 2: the meet witness, where defined, behaves.
     check = AxiomCheck(True)
+    meet = space.meet_witness
     for p in range(n):
-        for q in [q for q in range(n) if space.leq_star(p, q)]:
-            r = space.meet_witness(p, q)
+        star_p = star[p]
+        for q in bits(star_p):
+            r = meet(p, q)
             if r is None:
                 continue
             check.checked += 1
-            if not (space.leq(r, p) and space.leq(r, q) and space.leq_star(p, r)):
+            # r <= p, r <= q and p <=* r, read as bits of the rows.
+            if not (above[r] >> p & above[r] >> q & star_p >> r & 1):
                 check.passed = False
                 check.counterexample = (p, q, r)
                 break
@@ -287,21 +320,36 @@ def check_axioms(
             break
     report.axioms["axiom2"] = check
 
-    # Axiom 3: fusion over all decreasing chains up to the horizon.
+    # Axiom 3: fusion over all leq-decreasing chains up to the horizon, in
+    # depth-first canonical order, one tick per chain.  A chain extends
+    # over the cached ``space.below`` of its last element; the stack holds
+    # each open chain with the bitset of its members and its remaining
+    # extensions.
     check = AxiomCheck(True)
-    for chain in _decreasing_chains(space, horizon, budget):
+    fusion = space.fusion_witness
+    stack = [((), 0, iter(range(n)))]
+    while stack:
+        prefix, members, extensions = stack[-1]
+        q = next(extensions, None)
+        if q is None:
+            stack.pop()
+            continue
+        chain, chain_members = prefix + (q,), members | 1 << q
+        budget.tick()
         check.checked += 1
         try:
-            star = space.fusion_witness(chain)
+            fused = fusion(chain)
         except FiniteExhaustion:
             # Honest exhaustion is allowed; a wrong witness is not.
-            continue
-        if not space.leq(star, chain[0]) or not all(
-            space.leq_star(star, p) for p in chain
+            fused = None
+        if fused is not None and (
+            not above[fused] >> chain[0] & 1 or chain_members & ~star[fused]
         ):
             check.passed = False
-            check.counterexample = (chain, star)
+            check.counterexample = (chain, fused)
             break
+        if len(chain) < horizon:
+            stack.append((chain, chain_members, iter(space.below(q))))
     report.axioms["axiom3"] = check
 
     # Axioms 4 and 5, in the form matching the admission structure.  A
@@ -339,21 +387,26 @@ def check_axioms(
     report.axioms["axiom4"] = check
 
     # Axiom 5 over the pairs p <= q, p-major: admission below p implies
-    # admission below q.
+    # admission below q.  ``before[p]`` counts the pairs of rows before p.
+    before = [0]
+    for p in range(n):
+        before.append(before[-1] + above[p].bit_count())
     all_hists = histories(1 if point_only else horizon)
     check = AxiomCheck(True)
     for s in all_hists:
-        admitted = [space.admits(s, p) for p in range(n)]
-        row = 0
+        admitted = 0
         for p in range(n):
-            if admitted[p]:
-                bad = next((j for j, q in enumerate(above[p]) if not admitted[q]), None)
-                if bad is not None:
-                    row += bad + 1
-                    check.passed = False
-                    check.counterexample = (s, p, above[p][bad])
-                    break
-            row += len(above[p])
+            if space.admits(s, p):
+                admitted |= 1 << p
+        row = before[n]
+        for p in bits(admitted):
+            bad = above[p] & ~admitted
+            if bad:
+                low = bad & -bad
+                row = before[p] + (above[p] & (low - 1)).bit_count() + 1
+                check.passed = False
+                check.counterexample = (s, p, low.bit_length() - 1)
+                break
         budget.tick(row)
         check.checked += row
         if not check.passed:

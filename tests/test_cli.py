@@ -5,6 +5,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gowerslab.cli import main, report_render, run_scenario
 
@@ -226,6 +228,13 @@ def _game(**fields):
     return edit
 
 
+def _payoff_params(**fields):
+    def edit(data):
+        data["payoff"]["params"].update(fields)
+
+    return edit
+
+
 def _payoff_name(data):
     data["payoff"]["name"] = "no-such-payoff"
 
@@ -281,6 +290,9 @@ MALFORMED = [
     ("flavor-weird", "ms-f-dichotomy.json", _stage(1, flavor="weird")),
     ("kastanas-horizon-3", "ms-kastanas-h1.json", _game(horizon=3)),
     ("root-outside-the-palette", "ms-f-dichotomy.json", _game(root=999)),
+    ("root-bool", "ms-f-dichotomy.json", _game(root=True)),
+    ("root-negative", "ms-f-dichotomy.json", _game(root=-1)),
+    ("root-float", "ms-f-dichotomy.json", _game(root=1.0)),
     ("stage-kind-odd-horizon", "ms-f-dichotomy.json", _stage(0, kind="A")),
     ("adversarial-dichotomy-odd-horizon", "ms-f-dichotomy.json", _stage(1, flavor="adversarial")),
     ("stay-in-set-without-labels", "ms-kastanas-h1.json", _no_labels),
@@ -323,6 +335,10 @@ MALFORMED = [
     ("budget-seconds-negative", "ms-f-dichotomy.json", _top(budgets={"seconds": -1})),
     ("sampled-trials-negative", "ms-f-dichotomy.json", _sampled_trials(-3)),
     ("sampled-trials-bool", "ms-f-dichotomy.json", _sampled_trials(True)),
+    # Each of these used to raise a TypeError or IndexError mid-run.
+    ("payoff-index-list", "ms-f-dichotomy.json", _payoff_params(index=[])),
+    ("payoff-index-past-the-outcome", "ms-f-dichotomy.json", _payoff_params(index=1)),
+    ("min-dim-list", "f3-pigeonhole-counterexample.json", _stage(0, min_dim=[])),
 ]
 
 
@@ -338,6 +354,22 @@ class TestMalformedScenarios:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("nodes", [0, -5])
+    def test_budget_flag_is_checked_like_the_file_field(self, nodes, tmp_path, capsys):
+        # A nonpositive --budget-nodes used to run the scenario into
+        # budget exhaustion (exit 3).
+        scenario = scenario_path("ms-f-dichotomy.json")
+        flag = ["run", str(scenario), "--out", str(tmp_path), "--budget-nodes", str(nodes)]
+        assert main(flag) == 2
+        flag_err = capsys.readouterr().err
+        data = json.loads(scenario.read_text())
+        data["budgets"] = {"nodes": nodes}
+        path = tmp_path / "file-budget.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert flag_err == capsys.readouterr().err
+        assert flag_err.startswith("validation error: budgets: nodes must be")
 
 
 class TestDeterminism:
@@ -578,3 +610,91 @@ class TestGridInstanceFiles:
         )
         space = build_instance(spec)
         assert space.metric is not None and len(space.points) == 32
+
+
+# -- fuzzing the scenario files ------------------------------------------------------------
+
+ALL_SCENARIOS = sorted(
+    p.name for p in Path(str(resources.files("gowerslab") / "scenarios")).glob("*.json")
+)
+
+
+def _leaves(data, path=()):
+    """Every (container path, key) of the JSON value, containers first."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        yield path, key
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+
+
+def _scalars(data):
+    if isinstance(data, dict):
+        data = list(data.values())
+    if isinstance(data, list):
+        for value in data:
+            yield from _scalars(value)
+    else:
+        yield data
+
+
+# Every scalar of the bundled scenarios (so a kind, rule or name may move
+# to another field), plus values of every other JSON type.  Integers
+# stay small: instance construction is charged to no budget, and a
+# Mathias-Silver palette doubles with each point of the universe.
+BUNDLED_SCALARS = sorted(
+    {
+        repr(v): v
+        for name in ALL_SCENARIOS
+        for v in _scalars(json.loads(scenario_path(name).read_text()))
+        if not (isinstance(v, int) and v > 4)
+    }.values(),
+    key=repr,
+)
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-2, 4),
+        st.floats(-2, 4, allow_nan=False),
+        st.text(max_size=3),
+        st.sampled_from(BUNDLED_SCALARS),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    data = json.loads(scenario_path(draw(st.sampled_from(ALL_SCENARIOS))).read_text())
+    for _ in range(draw(st.integers(1, 2))):
+        path, key = draw(st.sampled_from(list(_leaves(data))))
+        parent = data
+        for step in path:
+            parent = parent[step]
+        if isinstance(parent, dict) and draw(st.integers(0, 3)) == 0:
+            del parent[key]
+        else:
+            parent[key] = draw(JSON_VALUES)
+    return data
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=mutated_scenarios())
+def test_mutated_scenarios_exit_with_a_documented_code(data):
+    """Changed field types and values of the bundled scenarios, run through
+    the CLI, exit 0, 2, 3 or 4 and print no traceback.  The node budget
+    is capped so an example stays cheap; running out of it is exit 3."""
+    import contextlib
+    import io
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.json"
+        path.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(path), "--out", tmp, "--budget-nodes", "20000"])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from gowerslab import check_axioms, iterated_meet
 from gowerslab.errors import Budget, ExhaustionBudget, FiniteExhaustion
 from gowerslab import instances
-from gowerslab.instances import mathias_silver, rosendal, single_subspace, top_subspace
+from gowerslab.instances import (
+    grid_sphere,
+    mathias_silver,
+    projective_rosendal,
+    rosendal,
+    single_subspace,
+    top_subspace,
+)
 from gowerslab.space import FORGETFUL, FULL_HISTORY, AxiomCheck, SpaceInstance
 
 
@@ -425,3 +432,138 @@ def test_axiom_ticks_match_the_per_pair_sweep(factory, args, horizon, ticks, che
     assert report.all_pass
     assert budget.used == ticks
     assert [report.axioms[k].checked for k in sorted(report.axioms)] == checked
+
+
+# -- relation rows ----------------------------------------------------------------
+
+
+def mask_formula_rows(space):
+    """The above, below and star rows of a mask instance, rebuilt pair by
+    pair from the masks: inclusion, and "misses at most t points" or,
+    with dims, "a palette subspace of dimension at least dims[p] - t
+    lies in the common part"."""
+    masks, dims = space.meta["masks"], space.meta.get("dims")
+    t = space.asymptotic_slack
+    n = len(masks)
+
+    def subset(a, b):
+        return a & ~b == 0
+
+    def star(p, q):
+        common = masks[p] & masks[q]
+        if dims is None:
+            return (masks[p] & ~masks[q]).bit_count() <= t
+        return common == masks[p] or any(
+            dims[z] >= dims[p] - t and subset(masks[z], common) for z in range(n)
+        )
+
+    def rows(holds):
+        return [sum(1 << q for q in range(n) if holds(p, q)) for p in range(n)]
+
+    return (
+        rows(lambda p, q: subset(masks[p], masks[q])),
+        rows(lambda p, q: subset(masks[q], masks[p])),
+        rows(star),
+    )
+
+
+def bulk_rows(space):
+    n = range(len(space.palette))
+    return (
+        [space.leq.row(p) for p in n],
+        [space.leq.column(p) for p in n],
+        [space.leq_star.row(p) for p in n],
+    )
+
+
+MASK_FACTORIES = [
+    ("ms5-t0", lambda: mathias_silver(5, 2, 0)),
+    ("ms6-t1", lambda: mathias_silver(6, 2, 1)),
+    ("ms6-t2", lambda: mathias_silver(6, 1, 2)),
+    (
+        "ms5-explicit",
+        lambda: mathias_silver(
+            5, 2, 1, explicit_palette=[[0, 1, 2, 3, 4], [0, 1, 2], [1, 2, 3], [1, 2], [2, 3], [2]]
+        ),
+    ),
+    ("rosendal-f2-d4", lambda: rosendal(2, 4, 1)),
+    ("rosendal-f3-d3-t2", lambda: rosendal(3, 3, 2)),
+    ("projective-f3-d3", lambda: projective_rosendal(3, 3, 1)),
+    ("grid-quarter", lambda: grid_sphere(2, Fraction(1, 4), 1)),
+    ("grid3-half-t0", lambda: grid_sphere(3, Fraction(1, 2), 0)),
+]
+
+
+def flipped_star(space, p, q):
+    """The instance with bit q of star row p flipped, on both the row and
+    the pairwise relation."""
+    row = space.leq_star.row
+
+    def mutant_row(r):
+        return row(r) ^ (1 << q) if r == p else row(r)
+
+    def leq_star(a, b):
+        return mutant_row(a) >> b & 1 == 1
+
+    leq_star.row = mutant_row
+    return space.derive(name=f"flipped star {space.name}", leq_star=leq_star)
+
+
+class TestRelationRows:
+    @pytest.mark.parametrize("factory", [f for _, f in MASK_FACTORIES],
+                             ids=[name for name, _ in MASK_FACTORIES])
+    def test_bulk_rows_match_the_mask_formula(self, factory):
+        space = factory()
+        want = mask_formula_rows(space)
+        assert bulk_rows(space) == want
+        n = len(space.palette)
+        above, below, star = want
+        for p in range(n):
+            assert space.below(p) == tuple(q for q in range(n) if below[p] >> q & 1)
+            assert space.lessapprox_below(p) == tuple(
+                q for q in range(n) if below[p] >> q & 1 and star[p] >> q & 1
+            )
+            for q in range(n):
+                assert space.leq(p, q) == bool(above[p] >> q & 1)
+                assert space.leq_star(p, q) == bool(star[p] >> q & 1)
+
+    def test_one_flipped_star_bit_is_caught(self):
+        base = mathias_silver(5, 2, 1)
+        p, q = palette_id(base, (0, 1)), top_subspace(base)
+        mutant = flipped_star(base, p, q)
+        assert bulk_rows(mutant) != mask_formula_rows(mutant)
+        report = check_axioms(mutant, 1)
+        assert report.axioms["axiom1"].counterexample == (p, q)
+
+    def test_an_override_without_rows_gets_rows_from_pair_calls(self):
+        base = mathias_silver(5, 2, 1)
+        n = len(base.palette)
+        calls = []
+
+        def equality(p, q):
+            calls.append((p, q))
+            return p == q
+
+        view = base.derive(leq_star=equality)
+        top = top_subspace(view)
+        assert view.lessapprox_below(top) == (top,)
+        assert calls == [(top, q) for q in range(n)]
+        # The kept leq still reads the instance's bulk rows.
+        assert view.below(top) == base.below(top)
+        check = check_axioms(view, 1).axioms["axiom1"]
+        assert not check.passed and check.counterexample == (0, 1)
+
+    def test_a_wrapper_put_on_leq_later_keeps_the_bulk_rows(self):
+        space = mathias_silver(5, 2, 1)
+        calls = []
+        leq = space.leq
+
+        def counted(p, q):
+            calls.append((p, q))
+            return leq(p, q)
+
+        space.leq = counted
+        top = top_subspace(space)
+        assert len(space.below(top)) == len(space.palette)
+        assert space.derive(name="view").below(0) == (0,)
+        assert calls == []
