@@ -187,8 +187,13 @@ class Scenario:
             wrong_type = isinstance(seconds, bool) or not isinstance(seconds, (int, float))
             if wrong_type or not seconds >= 0:
                 raise SpecInvalid(f"budgets: seconds must be nonnegative, got {seconds!r}")
+            name = data.get("name", "scenario")
+            if not isinstance(name, str) or not name or any(c in name for c in "/\\\0"):
+                raise SpecInvalid(
+                    f"name must be a nonempty string without a path separator, got {name!r}"
+                )
             return Scenario(
-                name=data.get("name", "scenario"),
+                name=name,
                 seed=json_int(data.get("seed", 0), "seed"),
                 instance=instance,
                 game_kind=kind,
@@ -336,12 +341,12 @@ def _run_parsed(data: dict, out_dir=None, budget_nodes=None) -> RunOutcome:
     status = "ok"
     diagnostic = None
     exit_code = 0
-    budget = Budget(scenario.budget_nodes, "scenario")
     deadline = (
         time.monotonic() + scenario.budget_seconds
         if scenario.budget_seconds
         else None
     )
+    budget = Budget(scenario.budget_nodes, "scenario", deadline)
 
     for i, stage in enumerate(scenario.pipeline):
         op = stage["op"]

@@ -9,6 +9,8 @@ instance was exhausted.
 
 from __future__ import annotations
 
+import time
+
 
 class GowersLabError(Exception):
     """Base class for all package-specific errors."""
@@ -24,6 +26,18 @@ class ExhaustionBudget(GowersLabError):
         if where:
             msg += f" in {where}"
         super().__init__(msg)
+
+
+class TimeExhausted(ExhaustionBudget):
+    """A budget's deadline passed during an enumeration."""
+
+    def __init__(self, where: str = ""):
+        self.nodes = None
+        self.where = where
+        msg = "time budget exhausted"
+        if where:
+            msg += f" in {where}"
+        GowersLabError.__init__(self, msg)
 
 
 class FiniteExhaustion(GowersLabError):
@@ -102,19 +116,36 @@ class PaletteNotClosedUnderMeet(SpecInvalid):
         super().__init__(f"palette misses the meet of subspaces {p} and {q}")
 
 
+# Ticks between two clock reads of a budget with a deadline.
+CLOCK_EVERY = 4096
+
+
 class Budget:
-    """Mutable node counter raising :class:`ExhaustionBudget` when spent.
+    """Mutable node counter raising :class:`ExhaustionBudget` when spent,
+    or :class:`TimeExhausted` once its optional ``deadline`` (a
+    ``time.monotonic()`` reading) has passed.
 
     A single budget may be threaded through nested enumerations; ticks are
-    cumulative.
+    cumulative.  ``tick`` makes one comparison, against a threshold: the
+    node limit, or with a deadline the tick count of the next clock read,
+    ``CLOCK_EVERY`` ticks after the last one.
     """
 
-    def __init__(self, nodes: int = 10_000_000, where: str = ""):
+    def __init__(self, nodes: int = 10_000_000, where: str = "", deadline=None):
         self.limit = nodes
         self.used = 0
         self.where = where
+        self.deadline = deadline
+        self._threshold = nodes if deadline is None else min(nodes, CLOCK_EVERY)
 
     def tick(self, n: int = 1) -> None:
         self.used += n
+        if self.used > self._threshold:
+            self._past_threshold()
+
+    def _past_threshold(self) -> None:
         if self.used > self.limit:
             raise ExhaustionBudget(self.limit, self.where)
+        if time.monotonic() > self.deadline:
+            raise TimeExhausted(self.where)
+        self._threshold = min(self.limit, self.used + CLOCK_EVERY)

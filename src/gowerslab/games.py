@@ -1,11 +1,13 @@
 """Rule systems of the six games at finite horizon.
 
-Positions are immutable move histories; move generation is a pure
-function of (space, position).  Once kind, root and horizon are fixed,
-the rules and the outcome read only a position's state (see
-``GamePosition.state``), so two histories with one state have the same
-moves, children's states and outcomes.  Conventions for the finite
-truncation:
+Positions are immutable move histories that carry their state; move
+generation is a pure function of (space, position).  Once kind, root
+and horizon are fixed, the rules and the outcome read only a position's
+state (see ``GamePosition.state``), so two histories with one state
+have the same moves, children's states and outcomes.  The rules read
+less than the whole state: ``rules_key`` is the part they read, so two
+positions of one game with one rules key have the same legal moves.
+Conventions for the finite truncation:
 
 * The horizon of a position is the length of the finished outcome: the
   number of point moves for the interleaved games (so always even there)
@@ -22,12 +24,12 @@ truncation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from .errors import IllegalPosition, NotTerminal
-from .space import SpaceInstance, SubspaceId
+from .space import FULL_HISTORY, SpaceInstance, SubspaceId
 
 
 class Player(str, Enum):
@@ -52,7 +54,7 @@ INTERLEAVED = (GameKind.ADVERSARIAL_A, GameKind.ADVERSARIAL_B, GameKind.KASTANAS
 CHOOSER = (GameKind.ASYMPTOTIC_F, GameKind.GOWERS_G)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """One move: a bare subspace, a bare point, a (point, subspace) pair,
     or a precompact-set reference (index into the instance's system)."""
@@ -85,12 +87,25 @@ class Move:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GamePosition:
+    """A move history of one game, with its state.
+
+    The state is derived and takes no part in equality, hashing or the
+    repr: constructing a position folds ``next_state`` over its moves,
+    and ``child`` extends the parent's state by the one move instead."""
+
     kind: GameKind
     root: SubspaceId
     horizon: int
     moves: tuple = ()
+    _state: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        state = START_STATE
+        for move in self.moves:
+            state = next_state(state, move)
+        object.__setattr__(self, "_state", state)
 
     def key(self) -> tuple:
         return (
@@ -109,15 +124,11 @@ class GamePosition:
 
     @property
     def point_prefix(self) -> tuple:
-        if self.kind in INTERLEAVED:
-            return tuple(m.point for m in self.moves[1:])
-        if self.kind in CHOOSER:
-            return tuple(m.point for m in self.moves if m.point is not None)
-        return ()
+        return self._state[1]
 
     @property
     def block_prefix(self) -> tuple:
-        return tuple(m.block for m in self.moves if m.block is not None)
+        return self._state[3]
 
     @property
     def terminal(self) -> bool:
@@ -132,14 +143,19 @@ class GamePosition:
     def state(self) -> tuple:
         """``(moves played, point prefix, last move's subspace, block
         prefix)``: everything the rules and the outcome read within one
-        game.  It leaves out kind, root and horizon."""
-        state = START_STATE
-        for move in self.moves:
-            state = next_state(state, move)
-        return state
+        game.  It leaves out kind, root and horizon.  A field read."""
+        return self._state
 
     def child(self, move: Move) -> "GamePosition":
-        return GamePosition(self.kind, self.root, self.horizon, self.moves + (move,))
+        # Built without ``__init__``, so the state is extended, not refolded.
+        pos = object.__new__(GamePosition)
+        init = object.__setattr__
+        init(pos, "kind", self.kind)
+        init(pos, "root", self.root)
+        init(pos, "horizon", self.horizon)
+        init(pos, "moves", self.moves + (move,))
+        init(pos, "_state", next_state(self._state, move))
+        return pos
 
 
 START_STATE = (0, (), None, ())
@@ -156,6 +172,19 @@ def next_state(state: tuple, move: Move) -> tuple:
         move.subspace,
         blocks if move.block is None else blocks + (move.block,),
     )
+
+
+def rules_key(space: SpaceInstance, state: tuple) -> tuple:
+    """The part of a state that the rules read within one game: the
+    moves played and the last move's subspace, plus the point prefix
+    when admission reads the full history.  Forgetful admission does
+    not read the prefix, and length-indexed admission reads only its
+    length, which the moves played fix.  The block prefix is read by
+    the outcome only."""
+    played, points, subspace, _ = state
+    if space.admission == FULL_HISTORY:
+        return played, subspace, points
+    return played, subspace
 
 
 def initial_position(kind: GameKind, root: SubspaceId, horizon: int) -> GamePosition:

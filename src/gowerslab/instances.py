@@ -36,7 +36,7 @@ from .errors import (
     PigeonholeUnavailable,
     SpecInvalid,
 )
-from .payoffs import Payoff, outcome_index, register
+from .payoffs import Payoff, outcome_index, register, vector_length
 from .space import SpaceInstance, bits
 from .util import json_int, parse_fraction
 
@@ -756,6 +756,7 @@ def phi_support_block_scan(space: SpaceInstance):
 @register("first_nonzero_is")
 def _first_nonzero_is(space, horizon, params):
     idx = outcome_index(params, horizon)
+    vector_length(space, "payoff first_nonzero_is")
     value = params["value"]
 
     def accepts(seq):

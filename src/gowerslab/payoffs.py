@@ -92,6 +92,17 @@ def _label(space, x):
     return space.points[x]
 
 
+def vector_length(space: SpaceInstance, what: str) -> int:
+    """The length of the point labels, which must all be vectors (tuples)
+    of one length; otherwise SpecInvalid, since a payoff reading
+    coordinates of an integer label fails at the first outcome."""
+    lengths = {len(label) if isinstance(label, tuple) else None for label in space.points}
+    if len(lengths) != 1 or None in lengths:
+        raise SpecInvalid(f"{what} reads coordinates of vector point labels of one length, "
+                          f"which {space.name} does not have")
+    return lengths.pop()
+
+
 def outcome_index(params, horizon: int) -> int:
     """The ``index`` parameter (default 0): a position in an outcome of
     ``horizon`` entries, negative counting from the end."""
@@ -154,7 +165,10 @@ def _first_in(space, horizon, params):
 @register("coord_eq")
 def _coord_eq(space, horizon, params):
     idx = outcome_index(params, horizon)
-    coord = params["coord"]
+    length = vector_length(space, "payoff coord_eq")
+    coord = json_int(params["coord"], "payoff: coord")
+    if not -length <= coord < length:
+        raise SpecInvalid(f"payoff: coord {coord} is outside labels of length {length}")
     value = params["value"]
 
     def accepts(seq):

@@ -23,16 +23,25 @@ number of plays below a state and how many land in the payoff are
 functions of the state, so the same integers come out of a memoized
 recursion as out of the replay.
 
-Every walk of a strategy's game tree outside the solve and the count
-(the oracle's extraction, exhaustive replay of a history table, each
-strategy transformation) goes through ``expand``: the owner follows a
-rule carrying shadow state, the opponent tries every legal move, and
-each visited position costs one budget tick.  The chooser-game
+Every walk of a strategy's game tree outside the solve, the count and
+the oracle (exhaustive replay of a history table, each strategy
+transformation) goes through ``expand``: the owner follows a rule
+carrying shadow state, the opponent tries every legal move, and each
+visited position costs one budget tick.  The chooser-game
 transfers (``gowers_from_asymptotic``, ``unfold_asymptotic``, and the
 exact and approximate transfers to the asymptotic game) walk over
 states, since their moves read only the state (and through its point
 prefix the simulated play or the tracked sequence); the other
 transformations' shadows depend on the history.
+
+Positions carry their state, so keying a memo by state is a field
+read.  Each memoized walk (the solve, the count and ``expand``) keeps
+its own move lists: ``legal_moves`` runs once per ``games.rules_key``
+the walk meets, and every other position with that key reuses the
+list.  The lists are local to the walk and dropped with it.  The owner's
+table moves are still checked with ``move_legal`` at their own
+position, and the oracle calls ``legal_moves`` everywhere, with no list
+kept.
 
 A player with no legal move at a non-terminal position loses; finite
 truncations can strand a player even though the infinite games cannot.
@@ -54,8 +63,8 @@ from .games import (
     initial_position,
     legal_moves,
     move_legal,
-    next_state,
     play_outcome,
+    rules_key,
 )
 from .payoffs import Payoff
 from .space import SpaceInstance
@@ -170,17 +179,37 @@ def _accepts_fn(space: SpaceInstance, payoff: Payoff) -> Callable[[GamePosition]
     return accepts
 
 
+def _move_lists(space: SpaceInstance) -> Callable[[GamePosition], list]:
+    """One walk's move lists: ``legal_moves`` is called once per
+    ``rules_key`` the walk meets, and every other position of the walk
+    with that key gets the same list.  The dict dies with the walk, so
+    nothing outlives it; all positions of a walk belong to one game."""
+    lists: dict = {}
+
+    def moves(pos: GamePosition) -> list:
+        key = rules_key(space, pos.state())
+        hit = lists.get(key)
+        if hit is None:
+            hit = lists[key] = legal_moves(space, pos)
+        return hit
+
+    return moves
+
+
 def _minimax(space, pos0, accepts, goal_owner, budget, memo=None, wins=None) -> bool:
     """True iff goal_owner forces the outcome into accepts from pos0.
 
-    Without ``memo`` every history is searched and costs one budget
-    tick.  With it (state -> value) each state is searched once and
-    costs one tick, and ``wins`` maps each searched state the player to
-    move wins to that player's first winning move in canonical order.
+    Without ``memo`` every history is searched, costs one budget tick
+    and calls ``legal_moves`` afresh.  With it (state -> value) each
+    state is searched once and costs one tick, the moves come from the
+    walk's move lists, and ``wins`` maps each searched state the player
+    to move wins to that player's first winning move in canonical order.
     """
     tick = budget.tick
+    moves = (lambda pos: legal_moves(space, pos)) if memo is None else _move_lists(space)
 
-    def value(pos: GamePosition, state: tuple) -> bool:
+    def value(pos: GamePosition) -> bool:
+        state = pos.state()
         if memo is not None and state in memo:
             return memo[state]
         tick()
@@ -191,8 +220,8 @@ def _minimax(space, pos0, accepts, goal_owner, budget, memo=None, wins=None) -> 
             # for one worth False; a player without a legal move loses.
             want = pos.to_move is goal_owner
             won = not want
-            for m in legal_moves(space, pos):
-                if value(pos.child(m), next_state(state, m)) is want:
+            for m in moves(pos):
+                if value(pos.child(m)) is want:
                     if wins is not None:
                         wins[state] = m
                     won = want
@@ -201,7 +230,7 @@ def _minimax(space, pos0, accepts, goal_owner, budget, memo=None, wins=None) -> 
             memo[state] = won
         return won
 
-    return value(pos0, pos0.state())
+    return value(pos0)
 
 
 def expand(
@@ -227,28 +256,29 @@ def expand(
     terminal positions.  Each visited position costs one budget tick;
     the owner's moves are written to ``table`` when one is given.
     Legality is the rule's business, and an opponent without a legal
-    move ends the line without reaching a leaf.
+    move ends the line without reaching a leaf.  The opponent's moves
+    come from the walk's move lists (``_move_lists``).
 
     A ``positional`` walk runs over states instead of histories: it
-    carries the state down with ``next_state``, visits each state once
-    for one tick and writes ``table[state]``, as ``_minimax`` and
-    ``_count_plays`` do.  It is for rules whose move, shadow included,
-    is a function of the state, as in the chooser-game transfers named
-    in the module docstring: the state is ruled at the first history
-    that reaches it, and every other history with that state would get
-    the same move, so the walk skips them.  It takes no ``leaf``, since
-    it does not reach every history.
+    visits each state once for one tick and writes ``table[state]``, as
+    ``_minimax`` and ``_count_plays`` do.  It is for rules whose move,
+    shadow included, is a function of the state, as in the chooser-game
+    transfers named in the module docstring: the state is ruled at the
+    first history that reaches it, and every other history with that
+    state would get the same move, so the walk skips them.  It takes no
+    ``leaf``, since it does not reach every history.
     """
     if positional and leaf is not None:
         raise ValueError("a positional walk takes no leaf")
     tick = (budget or Budget(where="expand")).tick
+    moves = _move_lists(space)
     seen: set = set()
 
-    def visit(pos: GamePosition, state, shadow) -> None:
+    def visit(pos: GamePosition, shadow) -> None:
         if positional:
-            if state in seen:
+            if pos.state() in seen:
                 return
-            seen.add(state)
+            seen.add(pos.state())
         tick()
         if pos.terminal:
             if leaf is not None:
@@ -257,13 +287,13 @@ def expand(
         if pos.to_move is owner:
             move, shadow = rule(pos, shadow)
             if table is not None:
-                table[state if positional else pos.key()] = move
-            visit(pos.child(move), positional and next_state(state, move), shadow)
+                table[pos.state() if positional else pos.key()] = move
+            visit(pos.child(move), shadow)
             return
-        for m in legal_moves(space, pos):
-            visit(pos.child(m), positional and next_state(state, m), shadow)
+        for m in moves(pos):
+            visit(pos.child(m), shadow)
 
-    visit(pos0, positional and pos0.state(), shadow)
+    visit(pos0, shadow)
 
 
 def table_rule(space: SpaceInstance, strat: Strategy) -> Callable:
@@ -326,7 +356,10 @@ def naive_solve_oracle(
 ) -> SolveResult:
     """Minimax over move histories with no memo that records no moves;
     the differential oracle.  Its history table re-searches each
-    candidate child, and its node count includes those searches."""
+    candidate child, and its node count includes those searches.  It
+    walks with a recursion of its own, not ``expand``, and calls
+    ``legal_moves`` at every position it reaches, so no move list is
+    shared with the walks it checks."""
     budget = budget or Budget(500_000, "naive_solve_oracle")
     pos0 = initial_position(kind, root, payoff.horizon)
     accepts = _accepts_fn(space, payoff)
@@ -342,15 +375,25 @@ def naive_solve_oracle(
     goal_reached = value(pos0)
     winner = goal_owner if goal_reached else goal_owner.other
 
-    def rule(pos, shadow):
-        # The winner's first winning move in canonical order.
-        for m in legal_moves(space, pos):
-            if value(pos.child(m)) is goal_reached:
-                return m, shadow
-        raise AssertionError("winner has no winning move; solver inconsistent")
-
     strategy = Strategy(winner, kind, root, payoff.horizon, name=f"solve:{payoff.name}")
-    expand(space, pos0, winner, rule, budget=budget, table=strategy.table)
+
+    def extract(pos: GamePosition) -> None:
+        # Every opponent move and the winner's first winning move in
+        # canonical order; one tick per position, as in ``expand``.
+        budget.tick()
+        if pos.terminal:
+            return
+        options = legal_moves(space, pos)
+        if pos.to_move is winner:
+            move = next((m for m in options if value(pos.child(m)) is goal_reached), None)
+            if move is None:
+                raise AssertionError("winner has no winning move; solver inconsistent")
+            strategy.table[pos.key()] = move
+            options = [move]
+        for m in options:
+            extract(pos.child(m))
+
+    extract(pos0)
     strategy.verified = True
     return SolveResult(winner, strategy, nodes)
 
@@ -358,13 +401,16 @@ def naive_solve_oracle(
 def _count_plays(space, pos0, owner, rule, accepts, budget) -> tuple:
     """``(plays, in_accepts)`` below pos0 when ``owner`` follows a
     positional table's ``rule`` and the opponent plays every legal move,
-    counted over states: each state costs one budget tick, and an
-    opponent without a legal move ends the line without a play, as in
+    counted over states: each state costs one budget tick, the
+    opponent's moves come from the walk's move lists, and an opponent
+    without a legal move ends the line without a play, as in
     ``expand``."""
     tick = budget.tick
+    moves = _move_lists(space)
     memo: dict = {}
 
-    def count(pos: GamePosition, state: tuple) -> tuple:
+    def count(pos: GamePosition) -> tuple:
+        state = pos.state()
         if state in memo:
             return memo[state]
         tick()
@@ -372,18 +418,18 @@ def _count_plays(space, pos0, owner, rule, accepts, budget) -> tuple:
             out = (1, 1 if accepts(pos) else 0)
         elif pos.to_move is owner:
             move, _ = rule(pos, None)
-            out = count(pos.child(move), next_state(state, move))
+            out = count(pos.child(move))
         else:
             plays = hits = 0
-            for m in legal_moves(space, pos):
-                p, h = count(pos.child(m), next_state(state, m))
+            for m in moves(pos):
+                p, h = count(pos.child(m))
                 plays += p
                 hits += h
             out = (plays, hits)
         memo[state] = out
         return out
 
-    return count(pos0, pos0.state())
+    return count(pos0)
 
 
 def verify_strategy(

@@ -339,6 +339,32 @@ MALFORMED = [
     ("payoff-index-list", "ms-f-dichotomy.json", _payoff_params(index=[])),
     ("payoff-index-past-the-outcome", "ms-f-dichotomy.json", _payoff_params(index=1)),
     ("min-dim-list", "f3-pigeonhole-counterexample.json", _stage(0, min_dim=[])),
+    # Payoffs reading coordinates of integer labels used to raise a
+    # TypeError at the first outcome.
+    (
+        "coord-eq-on-integer-labels",
+        "ms-f-dichotomy.json",
+        _top(payoff={"name": "coord_eq", "params": {"coord": 0, "value": 1}}),
+    ),
+    (
+        "first-nonzero-is-on-integer-labels",
+        "ms-f-dichotomy.json",
+        _top(payoff={"name": "first_nonzero_is", "params": {"value": 1}}),
+    ),
+    (
+        "coord-eq-past-the-label",
+        "rosendal-f2-gowers.json",
+        _top(payoff={"name": "coord_eq", "params": {"coord": 3, "value": 1}}),
+    ),
+    (
+        "coord-eq-coord-string",
+        "rosendal-f2-gowers.json",
+        _top(payoff={"name": "coord_eq", "params": {"coord": "0", "value": 1}}),
+    ),
+    # A null name used to write None.json and exit 0.
+    ("name-null", "ms-f-dichotomy.json", _top(name=None)),
+    ("name-empty", "ms-f-dichotomy.json", _top(name="")),
+    ("name-with-separator", "ms-f-dichotomy.json", _top(name="../escape")),
 ]
 
 
@@ -525,6 +551,20 @@ class TestTimeBudget:
         assert code == 3
         report = json.loads((tmp_path / "ms-f-dichotomy.json").read_text())
         assert report["diagnostic"]["error"] == "time budget exhausted"
+
+    def test_time_cap_halts_inside_a_stage(self, tmp_path):
+        # The solve takes far longer than the cap; the budget reads the
+        # clock while it runs, so the run stops in the solve, not after it.
+        data = json.loads(scenario_path("ms7-gowers-h4.json").read_text())
+        data["budgets"] = {"nodes": 2000000, "seconds": 0.02}
+        path = tmp_path / "timed.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+        report = json.loads((tmp_path / "ms7-gowers-h4.json").read_text())
+        assert report["diagnostic"] == {
+            "stage": 0, "op": "solve", "error": "time budget exhausted in scenario"
+        }
+        assert len(report["stages"]) == 1 and report["stages"][0]["exhausted"]
 
 
 class TestSystemDescriptions:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gowerslab import GameKind, Move, Player, with_system
-from gowerslab.approx import ms_singleton_system
+from gowerslab.approx import DeltaSeq, discretize, ms_singleton_system
 from gowerslab.errors import IllegalMove, IllegalPosition, NotTerminal
 from gowerslab.games import (
     initial_position,
@@ -15,9 +15,13 @@ from gowerslab.games import (
     move_legal,
     play_outcome,
     replay,
+    rules_key,
 )
-from gowerslab.instances import mathias_silver, top_subspace
+from gowerslab.instances import grid_sphere, mathias_silver, top_subspace
+from gowerslab.payoffs import build_payoff
+from gowerslab.reductions import tilde_lift
 from gowerslab.solver import strategy_from_rule
+from gowerslab.space import FULL_HISTORY, LENGTH_INDEXED
 
 
 def palette_id(space, label):
@@ -152,6 +156,38 @@ REFERENCE_CASES = (
 )
 
 
+def _climbing(space):
+    """Full-history admission that reads the prefix: a point must have a
+    larger id than the first point of the history it extends."""
+    base = space.admits
+    return space.derive(
+        admits=lambda h, p: base(h, p) and (len(h) < 2 or h[-1] > h[0]),
+        admission=FULL_HISTORY,
+    )
+
+
+# The parity twist of a climbing instance reads the full history, and
+# the discretized grid reads the history length through its radii.
+TILDE = tilde_lift(_climbing(MS4), build_payoff(MS4, "everything", 1))[0]
+GRID = grid_sphere(2, "1/2", 1)
+DISC = discretize(GRID, range(len(GRID.points)), DeltaSeq.of("1/2", "1"))
+assert (TILDE.admission, DISC.admission) == (FULL_HISTORY, LENGTH_INDEXED)
+RULES_KEY_CASES = REFERENCE_CASES + [
+    ("tilde", TILDE, k, h) for k, h in (("A", 4), ("B", 4), ("G", 3))
+] + [("disc", DISC, k, 2) for k in "FG"]
+
+
+def reachable(space, kind, horizon):
+    """Every non-terminal position reachable from the top with its legal
+    moves, depth first."""
+    stack = [initial_position(GameKind(kind), top_subspace(space), horizon)]
+    while stack:
+        pos = stack.pop()
+        moves = legal_moves(space, pos)
+        yield pos, moves
+        stack.extend(c for c in map(pos.child, moves) if not c.terminal)
+
+
 class TestRulesReference:
     @pytest.mark.parametrize(
         "space,kind,horizon",
@@ -175,6 +211,25 @@ class TestRulesReference:
                 child = pos.child(m)
                 if not child.terminal:
                     stack.append(child)
+
+    @pytest.mark.parametrize(
+        "space,kind,horizon",
+        [case[1:] for case in RULES_KEY_CASES],
+        ids=[f"{name}-{k}-h{h}" for name, _, k, h in RULES_KEY_CASES],
+    )
+    def test_equal_rules_keys_have_equal_moves(self, space, kind, horizon):
+        # The walks share one move list between positions with one rules
+        # key, so the key must hold everything the rules read.
+        seen = {}
+        for pos, moves in reachable(space, kind, horizon):
+            assert seen.setdefault(rules_key(space, pos.state()), moves) == moves, pos.key()
+        assert len(seen) > 1
+
+    def test_positions_carry_the_folded_state(self):
+        for space, kind, horizon in ((TILDE, "A", 4), (MS4_SF, "SF", 2)):
+            for pos, _ in reachable(space, kind, horizon):
+                rebuilt = type(pos)(pos.kind, pos.root, pos.horizon, pos.moves)
+                assert rebuilt == pos and rebuilt.state() == pos.state()
 
 
 class TestOutsideThePalette:

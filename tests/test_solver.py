@@ -14,9 +14,12 @@ from gowerslab import (
     strategy_from_rule,
     verify_strategy,
 )
-from gowerslab.errors import ExhaustionBudget, IllegalMove, StrategyIncomplete
-from gowerslab.games import Move, initial_position, legal_moves
-from gowerslab.errors import Budget
+import time
+
+from gowerslab import solver
+from gowerslab.errors import CLOCK_EVERY, ExhaustionBudget, IllegalMove, StrategyIncomplete
+from gowerslab.errors import Budget, TimeExhausted
+from gowerslab.games import Move, initial_position, legal_moves, move_legal, rules_key
 from gowerslab.instances import mathias_silver, rosendal, top_subspace
 from gowerslab.payoffs import Payoff
 from gowerslab.solver import expand, table_rule
@@ -178,6 +181,25 @@ class TestVerify:
         with pytest.raises(IllegalMove):
             verify_strategy(ms6, strat, payoff)
 
+    def test_move_legal_only_at_a_sibling_state_detected(self, ms6):
+        # The owner's table moves are checked at their own state, never
+        # read from a move list shared between positions.
+        top = top_subspace(ms6)
+        payoff = build_payoff(ms6, "everything", 2)
+        strat = solve(ms6, GameKind.GOWERS_G, top, payoff, Player.II).strategy
+        pos0 = initial_position(GameKind.GOWERS_G, top, 2)
+        siblings = [pos0.child(m) for m in legal_moves(ms6, pos0)]
+        pos, move = next(
+            (pos, m)
+            for pos in siblings
+            for other in siblings
+            for m in legal_moves(ms6, other)
+            if not move_legal(ms6, pos, m)
+        )
+        strat.table[pos.state()] = move
+        with pytest.raises(IllegalMove):
+            verify_strategy(ms6, strat, payoff)
+
     def test_state_count_skips_a_stranded_opponent(self):
         # Her second point must have a larger id than her first, so after
         # opening with point 1 inside {0, 1} she has no legal move: that
@@ -232,6 +254,21 @@ class TestVerify:
         with pytest.raises(ExhaustionBudget):
             verify_strategy(ms6, strat, payoff, budget=Budget(10, "tiny"))
 
+    def test_deadline_is_read_every_few_thousand_ticks(self):
+        budget = Budget(10 * CLOCK_EVERY, "late", deadline=time.monotonic() - 1)
+        budget.tick(CLOCK_EVERY)
+        with pytest.raises(TimeExhausted, match="time budget exhausted in late"):
+            budget.tick()
+        assert budget.used == CLOCK_EVERY + 1
+
+    def test_deadline_stops_a_solve(self, ms8):
+        top = top_subspace(ms8)
+        payoff = seeded_payoff(3, 1, 0.95)
+        budget = Budget(deadline=0)
+        with pytest.raises(TimeExhausted):
+            solve(ms8, GameKind.GOWERS_G, top, payoff, Player.II, budget)
+        assert budget.used == CLOCK_EVERY + 1
+
     def test_rule_expansion_charges_its_budget(self, ms6):
         top = top_subspace(ms6)
         first = lambda spc, pos: legal_moves(spc, pos)[0]  # noqa: E731
@@ -241,6 +278,30 @@ class TestVerify:
             strategy_from_rule(
                 ms6, GameKind.GOWERS_G, top, 2, Player.II, first, budget=Budget(10, "tiny")
             )
+
+
+class TestMoveLists:
+    def test_one_legal_moves_call_per_rules_key(self, monkeypatch):
+        # Figures pinned from the search that called legal_moves at every
+        # state (597 calls in the solve, 21 in the count).
+        space = mathias_silver(5, 2, 1)
+        top = top_subspace(space)
+        payoff = seeded_payoff(3, 1, 0.95)
+        keys = []
+
+        def counted(spc, pos):
+            keys.append(rules_key(spc, pos.state()))
+            return legal_moves(spc, pos)
+
+        monkeypatch.setattr(solver, "legal_moves", counted)
+        result = solve(space, GameKind.GOWERS_G, top, payoff, Player.II)
+        solve_keys, keys[:] = list(keys), []
+        report = verify_strategy(space, result.strategy, payoff)
+        assert len(solve_keys) == len(set(solve_keys)) == 81
+        assert len(keys) == len(set(keys)) == 3
+        assert result.winner is Player.II
+        assert (result.nodes_expanded, len(result.strategy.table)) == (672, 572)
+        assert (report.plays, report.in_accepts) == (17576, 17576)
 
 
 class TestDeterminacyProperties:
