@@ -23,7 +23,7 @@ from .reductions import (
     _transfer_to_asymptotic,
     asymptotic_recommendation,
 )
-from .solver import Strategy, VerificationReport, expand, table_rule
+from .solver import Strategy, VerificationReport, count_plays, expand
 from .space import LENGTH_INDEXED, SpaceInstance, iterated_meet
 from .util import parse_fraction
 
@@ -384,6 +384,7 @@ def lift_strategy(
     """
     if not strat.verified:
         raise ValueError("lift_strategy refuses unverified inputs")
+    strat.require_memoryless("lift_strategy")
     if len(delta) != strat.horizon:
         raise SpecInvalid("delta length must match the strategy horizon")
     if direction == "F-I":
@@ -498,7 +499,7 @@ def approx_asymptotic_from_gowers(
 
     States realise sequences only up to twice the stage delta; the chain
     is refined against the delta-expansions of the reachable sets, and
-    the resulting asymptotic strategy (positional, like the exact one)
+    the resulting asymptotic strategy (memoryless, like the exact one)
     forces the three-delta expansion of the target (verify it against
     ``expanded_target`` with the tripled delta).
     """
@@ -562,6 +563,7 @@ def strong_asymptotic_from_asymptotic(
     budget = budget or Budget(where="strong_asymptotic")
     if not tau.verified or tau.owner is not Player.I:
         raise ValueError("strong asymptotic transfer needs his verified strategy")
+    tau.require_memoryless("strong asymptotic transfer")
     k = payoff.horizon
     root = tau.root
     nets: dict = {}
@@ -631,7 +633,9 @@ def verify_strong_asymptotic(
     """Exhaustively play the strong asymptotic strategy and check every
     block sequence of every outcome against the delta-expanded target.
 
-    The report counts (outcome, block sequence) pairs."""
+    The report counts (outcome, block sequence) pairs, summed by
+    ``count_plays`` over the strategy's (state, memory) pairs: the
+    block sequences of an outcome are a function of its state."""
     budget = budget or Budget(where="verify_strong_asymptotic")
     if space.metric is None and all(v < 1 for v in delta.values):
         # Discrete distance: expansion below one is the set itself.
@@ -646,17 +650,10 @@ def verify_strong_asymptotic(
         )
         in_target = expanded_set.__contains__
 
-    report = VerificationReport("exhaustive", "accepts", 0, 0)
-
-    def score(pos, shadow):
+    def score(pos):
         sets = tuple(system.family[b] for b in pos.block_prefix)
-        for seq in enumerate_block_sequences(system, sets, payoff.horizon, budget):
-            report.plays += 1
-            if in_target(seq):
-                report.in_accepts += 1
+        seqs = enumerate_block_sequences(system, sets, payoff.horizon, budget)
+        return len(seqs), sum(1 for seq in seqs if in_target(seq))
 
-    sf0 = initial_position(GameKind.STRONG_ASYMPTOTIC_SF, strategy.root, strategy.horizon)
-    expand(
-        space, sf0, Player.I, table_rule(space, strategy), leaf=score, budget=budget
-    )
-    return report
+    plays, hits = count_plays(space, strategy, score, budget)
+    return VerificationReport("exhaustive", "accepts", plays, hits)

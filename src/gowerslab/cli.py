@@ -21,6 +21,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 from .errors import (
     Budget,
@@ -162,7 +163,7 @@ class Scenario:
     payoff_params: dict
     pipeline: list
     budget_nodes: int = 5_000_000
-    budget_seconds: float = 0.0
+    budget_seconds: Optional[float] = None  # None: no time limit
 
     @staticmethod
     def from_json(data: dict) -> "Scenario":
@@ -183,10 +184,10 @@ class Scenario:
             pipeline = data.get("pipeline", [])
             _check_pipeline(pipeline, horizon, has_system)
             budgets = data.get("budgets", {})
-            seconds = budgets.get("seconds", 0.0)
+            seconds = budgets.get("seconds")
             wrong_type = isinstance(seconds, bool) or not isinstance(seconds, (int, float))
-            if wrong_type or not seconds >= 0:
-                raise SpecInvalid(f"budgets: seconds must be nonnegative, got {seconds!r}")
+            if "seconds" in budgets and (wrong_type or not seconds > 0):
+                raise SpecInvalid(f"budgets: seconds must be positive, got {seconds!r}")
             name = data.get("name", "scenario")
             if not isinstance(name, str) or not name or any(c in name for c in "/\\\0"):
                 raise SpecInvalid(
@@ -203,7 +204,7 @@ class Scenario:
                 payoff_params=payoff.get("params", {}),
                 pipeline=pipeline,
                 budget_nodes=json_int(budgets.get("nodes", 5_000_000), "budgets: nodes", 1),
-                budget_seconds=float(seconds),
+                budget_seconds=None if seconds is None else float(seconds),
             )
 
 
@@ -329,6 +330,10 @@ def _run_parsed(data: dict, out_dir=None, budget_nodes=None) -> RunOutcome:
     scenario = Scenario.from_json(data)
     if budget_nodes is not None:
         scenario.budget_nodes = json_int(budget_nodes, "budgets: nodes", 1)
+    # The clock starts before the instance and the payoff are built.
+    deadline = (
+        None if scenario.budget_seconds is None else time.monotonic() + scenario.budget_seconds
+    )
     with _validating("scenario"):
         space = build_instance(scenario.instance)
         root = _resolve_root(space, scenario.root_spec)
@@ -341,11 +346,6 @@ def _run_parsed(data: dict, out_dir=None, budget_nodes=None) -> RunOutcome:
     status = "ok"
     diagnostic = None
     exit_code = 0
-    deadline = (
-        time.monotonic() + scenario.budget_seconds
-        if scenario.budget_seconds
-        else None
-    )
     budget = Budget(scenario.budget_nodes, "scenario", deadline)
 
     for i, stage in enumerate(scenario.pipeline):

@@ -13,7 +13,12 @@ Conventions:
 
 * Input strategies must carry ``verified=True``; the hypotheses of the
   underlying results are "has a winning strategy", and diagnostics on
-  unverified inputs would be worthless.
+  unverified inputs would be worthless.  They must also be memoryless
+  (see ``solver``): a simulated play is read at its state.
+* Output strategies are built by ``expand`` over (state, memory)
+  pairs, the memory being the simulated play's state and round that the
+  construction threads.  Where one memory per state is enough, the
+  output is memoryless.
 * All searches scan in canonical enumeration order, so outputs are
   reproducible.
 * The countable enumerations of the original arguments become finite
@@ -23,7 +28,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 from typing import Optional
 
@@ -187,7 +192,7 @@ class KastanasTransfer:
     q: int
     strategy: Strategy
     diagonal_chain: list
-    rounds: dict = field(default_factory=dict)  # position key -> RoundRecord
+    rounds: list = field(default_factory=list)  # RoundRecords, in walk order
 
     def transcript(self) -> dict:
         return {
@@ -202,7 +207,7 @@ class KastanasTransfer:
                     "stored_pair": list(rec.stored_pair) if rec.stored_pair else None,
                     "reply": list(rec.reply),
                 }
-                for _, rec in sorted(self.rounds.items(), key=lambda kv: repr(kv[0]))
+                for rec in self.rounds
             ],
         }
 
@@ -212,6 +217,7 @@ def _require_verified(strat: Strategy, owner: Player, kind: GameKind, what: str)
         raise ValueError(f"{what} needs a {kind.value}-game strategy for {owner.value}")
     if not strat.verified:
         raise ValueError(f"{what} refuses unverified input strategies")
+    strat.require_memoryless(what)
 
 
 def _stored_pairs_for(space, states, tau, q_next, budget):
@@ -238,7 +244,7 @@ def _stored_pairs_for(space, states, tau, q_next, budget):
                         f"diagonalization guarantee failed for reply point {b}",
                     )
                 u, v = strong
-                stored[(state_pos.key(), a, b)] = (u, v)
+                stored[(state_pos.state(), a, b)] = (u, v)
                 mid = state_pos.child(make(a, u))
                 next_states.append(mid.child(tau.move_at(mid)))
     return stored, next_states
@@ -327,7 +333,7 @@ def _kastanas_round(space, tau, q, chain, stored_by_round, sim_pos, n, probe, me
             f"reply subspace {fict_reply.subspace} incompatible with "
             f"diagonal {chain[n + 1]} at round {n}",
         )
-    pair = stored_by_round[n].get((sim_pos.key(), probe.point, fict_reply.point))
+    pair = stored_by_round[n].get((sim_pos.state(), probe.point, fict_reply.point))
     if pair is None:
         raise FiniteExhaustion("stored pair", f"no stored continuation for round {n}")
     theirs, mine = pair
@@ -369,8 +375,8 @@ def _build_second_player(space, tau, q, chain, stored_by_round, transfer, budget
                 space, tau, q, chain, stored_by_round, sim_pos, n, probe, "answer meet"
             )
             shadow = (real, n + 1)
-        transfer.rounds[b_pos.key()] = RoundRecord(
-            n, i_move.key(), probe.key(), fict_reply.key(), pair, reply.key()
+        transfer.rounds.append(
+            RoundRecord(n, i_move.key(), probe.key(), fict_reply.key(), pair, reply.key())
         )
         return reply, shadow
 
@@ -413,8 +419,8 @@ def _build_first_player(space, tau, q, chain, stored_by_round, transfer, budget)
         fict_reply, pair, my_move, real = _kastanas_round(
             space, tau, q, chain, stored_by_round, sim_pos, n, probe, "his meet"
         )
-        transfer.rounds[a_pos.key()] = RoundRecord(
-            n, probe.key(), probe.key(), fict_reply.key(), pair, my_move.key()
+        transfer.rounds.append(
+            RoundRecord(n, probe.key(), probe.key(), fict_reply.key(), pair, my_move.key())
         )
         return my_move, (real, n, pair[1])
 
@@ -434,25 +440,12 @@ def reinterpret_adversarial(strat: Strategy) -> Strategy:
     """His strategy in the game constraining his subspaces, read in the
     game constraining hers: his moves stay legal (the tighter relation
     implies the looser), her options only shrink, so the table carries
-    over: a history table with retagged position keys, a positional one
-    unchanged (states hold no game kind)."""
+    over unchanged (states hold no game kind)."""
     if strat.owner is not Player.I or strat.kind is not GameKind.ADVERSARIAL_A:
         raise ValueError("reinterpretation goes from his constrained game")
-    out = Strategy(
-        Player.I,
-        GameKind.ADVERSARIAL_B,
-        strat.root,
-        strat.horizon,
-        name=f"B-read:{strat.name}",
-        verified=strat.verified,
-        positional=strat.positional,
+    return replace(
+        strat, kind=GameKind.ADVERSARIAL_B, table=dict(strat.table), name=f"B-read:{strat.name}"
     )
-    if strat.positional:
-        out.table = dict(strat.table)
-    else:
-        for key, move in strat.table.items():
-            out.table[(GameKind.ADVERSARIAL_B.value,) + key[1:]] = move
-    return out
 
 
 # -- parity lift between chooser and adversarial games ---------------------------
@@ -656,20 +649,14 @@ def unfold_asymptotic(
     His move after a history is an iterated meet of his decorated moves
     over all bit decorations of that history; outcomes then avoid every
     decoration of the decorated target at once.  The move reads only
-    the point prefix, so the table is positional.
+    the point prefix, so the table is memoryless.
     """
     _require_verified(tau_prime, Player.I, GameKind.ASYMPTOTIC_F, "unfold_asymptotic")
     decorated = decorate_space(space)
     root = tau_prime.root
     horizon = payoff_prime.horizon
-    out = Strategy(
-        Player.I,
-        GameKind.ASYMPTOTIC_F,
-        root,
-        horizon,
-        name=f"unfolded:{tau_prime.name}",
-        positional=True,
-    )
+    name = f"unfolded:{tau_prime.name}"
+    out = Strategy(Player.I, GameKind.ASYMPTOTIC_F, root, horizon, name=name)
 
     def rule(f_pos, shadow):
         s = f_pos.point_prefix
@@ -683,7 +670,7 @@ def unfold_asymptotic(
 
     f0 = initial_position(GameKind.ASYMPTOTIC_F, root, horizon)
     budget = budget or Budget(where="unfold_asymptotic")
-    expand(space, f0, Player.I, rule, budget=budget, table=out.table, positional=True)
+    expand(space, f0, Player.I, rule, budget=budget, table=out.table)
     return out
 
 
@@ -696,17 +683,10 @@ def gowers_from_asymptotic(
     """Her chooser-game strategy from his asymptotic one: answer each of
     his subspaces by a point admitted below its meet with the
     recommendation of the simulated asymptotic play.  That play is a
-    function of her point prefix, so the table is positional."""
+    function of her point prefix, so the table is memoryless."""
     _require_verified(tau, Player.I, GameKind.ASYMPTOTIC_F, "gowers_from_asymptotic")
     root = tau.root
-    out = Strategy(
-        Player.II,
-        GameKind.GOWERS_G,
-        root,
-        tau.horizon,
-        name=f"G-from-F:{tau.name}",
-        positional=True,
-    )
+    out = Strategy(Player.II, GameKind.GOWERS_G, root, tau.horizon, name=f"G-from-F:{tau.name}")
 
     def pending(f_pos):
         # The simulated asymptotic play with his recommendation made.
@@ -739,7 +719,6 @@ def gowers_from_asymptotic(
         shadow=pending(initial_position(GameKind.ASYMPTOTIC_F, root, tau.horizon)),
         budget=budget or Budget(where="gowers_from_asymptotic"),
         table=out.table,
-        positional=True,
     )
     return out
 
@@ -771,7 +750,7 @@ def _transfer_to_asymptotic(space, sigma, payoff, provider, radius, budget, stag
     subspace with the chain element of the sequence read so far.  At
     radius zero every test is the exact one, since ``distance(x, y) == 0``
     only when ``x == y``.  His move reads only the point prefix, so the
-    table is positional.
+    table is memoryless.
     """
     budget = budget or Budget(where=stage)
     _require_verified(sigma, Player.II, GameKind.GOWERS_G, stage)
@@ -796,14 +775,14 @@ def _transfer_to_asymptotic(space, sigma, payoff, provider, radius, budget, stag
                 break
 
     chain = [root]
-    reach: dict = {}  # one reachable set per realised position
+    reach: dict = {}  # one reachable set per realised state
     for s in seqs:
         budget.tick()
         state = states[s]
         if state is None:
             chain.append(chain[-1])
             continue
-        key = state.key()
+        key = state.state()
         if key not in reach:
             reach[key] = reachable_set(space, state, sigma, budget)
         chain.append(
@@ -811,9 +790,7 @@ def _transfer_to_asymptotic(space, sigma, payoff, provider, radius, budget, stag
         )
 
     q = space.fusion_witness(tuple(chain))
-    out = Strategy(
-        Player.I, GameKind.ASYMPTOTIC_F, q, horizon, name=f"{tag}:{sigma.name}", positional=True
-    )
+    out = Strategy(Player.I, GameKind.ASYMPTOTIC_F, q, horizon, name=f"{tag}:{sigma.name}")
 
     def rule(f_pos, shadow):
         s = tuple(
@@ -828,7 +805,7 @@ def _transfer_to_asymptotic(space, sigma, payoff, provider, radius, budget, stag
         return Move(Player.I, subspace=meet), shadow
 
     f0 = initial_position(GameKind.ASYMPTOTIC_F, q, horizon)
-    expand(space, f0, Player.I, rule, budget=budget, table=out.table, positional=True)
+    expand(space, f0, Player.I, rule, budget=budget, table=out.table)
     return AsymptoticTransfer(q, out, chain)
 
 

@@ -6,42 +6,35 @@ the value of a position is a function of its state
 (``GamePosition.state``), so each state is searched once and then read
 from a memo, and the search records, at each state the player to move
 wins, that player's first winning move in canonical order.  The
-winner's records are the table, keyed by state (a *positional* table);
-that move is the same at every history with the state, so projected to
-histories the table is the one a search over histories would extract.
-``naive_solve_oracle`` is the independent check: minimax over move
-histories with a smaller default budget and no memo, whose history
-table re-solves each candidate child.
+winner's records are the table.  ``naive_solve_oracle`` is the
+independent check: minimax over move histories with a smaller default
+budget and no memo, whose table re-solves each candidate child.
 
-Strategies are finite position-to-move tables, total on the positions
-reachable when the owner follows the table and the opponent plays
-anything legal.  ``verify_strategy`` replays a table against the
-exhaustive adversary (every legal opponent line) or a seeded uniform
-one, and reports the exact fraction of outcomes landing in the payoff.
-On a positional table the exhaustive count is taken over states: the
-number of plays below a state and how many land in the payoff are
-functions of the state, so the same integers come out of a memoized
-recursion as out of the replay.
+Every strategy has one shape, a finite-memory (Mealy) table
+``(state, memory) -> (move, next memory)``.  The memory is a small int,
+numbered in first-visit order with 0 at the root, and the owner updates
+it at its own moves only.  A table that needs one memory per state is
+stored memoryless, with memory 0 throughout, as the solver's tables
+are.  Tables are total on the pairs reachable when the owner follows
+the table and the opponent plays anything legal.  ``verify_strategy``
+replays a table against the exhaustive adversary (every legal opponent
+line) or a seeded uniform one, and reports the exact fraction of
+outcomes landing in the payoff.  The exhaustive count (``count_plays``)
+runs over (state, memory) pairs: the plays below a pair and how many
+land in the payoff are functions of the pair.
 
-Every walk of a strategy's game tree outside the solve, the count and
-the oracle (exhaustive replay of a history table, each strategy
-transformation) goes through ``expand``: the owner follows a rule
-carrying shadow state, the opponent tries every legal move, and each
-visited position costs one budget tick.  The chooser-game
-transfers (``gowers_from_asymptotic``, ``unfold_asymptotic``, and the
-exact and approximate transfers to the asymptotic game) walk over
-states, since their moves read only the state (and through its point
-prefix the simulated play or the tracked sequence); the other
-transformations' shadows depend on the history.
+Every other walk of a strategy's game tree (each strategy
+transformation, ``strategy_from_rule``) goes through ``expand``: the
+owner follows a rule threading a shadow (a simulated play, a tracked
+sequence), the opponent tries every legal move, and each (state,
+memory) pair costs one budget tick.  The memory is the shadow read at
+the state of every simulated play in it, since the simulated
+strategies are memoryless.
 
-Positions carry their state, so keying a memo by state is a field
-read.  Each memoized walk (the solve, the count and ``expand``) keeps
-its own move lists: ``legal_moves`` runs once per ``games.rules_key``
-the walk meets, and every other position with that key reuses the
-list.  The lists are local to the walk and dropped with it.  The owner's
-table moves are still checked with ``move_legal`` at their own
-position, and the oracle calls ``legal_moves`` everywhere, with no list
-kept.
+Each memoized walk (the solve, the count and ``expand``) keeps its own
+move lists: ``legal_moves`` runs once per ``games.rules_key`` the walk
+meets.  The owner's table moves are still checked with ``move_legal``
+at their own position, and the oracle calls ``legal_moves`` everywhere.
 
 A player with no legal move at a non-terminal position loses; finite
 truncations can strand a player even though the infinite games cannot.
@@ -50,6 +43,7 @@ truncations can strand a player even though the infinite games cannot.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -76,35 +70,37 @@ class Strategy:
     kind: GameKind
     root: int
     horizon: int
-    table: dict = field(default_factory=dict)  # pos.key(), or pos.state() if positional -> Move
+    table: dict = field(default_factory=dict)  # (state, memory) -> (move, next memory)
     verified: bool = False
     name: str = ""
-    positional: bool = False
+
+    @property
+    def memoryless(self) -> bool:
+        return all(not memory and not entry[1] for (_, memory), entry in self.table.items())
+
+    def require_memoryless(self, what: str) -> None:
+        """Refuse a table with memory as input to ``what``, which reads
+        the strategy with ``move_at``."""
+        if not self.memoryless:
+            raise ValueError(f"{what} reads memoryless strategies; {self.name!r} has memory")
 
     def move_at(self, pos: GamePosition) -> Move:
-        if not self.positional:
-            key = pos.key()
-        elif (pos.kind, pos.root, pos.horizon) == (self.kind, self.root, self.horizon):
-            key = pos.state()
-        else:
+        """The move at ``pos`` of a memoryless table, read at
+        ``(pos.state(), 0)``."""
+        if (pos.kind, pos.root, pos.horizon) != (self.kind, self.root, self.horizon):
             raise StrategyIncomplete(pos.key())
-        if key not in self.table:
-            raise StrategyIncomplete(key)
-        return self.table[key]
+        entry = self.table.get((pos.state(), 0))
+        if entry is None:
+            raise StrategyIncomplete(pos.key())
+        return entry[0]
 
     def to_json(self) -> dict:
         ordered = sorted(self.table.items(), key=lambda item: repr(item[0]))
-        if self.positional:
-            entries = [
-                {"state": [n, list(points), subspace, list(blocks)], "move": move.to_json()}
-                for (n, points, subspace, blocks), move in ordered
-            ]
-        else:
-            entries = [
-                {"pos": [list(m) for m in key[3]], "move": move.to_json()}
-                for key, move in ordered
-            ]
-        out = {
+        entries = [
+            {"state": [n, list(xs), q, list(ks)], "memory": m, "move": mv.to_json(), "next": nxt}
+            for ((n, xs, q, ks), m), (mv, nxt) in ordered
+        ]
+        return {
             "owner": self.owner.value,
             "kind": self.kind.value,
             "root": self.root,
@@ -113,9 +109,6 @@ class Strategy:
             "name": self.name,
             "entries": entries,
         }
-        if self.positional:
-            out["positional"] = True
-        return out
 
     @staticmethod
     def from_json(data: dict) -> "Strategy":
@@ -126,16 +119,11 @@ class Strategy:
             data["horizon"],
             verified=data.get("verified", False),
             name=data.get("name", ""),
-            positional=data.get("positional", False),
         )
-        head = (strat.kind.value, strat.root, strat.horizon)
         for entry in data["entries"]:
-            if strat.positional:
-                n, points, subspace, blocks = entry["state"]
-                key = (n, tuple(points), subspace, tuple(blocks))
-            else:
-                key = head + (tuple(tuple(m) for m in entry["pos"]),)
-            strat.table[key] = Move.from_json(entry["move"])
+            n, points, subspace, blocks = entry["state"]
+            state = (n, tuple(points), subspace, tuple(blocks))
+            strat.table[(state, entry["memory"])] = (Move.from_json(entry["move"]), entry["next"])
         return strat
 
 
@@ -233,6 +221,17 @@ def _minimax(space, pos0, accepts, goal_owner, budget, memo=None, wins=None) -> 
     return value(pos0)
 
 
+def _memory_key(shadow):
+    """The memory a shadow stands for: the shadow with every simulated
+    position replaced by its game and state, which is all a memoryless
+    simulated strategy reads of it."""
+    if isinstance(shadow, GamePosition):
+        return (shadow.kind, shadow.root, shadow.horizon, shadow.state())
+    if isinstance(shadow, tuple):
+        return tuple(_memory_key(part) for part in shadow)
+    return shadow
+
+
 def expand(
     space: SpaceInstance,
     pos0: GamePosition,
@@ -242,43 +241,40 @@ def expand(
     leaf: Optional[Callable] = None,
     budget: Optional[Budget] = None,
     table: Optional[dict] = None,
-    positional: bool = False,
 ) -> None:
     """Walk every play from ``pos0`` in which ``owner`` follows ``rule``
     and the opponent plays every legal move, depth first in canonical
-    order.
+    order, visiting each (state, memory) pair once for one budget tick.
 
     At the owner's positions ``rule(pos, shadow)`` returns ``(move,
-    shadow)``, the shadow being whatever state the rule threads down the
-    line (a simulated play, a tracked sequence).  The opponent's moves
-    do not touch the shadow: the next ``rule`` or ``leaf`` call reads
-    the move from ``pos.moves[-1]``.  ``leaf(pos, shadow)`` runs at
-    terminal positions.  Each visited position costs one budget tick;
-    the owner's moves are written to ``table`` when one is given.
-    Legality is the rule's business, and an opponent without a legal
-    move ends the line without reaching a leaf.  The opponent's moves
-    come from the walk's move lists (``_move_lists``).
+    shadow)``, the shadow being whatever the rule threads down the line
+    (a simulated play, a tracked sequence).  The opponent's moves do not
+    touch the shadow: the next ``rule`` or ``leaf`` call reads the move
+    from the state.  The memory is ``_memory_key(shadow)``, numbered in
+    first-visit order with 0 for the shadow given; the rule must read
+    only the state and the memory, so the first visit of a pair stands
+    for every history reaching it.  ``leaf(pos, shadow)``, a check, runs
+    once per terminal pair.  Legality is the rule's business, and an
+    opponent without a legal move ends the line without reaching a
+    leaf.  The opponent's moves come from the walk's move lists
+    (``_move_lists``).
 
-    A ``positional`` walk runs over states instead of histories: it
-    visits each state once for one tick and writes ``table[state]``, as
-    ``_minimax`` and ``_count_plays`` do.  It is for rules whose move,
-    shadow included, is a function of the state, as in the chooser-game
-    transfers named in the module docstring: the state is ruled at the
-    first history that reaches it, and every other history with that
-    state would get the same move, so the walk skips them.  It takes no
-    ``leaf``, since it does not reach every history.
+    The owner's moves go to ``table`` when one is given, as ``(state,
+    memory) -> (move, next memory)``; when every state written holds
+    one memory, they go in memoryless, at memory 0.
     """
-    if positional and leaf is not None:
-        raise ValueError("a positional walk takes no leaf")
     tick = (budget or Budget(where="expand")).tick
     moves = _move_lists(space)
-    seen: set = set()
+    memories = {_memory_key(shadow): 0}
+    seen = defaultdict(set)  # memory -> the states visited with it
+    written: dict = {}
 
-    def visit(pos: GamePosition, shadow) -> None:
-        if positional:
-            if pos.state() in seen:
-                return
-            seen.add(pos.state())
+    def visit(pos: GamePosition, shadow, memory: int) -> None:
+        state = pos.state()
+        states = seen[memory]
+        if state in states:
+            return
+        states.add(state)
         tick()
         if pos.terminal:
             if leaf is not None:
@@ -286,25 +282,36 @@ def expand(
             return
         if pos.to_move is owner:
             move, shadow = rule(pos, shadow)
-            if table is not None:
-                table[pos.state() if positional else pos.key()] = move
-            visit(pos.child(move), shadow)
+            after = memories.setdefault(_memory_key(shadow), len(memories))
+            written[(state, memory)] = (move, after)
+            visit(pos.child(move), shadow, after)
             return
         for m in moves(pos):
-            visit(pos.child(m), shadow)
+            visit(pos.child(m), shadow, memory)
 
-    visit(pos0, shadow)
+    visit(pos0, shadow, 0)
+    # The recursive closure is a reference cycle: unbinding it lets the
+    # walk's sets go on return rather than at the next collection.
+    del visit
+    if table is not None:
+        if len(memories) > 1 and len({state for state, _ in written}) == len(written):
+            written = {(state, 0): (move, 0) for (state, _), (move, _) in written.items()}
+        table.update(written)
 
 
 def table_rule(space: SpaceInstance, strat: Strategy) -> Callable:
-    """The replay rule of a strategy table: read the move, refuse it
-    with :class:`IllegalMove` unless it is legal."""
+    """The replay rule of a strategy table, with the memory as its
+    shadow: read ``(move, next memory)`` at ``(state, memory)``, and
+    refuse the move with :class:`IllegalMove` unless it is legal."""
+    table = strat.table
 
-    def rule(pos: GamePosition, shadow):
-        move = strat.move_at(pos)
-        if not move_legal(space, pos, move):
-            raise IllegalMove(f"strategy move {move} illegal at {pos.key()}")
-        return move, shadow
+    def rule(pos: GamePosition, memory: int):
+        entry = table.get((pos.state(), memory))
+        if entry is None:
+            raise StrategyIncomplete(pos.key())
+        if not move_legal(space, pos, entry[0]):
+            raise IllegalMove(f"strategy move {entry[0]} illegal at {pos.key()}")
+        return entry
 
     return rule
 
@@ -321,7 +328,7 @@ def solve(
 
     The goal owner targets ``payoff.accepts``; the opponent the
     complement.  The returned strategy belongs to whoever wins; its
-    positional table holds the winner's first winning move at every
+    memoryless table holds the winner's first winning move at every
     state the search decided in the winner's favour.  ``nodes_expanded``
     counts the states searched.
     """
@@ -333,15 +340,22 @@ def solve(
         space, pos0, _accepts_fn(space, payoff), goal_owner, budget, {}, wins
     )
     winner = goal_owner if goal_reached else goal_owner.other
+    table: dict = {}
+    pairs: dict = {}  # id(move) -> (move, 0): one value per move object, shared by its states
+    for state, m in wins.items():
+        if m.player is winner:
+            pair = pairs.get(id(m))
+            if pair is None:
+                pair = pairs[id(m)] = (m, 0)
+            table[(state, 0)] = pair
     strategy = Strategy(
         winner,
         kind,
         root,
         payoff.horizon,
-        {state: m for state, m in wins.items() if m.player is winner},
+        table,
         verified=True,  # exhaustive backward induction is the proof
         name=f"solve:{payoff.name}",
-        positional=True,
     )
     return SolveResult(winner, strategy, budget.used - before)
 
@@ -355,11 +369,13 @@ def naive_solve_oracle(
     budget: Optional[Budget] = None,
 ) -> SolveResult:
     """Minimax over move histories with no memo that records no moves;
-    the differential oracle.  Its history table re-searches each
-    candidate child, and its node count includes those searches.  It
-    walks with a recursion of its own, not ``expand``, and calls
-    ``legal_moves`` at every position it reaches, so no move list is
-    shared with the walks it checks."""
+    the differential oracle.  Its extraction walks every history the
+    winner's table reaches and re-searches each candidate child, and its
+    node count includes those searches.  It walks with a recursion of
+    its own, not ``expand``, and calls ``legal_moves`` at every position
+    it reaches, so no move list is shared with the walks it checks.  The
+    table is written by state, and every history with one state must
+    give the same move."""
     budget = budget or Budget(500_000, "naive_solve_oracle")
     pos0 = initial_position(kind, root, payoff.horizon)
     accepts = _accepts_fn(space, payoff)
@@ -379,7 +395,7 @@ def naive_solve_oracle(
 
     def extract(pos: GamePosition) -> None:
         # Every opponent move and the winner's first winning move in
-        # canonical order; one tick per position, as in ``expand``.
+        # canonical order; one tick per position.
         budget.tick()
         if pos.terminal:
             return
@@ -388,7 +404,8 @@ def naive_solve_oracle(
             move = next((m for m in options if value(pos.child(m)) is goal_reached), None)
             if move is None:
                 raise AssertionError("winner has no winning move; solver inconsistent")
-            strategy.table[pos.key()] = move
+            if strategy.table.setdefault((pos.state(), 0), (move, 0))[0] != move:
+                raise AssertionError("two histories with one state got different moves")
             options = [move]
         for m in options:
             extract(pos.child(m))
@@ -398,38 +415,45 @@ def naive_solve_oracle(
     return SolveResult(winner, strategy, nodes)
 
 
-def _count_plays(space, pos0, owner, rule, accepts, budget) -> tuple:
-    """``(plays, in_accepts)`` below pos0 when ``owner`` follows a
-    positional table's ``rule`` and the opponent plays every legal move,
-    counted over states: each state costs one budget tick, the
-    opponent's moves come from the walk's move lists, and an opponent
-    without a legal move ends the line without a play, as in
+def count_plays(space: SpaceInstance, strat: Strategy, score: Callable, budget: Budget) -> tuple:
+    """``(plays, hits)`` summed over every play in which the owner
+    follows the table and the opponent plays every legal move, where
+    ``score(pos)`` gives the pair for one finished play.  The sum is
+    taken over (state, memory) pairs: each pair costs one budget tick,
+    the opponent's moves come from the walk's move lists, and an
+    opponent without a legal move ends the line without a play, as in
     ``expand``."""
     tick = budget.tick
     moves = _move_lists(space)
-    memo: dict = {}
+    rule = table_rule(space, strat)
+    owner = strat.owner
+    memos = defaultdict(dict)  # memory -> state -> (plays, hits)
 
-    def count(pos: GamePosition) -> tuple:
+    def count(pos: GamePosition, memory: int) -> tuple:
+        memo = memos[memory]
         state = pos.state()
-        if state in memo:
-            return memo[state]
+        out = memo.get(state)
+        if out is not None:
+            return out
         tick()
         if pos.terminal:
-            out = (1, 1 if accepts(pos) else 0)
+            out = score(pos)
         elif pos.to_move is owner:
-            move, _ = rule(pos, None)
-            out = count(pos.child(move))
+            move, after = rule(pos, memory)
+            out = count(pos.child(move), after)
         else:
             plays = hits = 0
             for m in moves(pos):
-                p, h = count(pos.child(m))
+                p, h = count(pos.child(m), memory)
                 plays += p
                 hits += h
             out = (plays, hits)
         memo[state] = out
         return out
 
-    return count(pos0)
+    out = count(initial_position(strat.kind, strat.root, strat.horizon), 0)
+    del count  # the memo goes on return; see ``expand``
+    return out
 
 
 def verify_strategy(
@@ -446,39 +470,31 @@ def verify_strategy(
 
     ``target`` names the side the owner claims to force ("accepts" or
     "complement"); the report's ``passed`` says whether every replayed
-    outcome landed there.  Every replayed position costs one tick; an
-    exhaustive check of a positional table counts its plays over
-    states, one tick per state.
+    outcome landed there.  The exhaustive check is ``count_plays``, one
+    tick per (state, memory) pair; a sampled line costs one tick per
+    position and threads the memory along it.
     """
     if mode not in VERIFY_MODES or target not in VERIFY_TARGETS:
         raise ValueError(f"unknown verification mode {mode!r} or target {target!r}")
     budget = budget or Budget(where="verify_strategy")
     accepts = _accepts_fn(space, payoff)
-    pos0 = initial_position(strat.kind, strat.root, strat.horizon)
     report = VerificationReport(mode, target, 0, 0)
-    rule = table_rule(space, strat)
 
-    def score(pos: GamePosition, shadow=None) -> None:
-        report.plays += 1
-        if accepts(pos):
-            report.in_accepts += 1
-
-    if mode == "exhaustive" and strat.positional:
-        report.plays, report.in_accepts = _count_plays(
-            space, pos0, strat.owner, rule, accepts, budget
+    if mode == "exhaustive":
+        report.plays, report.in_accepts = count_plays(
+            space, strat, lambda pos: (1, 1 if accepts(pos) else 0), budget
         )
         return report
-    if mode == "exhaustive":
-        expand(space, pos0, strat.owner, rule, leaf=score, budget=budget)
-        return report
 
+    rule = table_rule(space, strat)
+    pos0 = initial_position(strat.kind, strat.root, strat.horizon)
     rng = random.Random(seed)
     for _ in range(trials):
-        pos = pos0
+        pos, memory = pos0, 0
         while not pos.terminal:
             budget.tick()
             if pos.to_move is strat.owner:
-                move, _ = rule(pos, None)
+                move, memory = rule(pos, memory)
             else:
                 options = legal_moves(space, pos)
                 if not options:
@@ -486,7 +502,9 @@ def verify_strategy(
                 move = rng.choice(options)
             pos = pos.child(move)
         if pos.terminal:
-            score(pos)
+            report.plays += 1
+            if accepts(pos):
+                report.in_accepts += 1
     return report
 
 
@@ -513,9 +531,11 @@ def strategy_from_rule(
     name: str = "rule",
     budget: Optional[Budget] = None,
 ) -> Strategy:
-    """Materialize a move rule into a total table by forward expansion
-    over every legal opponent line; an illegal move raises
-    :class:`IllegalMove`."""
+    """Materialize a move rule into a memoryless table by forward
+    expansion over every legal opponent line.  The rule reads the
+    position's state (and the game's kind, root and horizon), not the
+    history behind it: ``expand`` calls it once per state it reaches.
+    An illegal move raises :class:`IllegalMove`."""
     strat = Strategy(owner, kind, root, horizon, name=name)
 
     def checked(pos: GamePosition, shadow):

@@ -1,12 +1,12 @@
 """The curated micro-suite: small seeded games across all six kinds, and
 the transformation input cases the reduction tests and the acceptance
-suite share.  Everything here is deterministic."""
+suite share, and a strategy with memory.  Everything here is deterministic."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gowerslab import GameKind, Player, seeded_payoff, with_system
+from gowerslab import GameKind, Move, Player, Strategy, seeded_payoff, with_system
 from gowerslab.approx import ms_singleton_system, field_subspace_system
 from gowerslab.instances import (
     mathias_silver,
@@ -14,7 +14,9 @@ from gowerslab.instances import (
     single_subspace,
     top_subspace,
 )
+from gowerslab.games import initial_position
 from gowerslab.payoffs import Payoff
+from gowerslab.solver import expand
 
 
 @dataclass
@@ -81,3 +83,22 @@ def micro_games() -> list:
     for seed in _seeds(800, 2):
         add("f2sf", f2_sf, GameKind.STRONG_ASYMPTOTIC_SF, 1, seed, Player.II, 0.7)
     return games
+
+
+def remembering_strategy(space, horizon) -> tuple:
+    """Her chooser-game strategy with memory: her answers after the
+    first read his first subspace, which the state forgets once he has
+    moved again.  ``expand`` keeps it as the memory.  Returns the
+    strategy and its rule."""
+    top = top_subspace(space)
+
+    def rule(pos, first):
+        his = pos.moves[-1].subspace
+        first = his if first is None else first
+        admitted = space.admitted_points(pos.point_prefix, his)
+        return Move(Player.II, point=admitted[first % len(admitted)]), first
+
+    strat = Strategy(Player.II, GameKind.GOWERS_G, top, horizon, name="remembers")
+    pos0 = initial_position(GameKind.GOWERS_G, top, horizon)
+    expand(space, pos0, Player.II, rule, table=strat.table)
+    return strat, rule

@@ -563,7 +563,7 @@ class TestStrongAsymptotic:
         assert verify_strong_asymptotic(space, system, strong, payoff, delta).passed
         small = next(q for q in space.subspaces() if not space.lessapprox(q, top))
         opening = initial_position(GameKind.STRONG_ASYMPTOTIC_SF, top, 2)
-        strong.table[opening.key()] = Move(Player.I, subspace=small)
+        strong.table[(opening.state(), 0)] = (Move(Player.I, subspace=small), 0)
         with pytest.raises(IllegalMove):
             verify_strong_asymptotic(space, system, strong, payoff, delta)
 

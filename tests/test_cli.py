@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gowerslab.cli import main, report_render, run_scenario
+from gowerslab.cli import RULES, main, report_render, run_scenario
 
 
 def scenario_path(name: str) -> Path:
@@ -333,6 +333,7 @@ MALFORMED = [
     ("budget-nodes-zero", "ms-f-dichotomy.json", _top(budgets={"nodes": 0})),
     ("budget-nodes-negative", "ms-f-dichotomy.json", _top(budgets={"nodes": -5})),
     ("budget-seconds-negative", "ms-f-dichotomy.json", _top(budgets={"seconds": -1})),
+    ("budget-seconds-zero", "ms-f-dichotomy.json", _top(budgets={"seconds": 0})),
     ("sampled-trials-negative", "ms-f-dichotomy.json", _sampled_trials(-3)),
     ("sampled-trials-bool", "ms-f-dichotomy.json", _sampled_trials(True)),
     # Each of these used to raise a TypeError or IndexError mid-run.
@@ -495,7 +496,7 @@ class TestStrategyFiles:
         assert again.table == strat.table
         assert verify_strategy(ms, again, payoff).passed
 
-    def test_history_table_file_keeps_its_format(self):
+    def test_rule_table_file_holds_states_and_memories(self):
         import json
 
         from gowerslab import GameKind, Player, Strategy, strategy_from_rule, verify_strategy
@@ -509,12 +510,13 @@ class TestStrategyFiles:
         first = lambda spc, pos: legal_moves(spc, pos)[0]  # noqa: E731
         strat = strategy_from_rule(ms, GameKind.GOWERS_G, top, 2, Player.II, first)
         data = strat.to_json()
-        assert "positional" not in data and all("pos" in e for e in data["entries"])
+        assert "positional" not in data
+        assert all(set(e) == {"state", "memory", "move", "next"} for e in data["entries"])
         again = Strategy.from_json(json.loads(json.dumps(data)))
-        assert not again.positional and again.table == strat.table
+        assert again.table == strat.table
         assert verify_strategy(ms, again, payoff).plays == verify_strategy(ms, strat, payoff).plays
 
-    def test_solved_table_file_is_marked_positional(self):
+    def test_solved_table_file_is_memoryless(self):
         from gowerslab import GameKind, Player, build_payoff, solve
         from gowerslab.instances import mathias_silver, top_subspace
 
@@ -522,8 +524,31 @@ class TestStrategyFiles:
         payoff = build_payoff(ms, "everything", 2)
         strat = solve(ms, GameKind.GOWERS_G, top_subspace(ms), payoff, Player.II).strategy
         data = strat.to_json()
-        assert data["positional"] is True
-        assert all("state" in e and "pos" not in e for e in data["entries"])
+        assert "positional" not in data
+        assert all(e["memory"] == e["next"] == 0 for e in data["entries"])
+
+    def test_kastanas_output_survives_a_round_trip(self):
+        import json
+
+        from gowerslab import Strategy, verify_strategy
+        from gowerslab.games import GameKind, Player
+        from gowerslab.instances import mathias_silver, top_subspace
+        from gowerslab.payoffs import build_payoff
+        from gowerslab.reductions import adversarial_from_kastanas
+        from gowerslab.solver import strategy_from_rule, verified
+
+        ms = mathias_silver(10, 2, 1)
+        top = top_subspace(ms)
+        payoff = build_payoff(ms, "point_odd", 2, {"index": 1})
+        rule = RULES["stay-in-set"](ms, {"labels": [1, 3, 5, 7, 9]})
+        tau = verified(
+            ms, strategy_from_rule(ms, GameKind.KASTANAS, top, 2, Player.II, rule), payoff
+        )
+        out = adversarial_from_kastanas(ms, tau, Player.II, payoff).strategy
+        again = Strategy.from_json(json.loads(json.dumps(out.to_json())))
+        assert again == out and len(again.table) == 131
+        report = verify_strategy(ms, again, payoff)
+        assert report.passed and report.plays == 130
 
     def test_save_flag_writes_strategy_file(self, tmp_path):
         import json
@@ -565,6 +590,25 @@ class TestTimeBudget:
             "stage": 0, "op": "solve", "error": "time budget exhausted in scenario"
         }
         assert len(report["stages"]) == 1 and report["stages"][0]["exhausted"]
+
+    def test_time_cap_covers_building_the_instance(self, tmp_path):
+        # Building the 16-point instance alone outlasts the cap several
+        # times over, so the run stops before its first stage.
+        data = json.loads(scenario_path("ms-f-dichotomy.json").read_text())
+        data["instance"]["universe"] = 16
+        data["budgets"] = {"nodes": 2000000, "seconds": 0.01}
+        path = tmp_path / "timed.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+        report = json.loads((tmp_path / "ms-f-dichotomy.json").read_text())
+        assert report["diagnostic"] == {"stage": 0, "op": "solve", "error": "time budget exhausted"}
+
+    def test_absent_time_cap_means_no_limit(self, tmp_path):
+        data = json.loads(scenario_path("ms-f-dichotomy.json").read_text())
+        data["budgets"] = {"nodes": 2000000}
+        path = tmp_path / "untimed.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
 
 
 class TestSystemDescriptions:

@@ -23,10 +23,21 @@ from gowerslab import (
     verified,
     verify_strategy,
 )
-from gowerslab.approx import DeltaSeq, approx_asymptotic_from_gowers, expanded_target
+from gowerslab import approx, solver, with_system
+from gowerslab.approx import (
+    DeltaSeq,
+    approx_asymptotic_from_gowers,
+    discretize,
+    enumerate_block_sequences,
+    expanded_target,
+    lift_strategy,
+    ms_singleton_system,
+    restrict_payoff,
+    strong_asymptotic_from_asymptotic,
+)
 from gowerslab.cli import RULES
 from gowerslab.errors import Budget, FiniteExhaustion, PigeonholeUnavailable
-from gowerslab.games import initial_position, legal_moves
+from gowerslab.games import GamePosition, initial_position, legal_moves, play_outcome
 from gowerslab.instances import (
     counterexample_sets,
     grid_sphere,
@@ -53,7 +64,9 @@ from gowerslab.reductions import (
     tilde_lift,
     unfold_asymptotic,
 )
-from gowerslab.solver import expand, table_rule
+from gowerslab.solver import count_plays, expand
+from historywalk import count_histories, over_histories, walk_histories
+from microsuite import remembering_strategy
 
 
 def constant_rule(subspace):
@@ -197,9 +210,9 @@ class TestAdversarialFromKastanas:
         top = top_subspace(ms6)
         payoff = build_payoff(ms6, "first_in", 2, {"labels": [1, 2, 3, 4, 5]})
         result = solve(ms6, GameKind.ADVERSARIAL_A, top, payoff, Player.I)
-        assert result.winner is Player.I and result.strategy.positional
+        assert result.winner is Player.I and result.strategy.memoryless
         reread = reinterpret_adversarial(result.strategy)
-        assert reread.kind is GameKind.ADVERSARIAL_B and reread.positional
+        assert reread.kind is GameKind.ADVERSARIAL_B and reread.memoryless
         assert reread.table == result.strategy.table
         report = verify_strategy(ms6, reread, payoff, target="accepts")
         assert report.plays > 0 and report.fraction_accepts == 1
@@ -470,7 +483,7 @@ class TestAsymptoticFromGowers:
             )
         assert budget.used == 118
         _, strategy, target, _ = _approx_from_solved(grid_half, ("1/2", "1/2"))
-        assert strategy.positional
+        assert strategy.memoryless
         assert verify_strategy(grid_half, strategy, target).passed
 
     def test_counterexample_payoff_refused_by_provider(self, f3d4):
@@ -558,8 +571,103 @@ def _approx_from_solved(grid, delta):
     return grid, transfer.strategy, expanded_target(grid, payoff, delta.tripled()), "accepts"
 
 
-# label -> (build, the replay's (plays, in_accepts) or the refusal's type)
-POSITIONAL_TRANSFERS = {
+def _kastanas(space, payoff, owner, labels=None):
+    """Her or his adversarial strategy from a solved nested-game strategy,
+    or from her hand rule staying inside ``labels``."""
+    top = top_subspace(space)
+    if labels is None:
+        result = solve(space, GameKind.KASTANAS, top, payoff, owner)
+        assert result.winner is owner
+        tau = result.strategy
+    else:
+        rule = RULES["stay-in-set"](space, {"labels": labels})
+        tau = verified(
+            space,
+            strategy_from_rule(space, GameKind.KASTANAS, top, payoff.horizon, owner, rule),
+            payoff,
+        )
+    return space, adversarial_from_kastanas(space, tau, owner, payoff).strategy, payoff
+
+
+def _tilde(kind, payoff_name, params, owner, side, space=None, horizon=1):
+    space = space or mathias_silver(8, 6, 1)
+    payoff = build_payoff(space, payoff_name, horizon, params)
+    twisted, doubled = tilde_lift(space, payoff)
+    goal = negate(doubled) if side == "complement" else doubled
+    result = solve(twisted, kind, top_subspace(space), goal, owner)
+    assert result.winner is owner
+    return space, project_tilde_strategy(space, twisted, result.strategy), payoff
+
+
+def _lex_positive(grid):
+    return lambda s: next(c for c in grid.points[s[0]] if c != 0) > 0
+
+
+def _corner(grid):
+    corner = grid.points.index((1, 1))
+    return lambda s: s[0] == corner
+
+
+def _seeded(horizon, seed, density):
+    return lambda space: seeded_payoff(horizon, seed, density).accepts
+
+
+def _discrete(space):
+    return space.derive(metric=space.distance)
+
+
+def _lifted(direction, kind, accepts_of, horizon, goal, side, grid=None):
+    grid = grid or grid_sphere(2, "1/2", 1)
+    payoff = Payoff(horizon, accepts_of(grid), direction)
+    delta = DeltaSeq.of(*["1/2"] * horizon)
+    disc = discretize(grid, range(len(grid.points)), delta)
+    disc_payoff = restrict_payoff(disc, payoff)
+    if side == "complement":
+        disc_payoff = negate(disc_payoff)
+    result = solve(disc, kind, top_subspace(grid), disc_payoff, goal)
+    assert result.winner is goal
+    lifted = lift_strategy(grid, disc, result.strategy, direction, payoff, delta)
+    return grid, lifted, expanded_target(grid, payoff, delta, side)
+
+
+def _strong_singletons():
+    """His strong-asymptotic strategy, scored by the block sequences of
+    each outcome as ``verify_strong_asymptotic`` scores it."""
+    ms6 = mathias_silver(6, 2, 1)
+    system = ms_singleton_system(ms6)
+    space = with_system(ms6, system)
+    top = top_subspace(space)
+    payoff = Payoff(2, lambda s: all(x >= 1 for x in s), "all-nonzero")
+    tail = ms6.palette.index((1, 2, 3, 4, 5))
+    tau = verified(
+        ms6,
+        strategy_from_rule(ms6, GameKind.ASYMPTOTIC_F, top, 2, Player.I, constant_rule(tail)),
+        payoff,
+    )
+    strong = strong_asymptotic_from_asymptotic(
+        space, system, tau, payoff, DeltaSeq.of("1/2", "1/2")
+    )
+
+    def score(pos):
+        sets = tuple(system.family[b] for b in pos.block_prefix)
+        seqs = enumerate_block_sequences(system, sets, 2)
+        return len(seqs), sum(1 for seq in seqs if payoff.accepts(seq))
+
+    return space, strong, score
+
+
+def _rule_built():
+    ms = mathias_silver(5, 2, 1)
+    first = lambda spc, pos: legal_moves(spc, pos)[0]  # noqa: E731
+    strat = strategy_from_rule(ms, GameKind.GOWERS_G, top_subspace(ms), 2, Player.II, first)
+    return ms, strat, build_payoff(ms, "everything", 2)
+
+
+TRANSFORMS = (reductions, approx)
+
+# label -> (build, the replay's (plays, in_accepts) or the refusal's
+# type, the modules whose ``expand`` the build walks with)
+TRANSFERS = {
     "G-from-F/ms6": (
         lambda: _gowers_from_constant(mathias_silver(6, 2, 1), None, "everything"),
         (3_249, 3_249),
@@ -612,86 +720,271 @@ POSITIONAL_TRANSFERS = {
     ),
     "unfold/h1": (lambda: _unfolded(mathias_silver(6, 2, 1), 1), (5, 0)),
     "unfold/h2": (lambda: _unfolded(mathias_silver(6, 2, 1), 2), (25, 0)),
+    "kastanas/II/ms10-hand": (
+        lambda: _kastanas(
+            mathias_silver(10, 2, 1),
+            build_payoff(mathias_silver(10, 2, 1), "point_odd", 2, {"index": 1}),
+            Player.II,
+            [1, 3, 5, 7, 9],
+        ),
+        (130, 130),
+    ),
+    "kastanas/II/ms4-h4": (
+        lambda: _kastanas(mathias_silver(4, 3, 1), seeded_payoff(4, 86, 0.2), Player.II),
+        (9, 9),
+    ),
+    "kastanas/I/ms6": (
+        lambda: _kastanas(
+            mathias_silver(6, 2, 1),
+            build_payoff(mathias_silver(6, 2, 1), "first_in", 2, {"labels": [1, 2, 3, 4, 5]}),
+            Player.I,
+        ),
+        None,
+    ),
+    "kastanas/I/ms3-h4": (
+        lambda: _kastanas(
+            mathias_silver(3, 2, 1), Payoff(4, lambda s: s[0] <= 1 and s[2] <= 1, "small-firsts"),
+            Player.I,
+        ),
+        None,
+    ),
+    "tilde/A-to-F": (
+        lambda: _tilde(GameKind.ADVERSARIAL_A, "first_in", {"labels": [3]}, Player.I, "complement"),
+        None,
+    ),
+    "tilde/B-to-G": (
+        lambda: _tilde(GameKind.ADVERSARIAL_B, "point_even", {"index": 0}, Player.II, "accepts"),
+        None,
+    ),
+    "tilde/B-to-G/h2": (
+        lambda: _tilde(
+            GameKind.ADVERSARIAL_B, "all_even", {}, Player.II, "accepts", mathias_silver(5, 3, 1), 2
+        ),
+        None,
+    ),
+    "lift/G-II": (
+        lambda: _lifted("G-II", GameKind.GOWERS_G, _lex_positive, 1, Player.II, "accepts"), None
+    ),
+    "lift/F-I": (
+        lambda: _lifted("F-I", GameKind.ASYMPTOTIC_F, _corner, 1, Player.I, "complement"), None
+    ),
+    "lift/A-I": (
+        lambda: _lifted("A-I", GameKind.ADVERSARIAL_A, _lex_positive, 2, Player.I, "accepts"),
+        None,
+    ),
+    "lift/B-II": (
+        lambda: _lifted("B-II", GameKind.ADVERSARIAL_B, _corner, 2, Player.II, "complement"),
+        None,
+    ),
+    # The same lifts on a Mathias-Silver instance under its discrete
+    # metric, at horizons where she answers more than one of his moves.
+    "lift/G-II/ms53-h2": (
+        lambda: _lifted(
+            "G-II", GameKind.GOWERS_G, _seeded(2, 2, 0.5), 2, Player.II, "accepts",
+            _discrete(mathias_silver(5, 3, 1)),
+        ),
+        None,
+    ),
+    "lift/A-I/ms32-h4": (
+        lambda: _lifted(
+            "A-I", GameKind.ADVERSARIAL_A, _seeded(4, 1, 0.99), 4, Player.I, "accepts",
+            _discrete(mathias_silver(3, 2, 1)),
+        ),
+        None,
+    ),
+    "lift/B-II/ms32-h4": (
+        lambda: _lifted(
+            "B-II", GameKind.ADVERSARIAL_B, _seeded(4, 1, 0.01), 4, Player.II, "complement",
+            _discrete(mathias_silver(3, 2, 1)),
+        ),
+        None,
+    ),
+    "strong-asymptotic/singletons": (_strong_singletons, None),
+    "rule/G-II-first-legal": (_rule_built, None, (solver,)),
 }
 
 
-def _walked(monkeypatch, build, over_states, mutate):
-    """Build a transfer with ``reductions.expand`` patched: the walk
-    stays over states or is forced onto histories, and ``mutate`` may
-    swap the transfer's rule.  A refusal comes back as its message."""
+def _walked(monkeypatch, label, over_histories, mutate):
+    """Build a transfer with the ``expand`` of its modules patched: the
+    walk stays over (state, memory) pairs or is forced onto histories,
+    and ``mutate`` may swap the transfer's rule.  A refusal comes back as
+    its message."""
+    build, _, *modules = TRANSFERS[label]
+    walk = walk_histories if over_histories else expand
 
-    def patched(space, pos0, owner, rule, *args, positional=False, **kwargs):
-        expand(
-            space, pos0, owner, mutate(space, rule), *args,
-            positional=positional and over_states, **kwargs,
-        )
+    def patched(space, pos0, owner, rule, *args, **kwargs):
+        walk(space, pos0, owner, mutate(space, rule), *args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(reductions, "expand", patched)
+        for module in modules[0] if modules else TRANSFORMS:
+            patch.setattr(module, "expand", patched)
         try:
             return build()
         except (FiniteExhaustion, PigeonholeUnavailable) as exc:
             return f"{type(exc).__name__}: {exc}"
 
 
-def _differential(monkeypatch, build, mutate=lambda space, rule: rule):
+def _replay_score(space, scored):
+    """A build's payoff as a replay score (one play per outcome, a hit
+    when the payoff accepts it), or the build's own score."""
+    if not isinstance(scored, Payoff):
+        return scored
+    return lambda pos: (1, 1 if scored.accepts(play_outcome(pos, space)) else 0)
+
+
+def _differential(monkeypatch, label, mutate=lambda space, rule: rule):
     """``(table, (plays, in_accepts))`` of the transfer walked over
-    states and over histories.  The positional table is projected to
-    the histories its replay reaches; each strategy is verified by its
-    own path (the count over states, the history replay)."""
-    over_states = _walked(monkeypatch, build, True, mutate)
-    over_histories = _walked(monkeypatch, build, False, mutate)
-    if isinstance(over_states, str) or isinstance(over_histories, str):
-        return over_states, over_histories
-    space, positional, payoff, target = over_states
-    history = replace(over_histories[1], positional=False)
-    assert positional.positional
-    projected: dict = {}
-    pos0 = initial_position(positional.kind, positional.root, positional.horizon)
-    expand(space, pos0, positional.owner, table_rule(space, positional), table=projected)
-    counts = [
-        (report.plays, report.in_accepts)
-        for report in (
-            verify_strategy(space, strat, payoff, target=target)
-            for strat in (positional, history)
-        )
-    ]
-    return (projected, counts[0]), (history.table, counts[1])
+    (state, memory) pairs and over histories.  The first table is
+    replayed over every history it reaches, threading its memory; the
+    first count is the shared count over pairs, the second a replay of
+    the history table over every history.  Also returns the built
+    strategies."""
+    mealy = _walked(monkeypatch, label, False, mutate)
+    history = _walked(monkeypatch, label, True, mutate)
+    if isinstance(mealy, str) or isinstance(history, str):
+        return mealy, history, None
+    space, strat, scored = mealy[:3]
+    score = _replay_score(space, scored)
+    return (
+        (over_histories(space, strat), count_plays(space, strat, score, Budget())),
+        (history[1].table, count_histories(space, history[1], score)),
+        (strat, history[1]),
+    )
 
 
-def _reads_his_first_move(space, rule):
-    """A mutant reading past the state: her point depends on his first
-    subspace, which the state forgets once he has moved again."""
+def _reads_the_first_move(space, rule):
+    """A mutant reading past the state: the owner's point depends on the
+    opponent's first move, which the state forgets once the opponent has
+    moved again.  Its subspace and block are the rule's, so the shadow
+    stays in step with the play."""
 
     def mutant(pos, shadow):
-        _, shadow = rule(pos, shadow)
-        options = legal_moves(space, pos)
-        return options[pos.moves[0].subspace % len(options)], shadow
+        move, shadow = rule(pos, shadow)
+        theirs = [m for m in pos.moves if m.player is not pos.to_move]
+        if not theirs:
+            return move, shadow
+        first = next(v for v in (theirs[0].subspace, theirs[0].block, theirs[0].point) if v is not None)
+        options = [
+            m for m in legal_moves(space, pos) if (m.subspace, m.block) == (move.subspace, move.block)
+        ]
+        return options[first % len(options)], shadow
 
     return mutant
 
 
-class TestPositionalTransfers:
-    @pytest.mark.parametrize("label", list(POSITIONAL_TRANSFERS))
+def _state_of(key) -> tuple:
+    kind, root, horizon, moves = key
+    return GamePosition(
+        GameKind(kind), root, horizon, tuple(Move(Player(m[0]), *m[1:]) for m in moves)
+    ).state()
+
+
+# Transfers whose owner's histories are one-to-one with their states, so
+# that a walk over states visits every history once and no rule can fail
+# the differential:
+# * his chooser-game strategies (F, SF): her moves, points or blocks, are
+#   in the state, and his own moves follow from them;
+# * one-round outputs, where the opponent's only move is the last one;
+# * the nested-game transfers: the fused subspace is minimal on these
+#   instances, so the opponent's subspace moves have one option.
+ONE_TO_ONE = {
+    "F-from-G/ms6", "unfold/h1", "unfold/h2", "tilde/A-to-F", "lift/F-I",
+    "strong-asymptotic/singletons", "tilde/B-to-G", "lift/G-II", "lift/A-I", "lift/B-II",
+    "kastanas/II/ms10-hand", "kastanas/II/ms4-h4", "kastanas/I/ms6", "kastanas/I/ms3-h4",
+} | {label for label in TRANSFERS if label.startswith("approxF-from-G/")}
+
+
+class TestTransferWalks:
+    @pytest.mark.parametrize("label", list(TRANSFERS))
     def test_state_walk_matches_history_walk(self, label, monkeypatch):
-        build, expected = POSITIONAL_TRANSFERS[label]
-        over_states, over_histories = _differential(monkeypatch, build)
-        assert over_states == over_histories
+        expected = TRANSFERS[label][1]
+        mealy, history, _ = _differential(monkeypatch, label)
+        assert mealy == history
         if isinstance(expected, str):
-            assert over_states.startswith(expected)
+            assert mealy.startswith(expected)
+        elif expected is not None:
+            assert mealy[1] == expected
+
+    # The mutant runs on every transfer that succeeds, G-from-F/ms6
+    # standing for its larger instances.
+    @pytest.mark.parametrize(
+        "label",
+        [
+            label
+            for label, case in TRANSFERS.items()
+            if not isinstance(case[1], str) and label not in ("G-from-F/ms7", "G-from-F/ms8")
+        ],
+    )
+    def test_rule_reading_past_the_state_fails_the_differential(self, label, monkeypatch):
+        mealy, history, built = _differential(monkeypatch, label, _reads_the_first_move)
+        strat, by_history = built
+        states = [_state_of(key) for key in by_history.table]
+        one_to_one = len(set(states)) == len(states) == len(strat.table)
+        assert one_to_one is (label in ONE_TO_ONE)
+        if one_to_one:
+            assert mealy == history  # vacuous: see ONE_TO_ONE
         else:
-            assert over_states[1] == expected
+            assert mealy != history
 
     def test_gowers_from_asymptotic_keeps_one_entry_per_state(self):
-        _, sigma, _, _ = POSITIONAL_TRANSFERS["G-from-F/ms8"][0]()
-        assert sigma.positional and len(sigma.table) == 1_976
+        _, sigma, _, _ = TRANSFERS["G-from-F/ms8"][0]()
+        assert sigma.memoryless and len(sigma.table) == 1_976
 
-    def test_rule_reading_past_the_state_fails_the_differential(self, monkeypatch):
-        over_states, over_histories = _differential(
-            monkeypatch, POSITIONAL_TRANSFERS["G-from-F/ms6"][0], _reads_his_first_move
-        )
-        assert isinstance(over_states, tuple) and isinstance(over_histories, tuple)
-        assert over_states[0] != over_histories[0]
+
+def _with_memory(strat):
+    """The strategy with every entry moving on to memory 1: a table with
+    memory, as far as the entry checks can tell."""
+    return replace(strat, table={key: (move, 1) for key, (move, _) in strat.table.items()})
+
+
+def _refusals():
+    ms6 = mathias_silver(6, 2, 1)
+    top = top_subspace(ms6)
+    pair = build_payoff(ms6, "first_in", 2, {"labels": [1, 2, 3, 4, 5]})
+    nested = solve(ms6, GameKind.KASTANAS, top, pair, Player.I).strategy
+    everything = build_payoff(ms6, "everything", 2)
+    his = verified(
+        ms6,
+        strategy_from_rule(ms6, GameKind.ASYMPTOTIC_F, top, 2, Player.I, constant_rule(top)),
+        everything,
+    )
+    hers, _ = remembering_strategy(ms6, 2)
+    hers = verified(ms6, hers, everything)
+    twisted, doubled = tilde_lift(ms6, build_payoff(ms6, "everything", 1))
+    adversarial = solve(twisted, GameKind.ADVERSARIAL_A, top, doubled, Player.I).strategy
+    system = ms_singleton_system(ms6)
+    half = DeltaSeq.of("1/2", "1/2")
+    return {
+        "adversarial_from_kastanas": lambda: adversarial_from_kastanas(
+            ms6, _with_memory(nested), Player.I, pair
+        ),
+        "project_tilde_strategy": lambda: project_tilde_strategy(
+            ms6, twisted, _with_memory(adversarial)
+        ),
+        "gowers_from_asymptotic": lambda: gowers_from_asymptotic(
+            ms6, _with_memory(his), everything
+        ),
+        "asymptotic_from_gowers": lambda: asymptotic_from_gowers(
+            ms6, hers, everything, provider_for(ms6)
+        ),
+        "unfold_asymptotic": lambda: unfold_asymptotic(ms6, _with_memory(his), everything),
+        "homogeneous_from_asymptotic": lambda: homogeneous_from_asymptotic(
+            ms6, _with_memory(his), everything
+        ),
+        "lift_strategy": lambda: lift_strategy(_discrete(ms6), ms6, hers, "G-II", everything, half),
+        "strong_asymptotic_from_asymptotic": lambda: strong_asymptotic_from_asymptotic(
+            with_system(ms6, system), system, _with_memory(his), everything, half
+        ),
+    }
+
+
+class TestMemoryRefused:
+    @pytest.mark.parametrize("name", list(_refusals()))
+    def test_transformation_refuses_a_strategy_with_memory(self, name):
+        # Transformations simulate their inputs at a state: a table
+        # with memory would be read at memory 0 only.
+        with pytest.raises(ValueError, match="has memory"):
+            _refusals()[name]()
 
 
 class TestHomogeneousExtraction:

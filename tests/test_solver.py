@@ -15,16 +15,25 @@ from gowerslab import (
     verify_strategy,
 )
 import time
+from dataclasses import replace
 
 from gowerslab import solver
 from gowerslab.errors import CLOCK_EVERY, ExhaustionBudget, IllegalMove, StrategyIncomplete
 from gowerslab.errors import Budget, TimeExhausted
-from gowerslab.games import Move, initial_position, legal_moves, move_legal, rules_key
+from gowerslab.games import (
+    Move,
+    initial_position,
+    legal_moves,
+    move_legal,
+    play_outcome,
+    rules_key,
+)
 from gowerslab.instances import mathias_silver, rosendal, top_subspace
 from gowerslab.payoffs import Payoff
 from gowerslab.solver import expand, table_rule
 from gowerslab.space import FULL_HISTORY
-from microsuite import MicroGame, micro_games
+from historywalk import count_histories, over_histories, walk_histories
+from microsuite import MicroGame, micro_games, remembering_strategy
 
 
 def seeded_games() -> list:
@@ -57,32 +66,36 @@ def seeded_games() -> list:
     return games
 
 
+def _score(space, payoff):
+    return lambda pos: (1, 1 if payoff.accepts(play_outcome(pos, space)) else 0)
+
+
 def check_against_the_oracle(game) -> None:
     """The state-graph solve against the history oracle: the same
-    winner, the same table once projected to the histories its replay
+    winner, the same table once restricted to the states its replay
     reaches, and the same (plays, in_accepts) from counting over states
-    as from replaying that projection."""
+    as from replaying the table over every history."""
     fast = solve(game.space, game.kind, game.root, game.payoff, game.goal)
     slow = naive_solve_oracle(game.space, game.kind, game.root, game.payoff, game.goal)
     assert fast.winner is slow.winner
     strat = fast.strategy
-    assert strat.positional and not slow.strategy.positional
-    projection: dict = {}
+    assert strat.memoryless and slow.strategy.memoryless
+    reached: dict = {}
     pos0 = initial_position(strat.kind, strat.root, strat.horizon)
-    expand(game.space, pos0, strat.owner, table_rule(game.space, strat), table=projection)
-    assert projection == slow.strategy.table
-    history = Strategy(strat.owner, strat.kind, strat.root, strat.horizon, projection)
+    expand(game.space, pos0, strat.owner, table_rule(game.space, strat), 0, table=reached)
+    assert reached == slow.strategy.table
+    history = replace(strat, table=over_histories(game.space, strat))
     target = "accepts" if fast.winner is game.goal else "complement"
     by_state = verify_strategy(game.space, strat, game.payoff, target=target)
-    by_replay = verify_strategy(game.space, history, game.payoff, target=target)
-    assert (by_state.plays, by_state.in_accepts) == (by_replay.plays, by_replay.in_accepts)
+    by_replay = count_histories(game.space, history, _score(game.space, game.payoff))
+    assert (by_state.plays, by_state.in_accepts) == by_replay
     assert by_state.passed
     # Against a payoff the table was not solved for, some plays land on
     # each side, so the count of in_accepts is tested too.
     other = seeded_payoff(strat.horizon, 99, 0.5)
     by_state = verify_strategy(game.space, strat, other)
-    by_replay = verify_strategy(game.space, history, other)
-    assert (by_state.plays, by_state.in_accepts) == (by_replay.plays, by_replay.in_accepts)
+    by_replay = count_histories(game.space, history, _score(game.space, other))
+    assert (by_state.plays, by_state.in_accepts) == by_replay
 
 
 class TestSolveExamples:
@@ -167,7 +180,6 @@ class TestVerify:
             result.strategy.root,
             result.strategy.horizon,
             dict(list(result.strategy.table.items())[:1]),
-            positional=result.strategy.positional,
         )
         with pytest.raises(StrategyIncomplete):
             verify_strategy(ms6, broken, payoff)
@@ -176,8 +188,8 @@ class TestVerify:
         top = top_subspace(ms6)
         payoff = build_payoff(ms6, "everything", 2)
         strat = solve(ms6, GameKind.GOWERS_G, top, payoff, Player.II).strategy
-        state, move = next(iter(strat.table.items()))
-        strat.table[state] = Move(move.player, point=-1)
+        key, (move, after) = next(iter(strat.table.items()))
+        strat.table[key] = (Move(move.player, point=-1), after)
         with pytest.raises(IllegalMove):
             verify_strategy(ms6, strat, payoff)
 
@@ -196,7 +208,7 @@ class TestVerify:
             for m in legal_moves(ms6, other)
             if not move_legal(ms6, pos, m)
         )
-        strat.table[pos.state()] = move
+        strat.table[(pos.state(), 0)] = (move, 0)
         with pytest.raises(IllegalMove):
             verify_strategy(ms6, strat, payoff)
 
@@ -302,6 +314,66 @@ class TestMoveLists:
         assert result.winner is Player.II
         assert (result.nodes_expanded, len(result.strategy.table)) == (672, 572)
         assert (report.plays, report.in_accepts) == (17576, 17576)
+
+
+class TestMealyTables:
+    def test_expand_keeps_the_memory_a_state_needs(self):
+        space = mathias_silver(4, 2, 1)
+        strat, rule = remembering_strategy(space, 2)
+        assert not strat.memoryless
+        states = {state for state, _ in strat.table}
+        assert len(states) < len(strat.table)
+        # Memory 0 at the root, then one per subspace of his first move,
+        # numbered in the order the walk first meets them.
+        firsts = [(m, after) for (state, m), (_, after) in strat.table.items() if state[0] == 1]
+        assert [m for m, _ in firsts] == [0] * len(firsts)
+        assert [after for _, after in firsts] == list(range(1, len(firsts) + 1))
+        # Replayed over histories, the table is the history walk's table.
+        by_history: dict = {}
+        pos0 = initial_position(strat.kind, strat.root, strat.horizon)
+        walk_histories(space, pos0, Player.II, rule, table=by_history)
+        assert over_histories(space, strat) == by_history
+
+    def test_count_over_pairs_matches_the_replay_of_every_history(self):
+        space = mathias_silver(4, 2, 1)
+        strat, _ = remembering_strategy(space, 3)
+        payoff = seeded_payoff(3, 5, 0.5)
+        report = verify_strategy(space, strat, payoff)
+        history = replace(strat, table=over_histories(space, strat))
+        assert (report.plays, report.in_accepts) == count_histories(
+            space, history, _score(space, payoff)
+        )
+        assert 0 < report.in_accepts < report.plays
+
+    def test_sampled_lines_thread_the_memory(self):
+        space = mathias_silver(4, 2, 1)
+        strat, _ = remembering_strategy(space, 3)
+        payoff = build_payoff(space, "everything", 3)
+        report = verify_strategy(space, strat, payoff, mode="sampled", seed=3, trials=40)
+        assert report.passed and report.plays == 40
+
+    def test_memory_survives_a_round_trip(self):
+        import json
+
+        space = mathias_silver(4, 2, 1)
+        strat, _ = remembering_strategy(space, 2)
+        again = Strategy.from_json(json.loads(json.dumps(strat.to_json())))
+        assert again == strat and not again.memoryless
+        payoff = seeded_payoff(2, 5, 0.5)
+        one, two = (verify_strategy(space, s, payoff) for s in (strat, again))
+        assert (one.plays, one.in_accepts) == (two.plays, two.in_accepts)
+
+    def test_move_at_reads_memory_zero(self):
+        space = mathias_silver(4, 2, 1)
+        top = top_subspace(space)
+        strat = solve(space, GameKind.GOWERS_G, top, seeded_payoff(2, 1), Player.II).strategy
+        assert all(not memory and not after for (_, memory), (_, after) in strat.table.items())
+        pos0 = initial_position(GameKind.GOWERS_G, top, 2)
+        positions = [pos0] + [pos0.child(m) for m in legal_moves(space, pos0)]
+        pos = next(p for p in positions if (p.state(), 0) in strat.table)
+        assert strat.move_at(pos) == strat.table[(pos.state(), 0)][0]
+        with pytest.raises(StrategyIncomplete):
+            strat.move_at(initial_position(GameKind.ASYMPTOTIC_F, top, 2))
 
 
 class TestDeterminacyProperties:
