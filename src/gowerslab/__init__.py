@@ -17,6 +17,7 @@ from .errors import (
     PigeonholeUnavailable,
     SpecInvalid,
     StrategyIncomplete,
+    StrategyRefused,
 )
 from .games import GameKind, GamePosition, Move, Player
 from .payoffs import Payoff, build_payoff, negate, seeded_payoff
@@ -62,6 +63,7 @@ __all__ = [
     "SpecInvalid",
     "Strategy",
     "StrategyIncomplete",
+    "StrategyRefused",
     "VerificationReport",
     "build_payoff",
     "check_axioms",

@@ -30,6 +30,7 @@ from .errors import (
     GowersLabError,
     PigeonholeUnavailable,
     SpecInvalid,
+    StrategyRefused,
 )
 from .games import GameKind, Move, Player, initial_position, legal_moves
 from .instances import (
@@ -330,23 +331,37 @@ def _run_parsed(data: dict, out_dir=None, budget_nodes=None) -> RunOutcome:
     scenario = Scenario.from_json(data)
     if budget_nodes is not None:
         scenario.budget_nodes = json_int(budget_nodes, "budgets: nodes", 1)
-    # The clock starts before the instance and the payoff are built.
+    # The clock starts before the instance and the payoff are built, and
+    # building the instance is charged to the node budget.  The clock is
+    # read from the first stage on, so a slow build stops the run there,
+    # with a report.
     deadline = (
         None if scenario.budget_seconds is None else time.monotonic() + scenario.budget_seconds
     )
+    budget = Budget(scenario.budget_nodes, "scenario")
+    try:
+        with _validating("scenario"):
+            space = build_instance(scenario.instance, budget)
+    except ExhaustionBudget as exc:
+        # The build spent the node budget, so the run stops at its first
+        # stage; the report names nothing that needs the instance.
+        op = scenario.pipeline[0]["op"] if scenario.pipeline else None
+        stages = [StageResult(op, {"error": str(exc)}, exhausted=True, ok=False)] if op else []
+        diagnostic = {"stage": 0 if op else None, "op": op, "error": str(exc)}
+        report = _report(scenario, None, None, None, stages, "budget-exhausted", diagnostic)
+        return _finish(RunOutcome(3, report, scenario), out_dir)
     with _validating("scenario"):
-        space = build_instance(scenario.instance)
         root = _resolve_root(space, scenario.root_spec)
         payoff = _build_payoff(space, scenario)
     if payoff.horizon != scenario.horizon:
         raise SpecInvalid("payoff and game horizons disagree")
+    budget.set_deadline(deadline)
 
     stages: list[StageResult] = []
     current = None  # the strategy artifact being threaded through
     status = "ok"
     diagnostic = None
     exit_code = 0
-    budget = Budget(scenario.budget_nodes, "scenario", deadline)
 
     for i, stage in enumerate(scenario.pipeline):
         op = stage["op"]
@@ -369,6 +384,10 @@ def _run_parsed(data: dict, out_dir=None, budget_nodes=None) -> RunOutcome:
             stages.append(StageResult(op, {"error": str(exc)}, exhausted=True, ok=False))
             exit_code = 3
             break
+        except StrategyRefused as exc:
+            # A transformation refused its input strategy (the wrong owner
+            # or game, say): the stage fails.
+            result = _StageOutcome(StageResult(op, {"error": str(exc)}, ok=False))
         result.stage.nodes = max(result.stage.nodes, budget.used - before)
         stages.append(result.stage)
         if result.artifact is not None:
@@ -383,22 +402,29 @@ def _run_parsed(data: dict, out_dir=None, budget_nodes=None) -> RunOutcome:
                 result.stage.result["strategy_file"] = name
         if not result.stage.ok:
             status = "verification-failed"
-            diagnostic = {"stage": i, "op": op, "error": "declared verification failed"}
+            refusal = result.stage.result.get("error")
+            diagnostic = {"stage": i, "op": op, "error": refusal or "declared verification failed"}
             exit_code = 4
-            if op == "strategy":
-                # Every later stage would consume the unverified strategy.
+            if op == "strategy" or refusal:
+                # Every later stage would consume the unverified or
+                # refused strategy.
                 break
 
-    report = {
+    report = _report(scenario, space.name, root, payoff.name, stages, status, diagnostic)
+    return _finish(RunOutcome(exit_code, report, scenario), out_dir)
+
+
+def _report(scenario, instance, root, payoff, stages, status, diagnostic) -> dict:
+    return {
         "scenario": scenario.name,
         "seed": scenario.seed,
-        "instance": space.name,
+        "instance": instance,
         "game": {
             "kind": scenario.game_kind.value,
             "root": root,
             "horizon": scenario.horizon,
         },
-        "payoff": payoff.name,
+        "payoff": payoff,
         "stages": [
             {
                 "stage": n,
@@ -414,12 +440,17 @@ def _run_parsed(data: dict, out_dir=None, budget_nodes=None) -> RunOutcome:
         "status": status,
         "diagnostic": diagnostic,
     }
+
+
+def _finish(outcome: RunOutcome, out_dir) -> RunOutcome:
+    """Write the outcome's report files into ``out_dir``, if given."""
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{scenario.name}.json").write_text(canonical_json(report) + "\n")
-        (out / f"{scenario.name}.txt").write_text(report_render(report, "table") + "\n")
-    return RunOutcome(exit_code, report, scenario)
+        name = outcome.scenario.name
+        (out / f"{name}.json").write_text(canonical_json(outcome.report) + "\n")
+        (out / f"{name}.txt").write_text(report_render(outcome.report, "table") + "\n")
+    return outcome
 
 
 @dataclass

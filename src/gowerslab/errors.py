@@ -77,6 +77,11 @@ class StrategyIncomplete(GowersLabError):
         super().__init__(f"strategy table has no entry for position {position_key!r}")
 
 
+class StrategyRefused(GowersLabError, ValueError):
+    """A transformation refused its input strategy: the wrong owner or
+    game, unverified, or a table with memory where it reads none."""
+
+
 class PigeonholeUnavailable(GowersLabError):
     """No palette subspace decides the requested point set.
 
@@ -135,8 +140,15 @@ class Budget:
         self.limit = nodes
         self.used = 0
         self.where = where
+        self.set_deadline(deadline)
+
+    def set_deadline(self, deadline) -> None:
+        """Read the clock against ``deadline`` (None: never) from the
+        next ``CLOCK_EVERY`` ticks on."""
         self.deadline = deadline
-        self._threshold = nodes if deadline is None else min(nodes, CLOCK_EVERY)
+        self._threshold = (
+            self.limit if deadline is None else min(self.limit, self.used + CLOCK_EVERY)
+        )
 
     def tick(self, n: int = 1) -> None:
         self.used += n

@@ -30,6 +30,8 @@ from itertools import combinations, product
 from typing import Optional
 
 from .errors import (
+    Budget,
+    ExhaustionBudget,
     FiniteExhaustion,
     KindMismatch,
     PaletteNotClosedUnderMeet,
@@ -37,7 +39,7 @@ from .errors import (
     SpecInvalid,
 )
 from .payoffs import Payoff, outcome_index, register, vector_length
-from .space import SpaceInstance, bits
+from .space import SpaceInstance, bits, transpose
 from .util import json_int, parse_fraction
 
 MATHIAS_SILVER = "mathias-silver"
@@ -133,7 +135,24 @@ def _attach_system(space: SpaceInstance, description) -> SpaceInstance:
     return with_system(space, PrecompactSystem(family, oplus))
 
 
-def build_instance(spec: InstanceSpec) -> SpaceInstance:
+def _charged(items, budget: Optional[Budget], name: str):
+    """The items, one budget tick each, as an instance builder generates
+    its palette elements; running out names the instance being built."""
+    if budget is None:
+        yield from items
+        return
+    for item in items:
+        try:
+            budget.tick()
+        except ExhaustionBudget as exc:
+            where = f"{exc.where}, building {name}" if exc.where else f"building {name}"
+            raise ExhaustionBudget(exc.nodes, where) from None
+        yield item
+
+
+def build_instance(spec: InstanceSpec, budget: Optional[Budget] = None) -> SpaceInstance:
+    """The instance the spec describes; ``budget``, when given, is charged
+    one tick per palette element the builder generates."""
     if spec.palette_rule and spec.palette_rule not in PALETTE_RULES[spec.kind]:
         raise SpecInvalid(
             f"instance kind {spec.kind} does not support palette rule "
@@ -146,7 +165,8 @@ def build_instance(spec: InstanceSpec) -> SpaceInstance:
             InstanceSpec(
                 spec.kind, bare, spec.slack, spec.palette_rule,
                 spec.explicit_palette, spec.name,
-            )
+            ),
+            budget,
         )
         return _attach_system(space, system)
     if spec.kind == MATHIAS_SILVER:
@@ -156,6 +176,7 @@ def build_instance(spec: InstanceSpec) -> SpaceInstance:
             slack=spec.slack,
             explicit_palette=spec.explicit_palette,
             name=spec.name,
+            budget=budget,
         )
     if spec.kind == ROSENDAL:
         return rosendal(
@@ -163,6 +184,7 @@ def build_instance(spec: InstanceSpec) -> SpaceInstance:
             json_int(spec.params["dimension"], "dimension"),
             slack=spec.slack,
             name=spec.name,
+            budget=budget,
         )
     if spec.kind == PROJECTIVE_ROSENDAL:
         return projective_rosendal(
@@ -170,6 +192,7 @@ def build_instance(spec: InstanceSpec) -> SpaceInstance:
             json_int(spec.params["dimension"], "dimension"),
             slack=spec.slack,
             name=spec.name,
+            budget=budget,
         )
     if spec.kind == GRID_SPHERE:
         return grid_sphere(
@@ -177,6 +200,7 @@ def build_instance(spec: InstanceSpec) -> SpaceInstance:
             parse_fraction(spec.params.get("step", "1/4")),
             slack=spec.slack,
             name=spec.name,
+            budget=budget,
         )
     if spec.kind == SINGLE_SUBSPACE:
         n_points = json_int(spec.params.get("universe", 2), "universe")
@@ -208,23 +232,24 @@ def _mask_space(
     ``meta`` carries ``dims``, "contains a palette subspace of
     codimension at most ``slack`` in the common part".  Both relations
     are palette-bitset rows built per subspace on first use (see
-    ``gowerslab.space``), and the pairwise tests read those rows."""
+    ``gowerslab.space``), and the pairwise tests read those rows.  The
+    meet and fusion witnesses carry their bulk forms, ``groups`` and
+    ``row``, read off the same point columns ``contains[x]``."""
     masks = meta["masks"]
     dims = meta.get("dims")
     index = {m: i for i, m in enumerate(masks)}
     n = len(masks)
     full = (1 << n) - 1
+    every_point = (1 << len(points)) - 1
     contains: list = []
     above_rows: list = [None] * n
     star_rows: list = [None] * n
+    below_masks: dict = {}
 
     def holders():
         """contains[x]: the palette ids whose mask holds point x."""
         if not contains:
-            # Digit width - 1 - x of each mask's binary text is point x.
-            width = len(points)
-            text = "".join([format(m, f"0{width}b") for m in reversed(masks)])
-            contains.extend(int(text[width - 1 - x :: width], 2) for x in range(width))
+            contains.extend(transpose(masks, len(points)))
         return contains
 
     def above(p):
@@ -237,13 +262,19 @@ def _mask_space(
             above_rows[p] = row
         return row
 
+    def below_mask(m):
+        """The palette ids whose mask lies inside the point mask m."""
+        row = below_masks.get(m)
+        if row is None:
+            point_rows = holders()
+            outside = 0
+            for x in bits(every_point & ~m):
+                outside |= point_rows[x]
+            row = below_masks[m] = full & ~outside
+        return row
+
     def below(p):
-        # Not cached: the instance caches the enumeration it reads off.
-        outside = 0
-        for x, row in enumerate(holders()):
-            if not masks[p] >> x & 1:
-                outside |= row
-        return full & ~outside
+        return below_mask(masks[p])
 
     def star(p):
         row = star_rows[p]
@@ -283,14 +314,47 @@ def _mask_space(
     def meet(p, q):
         return index.get(masks[p] & masks[q])
 
-    def fusion(chain):
-        m = masks[chain[0]]
-        for p in chain[1:]:
+    def meet_groups(p, among):
+        # Split among on each point of p: a part holds the q whose
+        # intersection with p is the part's mask.
+        point_rows = holders()
+        parts = [(among, 0)] if among else []
+        for x in bits(masks[p]):
+            split = []
+            for qs, m in parts:
+                inside = qs & point_rows[x]
+                if inside:
+                    split.append((inside, m | 1 << x))
+                if qs & ~inside:
+                    split.append((qs & ~inside, m))
+            parts = split
+        groups = {}
+        for qs, m in parts:
+            r = index.get(m)
+            if r is not None:
+                groups[r] = qs
+        return groups
+
+    def common(chain):
+        m = every_point
+        for p in chain:
             m &= masks[p]
+        return m
+
+    def fusion(chain):
+        m = common(chain)
         hit = index.get(m)
         if hit is None:
             raise FiniteExhaustion("fusion", fusion_message.format(size=m.bit_count()))
         return hit
+
+    def fusion_row(chain, among):
+        # chain + (r,) fuses to r iff r lies inside the chain's common part.
+        m = common(chain)
+        same = among & below_mask(m)
+        return same, {r: index.get(m & masks[r]) for r in bits(among & ~same)}
+
+    meet.groups, fusion.row = meet_groups, fusion_row
 
     def compatible(p, q):
         return (masks[p] & masks[q]).bit_count() >= min_common
@@ -317,17 +381,18 @@ def mathias_silver(
     slack: int = 1,
     explicit_palette: Optional[list] = None,
     name: str = "",
+    budget: Optional[Budget] = None,
 ) -> SpaceInstance:
     if n < 1 or not (1 <= min_size <= n):
         raise SpecInvalid(f"bad Mathias-Silver parameters N={n}, m={min_size}")
+    name = name or f"mathias-silver(N={n},m={min_size},t={slack})"
     if explicit_palette is not None:
-        subsets = [tuple(sorted(s)) for s in explicit_palette]
+        subsets = [tuple(sorted(s)) for s in _charged(explicit_palette, budget, name)]
         if any(not s or min(s) < 0 or max(s) >= n for s in subsets):
             raise SpecInvalid("explicit palette subset out of range")
     else:
-        subsets = sorted(
-            t for r in range(min_size, n + 1) for t in combinations(range(n), r)
-        )
+        every = (t for r in range(min_size, n + 1) for t in combinations(range(n), r))
+        subsets = sorted(_charged(every, budget, name))
     masks = [_mask(t) for t in subsets]
     if explicit_palette is not None:
         # Explicit palettes must already be meet-closed.
@@ -339,7 +404,7 @@ def mathias_silver(
                     raise PaletteNotClosedUnderMeet(subsets[i], subsets[j])
 
     return _mask_space(
-        name or f"mathias-silver(N={n},m={min_size},t={slack})",
+        name,
         range(n),
         subsets,
         {"kind": MATHIAS_SILVER, "universe": n, "min_size": min_size, "masks": masks},
@@ -413,28 +478,30 @@ def _span_mask(basis, q, vec_index) -> int:
     return mask
 
 
-def _block_palette_masks(q: int, d: int, vectors, vec_index):
-    """Tails, one- and two-term block spans, closed under intersection."""
-    masks = set()
+def _block_palette_masks(q: int, d: int, vectors, vec_index, budget, name):
+    """Tails, one- and two-term block spans, closed under intersection;
+    the budget is charged a tick per span and per closure candidate."""
     basis = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-    for j in range(d):
-        masks.add(_span_mask(basis[j:], q, vec_index))
-    for v in vectors:
-        masks.add(_span_mask([v], q, vec_index))
-    for u in vectors:
-        hi = max_support(u)
+
+    def spans():
+        for j in range(d):
+            yield basis[j:]
         for v in vectors:
-            if min_support(v) > hi:
-                masks.add(_span_mask([u, v], q, vec_index))
+            yield [v]
+        for u in vectors:
+            hi = max_support(u)
+            for v in vectors:
+                if min_support(v) > hi:
+                    yield [u, v]
+
+    masks = {_span_mask(span, q, vec_index) for span in _charged(spans(), budget, name)}
     # Intersection closure; nonzero meets of block spans are block spans.
     while True:
         fresh = set()
-        current = list(masks)
-        for i, a in enumerate(current):
-            for b in current[i + 1 :]:
-                m = a & b
-                if m and m not in masks:
-                    fresh.add(m)
+        for a, b in _charged(combinations(list(masks), 2), budget, name):
+            m = a & b
+            if m and m not in masks:
+                fresh.add(m)
         if not fresh:
             break
         masks |= fresh
@@ -453,12 +520,14 @@ def _dim_from_count(count: int, q: int, projective: bool) -> int:
 
 
 def _vector_space_instance(
-    q: int, d: int, slack: int, projective: bool, name: str
+    q: int, d: int, slack: int, projective: bool, name: str, budget: Optional[Budget]
 ) -> SpaceInstance:
     if not _is_prime(q):
         raise SpecInvalid(f"field order {q} is not prime")
     if d < 1:
         raise SpecInvalid("dimension must be positive")
+    kind = PROJECTIVE_ROSENDAL if projective else ROSENDAL
+    name = name or f"{kind}(F{q},d={d},t={slack})"
     vectors = sorted(v for v in product(range(q), repeat=d) if any(v))
     vec_index = {v: i for i, v in enumerate(vectors)}
 
@@ -483,7 +552,7 @@ def _vector_space_instance(
         points = vectors
         to_point_mask = None
 
-    vmasks = _block_palette_masks(q, d, vectors, vec_index)
+    vmasks = _block_palette_masks(q, d, vectors, vec_index, budget, name)
     if projective:
         masks = sorted({to_point_mask(m) for m in vmasks})
     else:
@@ -496,9 +565,8 @@ def _vector_space_instance(
     masks = [masks[i] for i in order]
     dims = [_dim_from_count(m.bit_count(), q, projective) for m in masks]
     labels = [mask_points(m)[:1] + (dims[i],) for i, m in enumerate(masks)]
-    kind = PROJECTIVE_ROSENDAL if projective else ROSENDAL
     return _mask_space(
-        name or f"{kind}(F{q},d={d},t={slack})",
+        name,
         points,
         labels,
         {"kind": kind, "field_order": q, "dimension": d, "masks": masks, "dims": dims},
@@ -507,29 +575,37 @@ def _vector_space_instance(
     )
 
 
-def rosendal(q: int, d: int, slack: int = 1, name: str = "") -> SpaceInstance:
-    return _vector_space_instance(q, d, slack, projective=False, name=name)
+def rosendal(
+    q: int, d: int, slack: int = 1, name: str = "", budget: Optional[Budget] = None
+) -> SpaceInstance:
+    return _vector_space_instance(q, d, slack, False, name, budget)
 
 
-def projective_rosendal(q: int, d: int, slack: int = 1, name: str = "") -> SpaceInstance:
-    return _vector_space_instance(q, d, slack, projective=True, name=name)
+def projective_rosendal(
+    q: int, d: int, slack: int = 1, name: str = "", budget: Optional[Budget] = None
+) -> SpaceInstance:
+    return _vector_space_instance(q, d, slack, True, name, budget)
 
 
 # -- Grid sphere ---------------------------------------------------------------
 
 
 def grid_sphere(
-    dimension: int = 2, step=Fraction(1, 4), slack: int = 1, name: str = ""
+    dimension: int = 2,
+    step=Fraction(1, 4),
+    slack: int = 1,
+    name: str = "",
+    budget: Optional[Budget] = None,
 ) -> SpaceInstance:
     step = parse_fraction(step)
     steps = Fraction(1, 1) / step
     if steps.denominator != 1 or steps <= 0:
         raise SpecInvalid(f"grid step {step} does not divide 1")
+    name = name or f"grid-sphere(dim={dimension},step={step},t={slack})"
     m = int(steps)
     axis = [Fraction(i) * step for i in range(-m, m + 1)]
-    points = sorted(
-        v for v in product(axis, repeat=dimension) if max(abs(c) for c in v) == 1
-    )
+    grid = _charged(product(axis, repeat=dimension), budget, name)
+    points = sorted(v for v in grid if max(abs(c) for c in v) == 1)
     pt_index = {v: i for i, v in enumerate(points)}
 
     # Palette: the whole sphere, tail sub-spheres (first coordinates zero),
@@ -559,7 +635,7 @@ def grid_sphere(
         return max(abs(a - b) for a, b in zip(points[x], points[y]))
 
     return _mask_space(
-        name or f"grid-sphere(dim={dimension},step={step},t={slack})",
+        name,
         points,
         labels,
         {

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 from typing import Optional
 
-from .errors import Budget, FiniteExhaustion, KindMismatch
+from .errors import Budget, FiniteExhaustion, KindMismatch, StrategyRefused
 from .games import (
     GameKind,
     GamePosition,
@@ -214,9 +214,9 @@ class KastanasTransfer:
 
 def _require_verified(strat: Strategy, owner: Player, kind: GameKind, what: str):
     if strat.owner is not owner or strat.kind is not kind:
-        raise ValueError(f"{what} needs a {kind.value}-game strategy for {owner.value}")
+        raise StrategyRefused(f"{what} needs a {kind.value}-game strategy for {owner.value}")
     if not strat.verified:
-        raise ValueError(f"{what} refuses unverified input strategies")
+        raise StrategyRefused(f"{what} refuses unverified input strategies")
     strat.require_memoryless(what)
 
 

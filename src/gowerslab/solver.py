@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import Budget, IllegalMove, StrategyIncomplete
+from .errors import Budget, IllegalMove, StrategyIncomplete, StrategyRefused
 from .games import (
     GameKind,
     GamePosition,
@@ -82,7 +82,7 @@ class Strategy:
         """Refuse a table with memory as input to ``what``, which reads
         the strategy with ``move_at``."""
         if not self.memoryless:
-            raise ValueError(f"{what} reads memoryless strategies; {self.name!r} has memory")
+            raise StrategyRefused(f"{what} reads memoryless strategies; {self.name!r} has memory")
 
     def move_at(self, pos: GamePosition) -> Move:
         """The move at ``pos`` of a memoryless table, read at

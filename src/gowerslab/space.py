@@ -16,8 +16,14 @@ package reproducible.
 A relation may carry bulk rows as palette bitsets (bit ``q`` of an int
 for subspace id ``q``): ``relation.row(p)`` is the set of every ``q``
 with ``relation(p, q)``, and ``leq.column(q)`` the set of every ``p``
-with ``leq(p, q)``.  The instance picks them up at construction; a
-relation without them gets its rows from one call per pair.
+with ``leq(p, q)``.  The witnesses may carry bulk forms the same way:
+``meet_witness.groups(p, among)`` maps each ``r`` to the set of the
+``q`` in ``among`` with ``meet(p, q) = r`` (undefined meets left out),
+and ``fusion_witness.row(chain, among)`` is ``(same, others)``: the set
+of the ``r`` in ``among`` whose ``chain + (r,)`` fuses to ``r`` itself,
+and ``{r: fused id, or None on FiniteExhaustion}`` for the rest.  The
+instance picks these forms up at construction; a relation or witness
+without them gets them from one call per pair or chain.
 """
 
 from __future__ import annotations
@@ -110,6 +116,8 @@ class SpaceInstance:
         self._leq_row = self._rows(leq, "row", lambda p, q: self.leq(p, q))
         self._leq_column = self._rows(leq, "column", lambda p, q: self.leq(q, p))
         self._star_row = self._rows(leq_star, "row", lambda p, q: self.leq_star(p, q))
+        self._meet_groups = getattr(meet_witness, "groups", None) or self._groups_by_pair
+        self._fusion_row = getattr(fusion_witness, "row", None) or self._row_by_chain
 
     def _rows(self, relation, name, holds):
         """The relation's bulk rows ``relation.<name>``, else rows built
@@ -132,10 +140,34 @@ class SpaceInstance:
 
         return row
 
+    def _groups_by_pair(self, p, among):
+        """``meet_witness.groups`` from one witness call per pair."""
+        groups: dict = {}
+        for q in bits(among):
+            r = self.meet_witness(p, q)
+            if r is not None:
+                groups[r] = groups.get(r, 0) | 1 << q
+        return groups
+
+    def _row_by_chain(self, chain, among):
+        """``fusion_witness.row`` from one witness call per chain."""
+        same, others = 0, {}
+        for r in bits(among):
+            try:
+                fused = self.fusion_witness(chain + (r,))
+            except FiniteExhaustion:
+                fused = None
+            if fused == r:
+                same |= 1 << r
+            else:
+                others[r] = fused
+        return same, others
+
     def derive(self, **overrides) -> "SpaceInstance":
         """A new instance with the given constructor fields replaced and
-        the rest shared, rows of the relations it keeps included; its
-        other caches start empty.  The public attributes are exactly the
+        the rest shared, rows of the relations it keeps included (the
+        witnesses it keeps carry their bulk forms); its other caches
+        start empty.  The public attributes are exactly the
         constructor's parameters."""
         fields = {k: v for k, v in vars(self).items() if not k.startswith("_")}
         view = SpaceInstance(**{**fields, **overrides})
@@ -226,6 +258,15 @@ class SpaceInstance:
         )
 
 
+def transpose(rows: Sequence[int], width: int) -> list:
+    """The columns of a bit matrix: bit i of ``columns[j]`` is bit j of
+    ``rows[i]``, for every j below ``width``."""
+    # Row i's binary text is block len(rows) - 1 - i of the string, and
+    # its bit j the character width - 1 - j of that block.
+    text = "".join([format(row, f"0{width}b") for row in reversed(rows)])
+    return [int(text[width - 1 - j :: width], 2) for j in range(width)]
+
+
 def bits(row: int) -> list:
     """The set bits of a palette bitset, ascending."""
     out = []
@@ -277,8 +318,11 @@ def check_axioms(
     relations are read as rows: ``above[p]`` holds every q with
     p <= q and ``star[p]`` every q with p <=* q, so axioms 1 and 5 test
     a row with one bit operation (axiom 1 still counts all n * n pairs
-    as checked), and a decreasing chain carries the bitset of its
-    members.
+    as checked).  The witnesses are read in bulk too: axiom 2 takes the
+    meets of a whole star row as groups, one target r each, and axiom 3
+    the fusions of a chain's whole extension row, checked against the
+    leq and star columns; the last level of chains is counted by
+    popcount, never enumerated.
     """
     budget = budget or Budget(where="check_axioms")
     report = AxiomReport()
@@ -300,21 +344,27 @@ def check_axioms(
             break
     report.axioms["axiom1"] = check
 
-    # Axiom 2: the meet witness, where defined, behaves.
+    # Axiom 2: the meet witness, where defined, behaves.  Each group of q
+    # sharing the meet r must have r <= p, p <=* r and r <= q.
     check = AxiomCheck(True)
-    meet = space.meet_witness
     for p in range(n):
         star_p = star[p]
-        for q in bits(star_p):
-            r = meet(p, q)
-            if r is None:
-                continue
-            check.checked += 1
-            # r <= p, r <= q and p <=* r, read as bits of the rows.
-            if not (above[r] >> p & above[r] >> q & star_p >> r & 1):
-                check.passed = False
-                check.counterexample = (p, q, r)
-                break
+        groups = space._meet_groups(p, star_p)
+        defined = bad = 0
+        for r, qs in groups.items():
+            defined |= qs
+            if above[r] >> p & star_p >> r & 1:
+                bad |= qs & ~above[r]
+            else:
+                bad |= qs
+        if bad:
+            low = bad & -bad
+            q = low.bit_length() - 1
+            r = next(r for r, qs in groups.items() if qs & low)
+            check.passed = False
+            check.counterexample = (p, q, r)
+            defined &= (low << 1) - 1
+        check.checked += defined.bit_count()
         budget.tick(n if check.passed else q + 1)
         if not check.passed:
             break
@@ -322,34 +372,72 @@ def check_axioms(
 
     # Axiom 3: fusion over all leq-decreasing chains up to the horizon, in
     # depth-first canonical order, one tick per chain.  A chain extends
-    # over the cached ``space.below`` of its last element; the stack holds
-    # each open chain with the bitset of its members and its remaining
-    # extensions.
+    # over the leq column of its last element; the fusions of all its
+    # extensions come as one row.  An extension r that fuses to itself is
+    # right iff r <= chain[0], r <=* r and r <=* m for each member m,
+    # which ``allowed`` holds for the whole row (``reflexive`` for the
+    # one-element chains, whose first element is r).  The stack holds each
+    # open chain with its members, its faulty extensions, the fusions
+    # that are not the extension itself and the extensions left.
     check = AxiomCheck(True)
-    fusion = space.fusion_witness
-    stack = [((), 0, iter(range(n)))]
-    while stack:
-        prefix, members, extensions = stack[-1]
-        q = next(extensions, None)
-        if q is None:
+    below = transpose(above, n)
+    star_below = transpose(star, n)
+    reflexive = star_reflexive = 0
+    for r in range(n):
+        if star[r] >> r & 1:
+            star_reflexive |= 1 << r
+            if above[r] >> r & 1:
+                reflexive |= 1 << r
+
+    def faults(chain, members, allowed, among):
+        same, others = space._fusion_row(chain, among)
+        bad = same & ~allowed
+        for r, fused in others.items():
+            # Honest exhaustion (None) is allowed; a wrong witness is not.
+            first = chain[0] if chain else r
+            if fused is not None and (
+                not above[fused] >> first & 1 or (members | 1 << r) & ~star[fused]
+            ):
+                bad |= 1 << r
+        return bad, others
+
+    def open_chain(chain, members, allowed, among):
+        """Check the extensions of ``chain``; on the last level all at
+        once, else push them for the depth-first walk.  Returns the
+        counterexample or None."""
+        bad, others = faults(chain, members, allowed, among)
+        if len(chain) + 1 < horizon:
+            stack.append((chain, members, allowed, bad, others, iter(bits(among))))
+            return None
+        if bad:
+            low = bad & -bad
+            among &= (low << 1) - 1
+        row = among.bit_count()
+        budget.tick(row)
+        check.checked += row
+        if not bad:
+            return None
+        r = low.bit_length() - 1
+        return chain + (r,), others.get(r, r)
+
+    stack: list = []
+    failure = open_chain((), 0, reflexive, (1 << n) - 1)
+    while stack and failure is None:
+        chain, members, allowed, bad, others, extensions = stack[-1]
+        r = next(extensions, None)
+        if r is None:
             stack.pop()
             continue
-        chain, chain_members = prefix + (q,), members | 1 << q
         budget.tick()
         check.checked += 1
-        try:
-            fused = fusion(chain)
-        except FiniteExhaustion:
-            # Honest exhaustion is allowed; a wrong witness is not.
-            fused = None
-        if fused is not None and (
-            not above[fused] >> chain[0] & 1 or chain_members & ~star[fused]
-        ):
-            check.passed = False
-            check.counterexample = (chain, fused)
+        if bad >> r & 1:
+            failure = chain + (r,), others.get(r, r)
             break
-        if len(chain) < horizon:
-            stack.append((chain, chain_members, iter(space.below(q))))
+        kept = (allowed if chain else below[r] & star_reflexive) & star_below[r]
+        failure = open_chain(chain + (r,), members | 1 << r, kept, below[r])
+    if failure is not None:
+        check.passed = False
+        check.counterexample = failure
     report.axioms["axiom3"] = check
 
     # Axioms 4 and 5, in the form matching the admission structure.  A

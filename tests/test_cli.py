@@ -125,15 +125,16 @@ class TestExitCodes:
         assert "exhaustion" in report["diagnostic"]["error"]
 
     def test_transfer_stage_spends_the_scenario_budget(self, tmp_path):
-        # The strategy stage spends 100 nodes and the transfer 373, so
-        # the transfer runs out inside the scenario's budget of 150.
+        # Building the instance spends 57 nodes (one per subset), the
+        # strategy stage 100 and the transfer 373, so the transfer runs
+        # out inside the scenario's budget of 57 + 150.
         scenario = {
             "name": "tight-transfer",
             "seed": 1,
             "instance": {"kind": "mathias-silver", "universe": 6, "min_size": 2, "slack": 1},
             "game": {"kind": "F", "root": "top", "horizon": 2},
             "payoff": {"name": "everything"},
-            "budgets": {"nodes": 150},
+            "budgets": {"nodes": 207},
             "pipeline": [
                 {
                     "op": "strategy",
@@ -152,19 +153,20 @@ class TestExitCodes:
         assert report["status"] == "budget-exhausted"
         assert report["diagnostic"]["stage"] == 1
         assert report["diagnostic"]["op"] == "reduce"
-        assert "node budget of 150 exhausted" in report["diagnostic"]["error"]
+        assert "node budget of 207 exhausted" in report["diagnostic"]["error"]
 
     def test_homogeneous_extraction_spends_the_scenario_budget(self, tmp_path):
-        # The strategy stage spends 340 nodes and the extraction 91
-        # strategy replays, so the extraction runs out inside the
-        # scenario's budget of 400.
+        # Building the instance spends 4,083 nodes (one per subset), the
+        # strategy stage 340 and the extraction 91 strategy replays, so
+        # the extraction runs out inside the scenario's budget of
+        # 4,083 + 400.
         scenario = {
             "name": "tight-extraction",
             "seed": 1,
             "instance": {"kind": "mathias-silver", "universe": 12, "min_size": 2, "slack": 1},
             "game": {"kind": "F", "root": "top", "horizon": 2},
             "payoff": {"name": "everything"},
-            "budgets": {"nodes": 400},
+            "budgets": {"nodes": 4483},
             "pipeline": [
                 {
                     "op": "strategy",
@@ -183,7 +185,47 @@ class TestExitCodes:
         assert report["stages"][0]["nodes"] == 340
         assert report["diagnostic"]["stage"] == 1
         assert report["diagnostic"]["op"] == "reduce"
-        assert "node budget of 400 exhausted" in report["diagnostic"]["error"]
+        assert "node budget of 4483 exhausted" in report["diagnostic"]["error"]
+
+    def test_building_the_instance_spends_the_scenario_budget(self, tmp_path):
+        # The 16-point instance has 65,519 subsets; the budget runs out
+        # at the sixth, before the first stage.
+        data = json.loads(scenario_path("ms-f-dichotomy.json").read_text())
+        data["instance"]["universe"] = 16
+        data["budgets"] = {"nodes": 5}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+        report = json.loads((tmp_path / "ms-f-dichotomy.json").read_text())
+        error = "node budget of 5 exhausted in scenario, building mathias-silver(N=16,m=2,t=1)"
+        assert report["status"] == "budget-exhausted"
+        assert report["diagnostic"] == {"stage": 0, "op": "solve", "error": error}
+        assert report["stages"] == [{
+            "stage": 0, "op": "solve", "result": {"error": error}, "nodes": 0,
+            "exhausted": True, "verified_fraction": None, "ok": False,
+        }]
+        assert (report["instance"], report["game"]["root"], report["payoff"]) == (None, None, None)
+
+    def test_reduce_refusing_its_strategy_is_four(self, tmp_path):
+        # The F game is won by the second player, so the solve hands his
+        # opponent's strategy to a transfer that reads his.
+        data = json.loads(scenario_path("ms-f-dichotomy.json").read_text())
+        data["pipeline"] = [
+            {"op": "solve", "goal": "I"},
+            {"op": "reduce", "name": "gowers_from_asymptotic"},
+            {"op": "verify"},
+        ]
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 4
+        report = json.loads((tmp_path / "ms-f-dichotomy.json").read_text())
+        error = "gowers_from_asymptotic needs a F-game strategy for I"
+        assert report["status"] == "verification-failed"
+        assert report["diagnostic"] == {"stage": 1, "op": "reduce", "error": error}
+        # The stages after the refusal do not run.
+        assert [s["op"] for s in report["stages"]] == ["solve", "reduce"]
+        assert report["stages"][1]["result"] == {"error": error}
+        assert not report["stages"][1]["ok"]
 
     def test_failed_verification_is_four(self, tmp_path):
         data = json.loads(scenario_path("ms-f-dichotomy.json").read_text())

@@ -1,11 +1,14 @@
 """Instance builders, pigeonhole providers, counterexample sets."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from gowerslab import check_axioms
 from gowerslab.errors import (
+    Budget,
+    ExhaustionBudget,
     KindMismatch,
     PaletteNotClosedUnderMeet,
     PigeonholeUnavailable,
@@ -22,6 +25,7 @@ from gowerslab.instances import (
     mathias_silver,
     meets_both_scan,
     phi_support_block_scan,
+    projective_rosendal,
     provider_for,
     rosendal,
     subspace_of_labels,
@@ -86,6 +90,45 @@ class TestBuilders:
         top = top_subspace(ms6)
         assert ms6.palette[top] == (0, 1, 2, 3, 4, 5)
         assert subspace_of_labels(ms6, [0, 2, 4]) == ms6.palette.index((0, 2, 4))
+
+
+BUILDS = [
+    ("ms6", lambda budget: mathias_silver(6, 2, 1, budget=budget)),
+    ("ms5-explicit", lambda budget: mathias_silver(5, 2, 1, [[0, 1, 2], [1, 2]], budget=budget)),
+    ("rosendal-f2-d3", lambda budget: rosendal(2, 3, 1, budget=budget)),
+    ("projective-f3-d3", lambda budget: projective_rosendal(3, 3, 1, budget=budget)),
+    ("grid-quarter", lambda budget: grid_sphere(2, Fraction(1, 4), 1, budget=budget)),
+]
+
+
+class TestBuildBudget:
+    @pytest.mark.parametrize("build", [b for _, b in BUILDS], ids=[name for name, _ in BUILDS])
+    def test_a_charged_build_is_the_same_instance_and_stops_at_the_limit(self, build):
+        budget = Budget(10**6)
+        space = build(budget)
+        plain = build(None)
+        assert (space.name, space.palette, space.meta) == (plain.name, plain.palette, plain.meta)
+        assert budget.used >= len(space.palette)
+        build(Budget(budget.used))
+        with pytest.raises(ExhaustionBudget, match=re.escape(f"building {space.name}")):
+            build(Budget(budget.used - 1))
+
+    def test_one_tick_per_subset_and_per_grid_point(self):
+        budget = Budget(10**6)
+        assert len(mathias_silver(6, 2, 1, budget=budget).palette) == budget.used == 57
+        budget = Budget(10**6)
+        grid_sphere(2, Fraction(1, 4), 1, budget=budget)
+        assert budget.used == 9 * 9
+
+    def test_the_build_stops_at_the_first_subset_past_the_limit(self):
+        # 65,519 subsets of at least two of 16 points; the sixth overruns.
+        budget = Budget(5, "scenario")
+        with pytest.raises(ExhaustionBudget) as info:
+            mathias_silver(16, 2, 1, budget=budget)
+        assert budget.used == 6
+        assert str(info.value) == (
+            "node budget of 5 exhausted in scenario, building mathias-silver(N=16,m=2,t=1)"
+        )
 
 
 class TestPigeonhole:

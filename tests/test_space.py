@@ -567,3 +567,122 @@ class TestRelationRows:
         assert len(space.below(top)) == len(space.palette)
         assert space.derive(name="view").below(0) == (0,)
         assert calls == []
+
+
+# -- witness rows -----------------------------------------------------------------
+
+
+WITNESS_FACTORIES = [
+    ("ms5", lambda: mathias_silver(5, 2, 1)),
+    ("rosendal-f2-d3", lambda: rosendal(2, 3, 1)),
+    ("projective-f3-d3", lambda: projective_rosendal(3, 3, 1)),
+    ("grid-half", lambda: grid_sphere(2, Fraction(1, 2), 1)),
+]
+
+
+def decreasing_chains(space, longest):
+    """Every leq-decreasing chain of up to ``longest`` elements, the empty
+    one included."""
+    out, frontier = [()], [()]
+    for _ in range(longest):
+        frontier = [
+            c + (q,) for c in frontier for q in range(len(space.palette))
+            if not c or space.leq(q, c[-1])
+        ]
+        out.extend(frontier)
+    return out
+
+
+class TestWitnessRows:
+    @pytest.mark.parametrize("factory", [f for _, f in WITNESS_FACTORIES],
+                             ids=[name for name, _ in WITNESS_FACTORIES])
+    def test_bulk_forms_match_the_per_call_witnesses(self, factory):
+        space = factory()
+        n = len(space.palette)
+        everything = (1 << n) - 1
+        # The mask instances carry the bulk forms; the fallbacks call the
+        # per-call witnesses once per pair or chain.
+        assert space._meet_groups is space.meet_witness.groups
+        assert space._fusion_row is space.fusion_witness.row
+        for p in range(n):
+            for among in (everything, space.leq_star.row(p)):
+                assert space._meet_groups(p, among) == space._groups_by_pair(p, among)
+        for chain in decreasing_chains(space, 3):
+            below = space.leq.column(chain[-1]) if chain else everything
+            for among in (everything, below):
+                assert space._fusion_row(chain, among) == space._row_by_chain(chain, among)
+
+    def test_meet_groups_leave_undefined_meets_out(self):
+        space = mathias_silver(5, 2, 1)
+        p, q = palette_id(space, (0, 1)), palette_id(space, (2, 3))
+        assert space.meet_witness(p, q) is None
+        groups = space._meet_groups(p, 1 << q | 1 << p)
+        assert groups == {p: 1 << p}
+
+    def test_fusion_row_reports_exhaustion_as_none(self):
+        space = mathias_silver(5, 2, 1)
+        evens, odds = palette_id(space, (0, 2, 4)), palette_id(space, (1, 3))
+        same, others = space._fusion_row((evens,), 1 << odds | 1 << evens)
+        assert same == 1 << evens and others == {odds: None}
+
+    @pytest.mark.parametrize("base", [mathias_silver(5, 2, 1), rosendal(2, 3, 1)],
+                             ids=lambda s: s.name)
+    def test_planted_bulk_faults_match_the_pairwise_oracle(self, base):
+        space = planted_bulk_instance(base)
+        assert space._meet_groups.__name__ == "wrong_groups"
+        assert space._fusion_row.__name__ == "wrong_row"
+        for horizon in (1, 2, 3):
+            mine, theirs = Budget(10**8), Budget(10**8)
+            report = check_axioms(space, horizon, mine)
+            got = {k: (c.passed, c.counterexample, c.checked) for k, c in report.axioms.items()}
+            want = p_major_axioms(space, horizon, theirs)
+            assert got == want
+            assert mine.used == theirs.used
+            assert not got["axiom2"][0]
+            # The planted chain has two elements: the last level at
+            # horizon 2, an inner level at horizon 3.
+            assert got["axiom3"][0] == (horizon == 1)
+
+
+def planted_bulk_instance(base):
+    """A mask instance whose meet and fusion witnesses are wrong at one
+    seeded pair and one seeded two-element chain, both per call and in
+    their bulk forms.  The wrong meet of p and q is p itself, which is
+    below p and star-above it but not below q."""
+    rng = random.Random(14)
+    n = len(base.palette)
+    top = top_subspace(base)
+    meet, fusion = base.meet_witness, base.fusion_witness
+    pairs = [
+        (p, q) for p in range(n) for q in range(n)
+        if top not in (p, q) and base.leq_star(p, q) and not base.leq(p, q)
+        and meet(p, q) is not None
+    ]
+    p, q = rng.choice(pairs[len(pairs) // 2:])
+    chains = [(c, r) for c in range(n) if c != top for r in base.below(c) if r != c]
+    first, r = rng.choice(chains[len(chains) // 2:])
+    chain = (first,)
+
+    def wrong_meet(a, b):
+        return p if (a, b) == (p, q) else meet(a, b)
+
+    def wrong_groups(a, among):
+        groups = meet.groups(a, among)
+        if a == p and among >> q & 1:
+            groups = {t: qs & ~(1 << q) for t, qs in groups.items() if qs != 1 << q}
+            groups[p] = groups.get(p, 0) | 1 << q
+        return groups
+
+    def wrong_fusion(c):
+        return top if c == chain + (r,) else fusion(c)
+
+    def wrong_row(c, among):
+        same, others = fusion.row(c, among)
+        if c == chain and among >> r & 1:
+            same, others = same & ~(1 << r), {**others, r: top}
+        return same, others
+
+    wrong_meet.groups, wrong_fusion.row = wrong_groups, wrong_row
+    return base.derive(
+        name=f"wrong bulk witnesses {base.name}", meet_witness=wrong_meet, fusion_witness=wrong_fusion
+    )
