@@ -31,6 +31,7 @@ from .errors import (
     PigeonholeUnavailable,
     SpecInvalid,
     StrategyRefused,
+    TimeExhausted,
 )
 from .games import GameKind, Move, Player, initial_position, legal_moves
 from .instances import (
@@ -332,22 +333,23 @@ def _run_parsed(data: dict, out_dir=None, budget_nodes=None) -> RunOutcome:
     if budget_nodes is not None:
         scenario.budget_nodes = json_int(budget_nodes, "budgets: nodes", 1)
     # The clock starts before the instance and the payoff are built, and
-    # building the instance is charged to the node budget.  The clock is
-    # read from the first stage on, so a slow build stops the run there,
-    # with a report.
+    # building the instance is charged to the node budget and reads the
+    # clock, so a slow build stops inside itself, with a report.
     deadline = (
         None if scenario.budget_seconds is None else time.monotonic() + scenario.budget_seconds
     )
-    budget = Budget(scenario.budget_nodes, "scenario")
+    budget = Budget(scenario.budget_nodes, "scenario", deadline)
     try:
         with _validating("scenario"):
             space = build_instance(scenario.instance, budget)
     except ExhaustionBudget as exc:
-        # The build spent the node budget, so the run stops at its first
-        # stage; the report names nothing that needs the instance.
+        # The build spent the budget, so the run stops at its first stage;
+        # the report names nothing that needs the instance.  Out of time,
+        # it reads as a run stopped before its first stage.
+        error = "time budget exhausted" if isinstance(exc, TimeExhausted) else str(exc)
         op = scenario.pipeline[0]["op"] if scenario.pipeline else None
-        stages = [StageResult(op, {"error": str(exc)}, exhausted=True, ok=False)] if op else []
-        diagnostic = {"stage": 0 if op else None, "op": op, "error": str(exc)}
+        stages = [StageResult(op, {"error": error}, exhausted=True, ok=False)] if op else []
+        diagnostic = {"stage": 0 if op else None, "op": op, "error": error}
         report = _report(scenario, None, None, None, stages, "budget-exhausted", diagnostic)
         return _finish(RunOutcome(3, report, scenario), out_dir)
     with _validating("scenario"):
@@ -355,7 +357,6 @@ def _run_parsed(data: dict, out_dir=None, budget_nodes=None) -> RunOutcome:
         payoff = _build_payoff(space, scenario)
     if payoff.horizon != scenario.horizon:
         raise SpecInvalid("payoff and game horizons disagree")
-    budget.set_deadline(deadline)
 
     stages: list[StageResult] = []
     current = None  # the strategy artifact being threaded through

@@ -140,15 +140,8 @@ class Budget:
         self.limit = nodes
         self.used = 0
         self.where = where
-        self.set_deadline(deadline)
-
-    def set_deadline(self, deadline) -> None:
-        """Read the clock against ``deadline`` (None: never) from the
-        next ``CLOCK_EVERY`` ticks on."""
-        self.deadline = deadline
-        self._threshold = (
-            self.limit if deadline is None else min(self.limit, self.used + CLOCK_EVERY)
-        )
+        self.deadline = deadline  # None: the clock is never read
+        self._threshold = nodes if deadline is None else min(nodes, CLOCK_EVERY)
 
     def tick(self, n: int = 1) -> None:
         self.used += n

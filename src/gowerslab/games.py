@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 from .errors import IllegalPosition, NotTerminal
@@ -118,9 +119,7 @@ class GamePosition:
     @property
     def depth(self) -> int:
         """Number of outcome entries produced so far."""
-        if self.kind in INTERLEAVED:
-            return max(0, len(self.moves) - 1)
-        return len(self.moves) // 2
+        return _depth(self.kind, len(self.moves))
 
     @property
     def point_prefix(self) -> tuple:
@@ -132,13 +131,11 @@ class GamePosition:
 
     @property
     def terminal(self) -> bool:
-        return self.depth >= self.horizon
+        return len(self.moves) >= len(turns(self.kind, self.horizon)) - 1
 
     @property
     def to_move(self) -> Player:
-        if self.kind in INTERLEAVED:
-            return Player.II if len(self.moves) % 2 == 0 else Player.I
-        return Player.I if len(self.moves) % 2 == 0 else Player.II
+        return turns(self.kind, self.horizon)[len(self.moves)]
 
     def state(self) -> tuple:
         """``(moves played, point prefix, last move's subspace, block
@@ -146,7 +143,10 @@ class GamePosition:
         game.  It leaves out kind, root and horizon.  A field read."""
         return self._state
 
-    def child(self, move: Move) -> "GamePosition":
+    def child(self, move: Move, state: Optional[tuple] = None) -> "GamePosition":
+        """The position after ``move``.  ``state``, when given, must be
+        ``next_state(self.state(), move)``: a walk that has computed it
+        passes it in rather than have it computed twice."""
         # Built without ``__init__``, so the state is extended, not refolded.
         pos = object.__new__(GamePosition)
         init = object.__setattr__
@@ -154,11 +154,38 @@ class GamePosition:
         init(pos, "root", self.root)
         init(pos, "horizon", self.horizon)
         init(pos, "moves", self.moves + (move,))
-        init(pos, "_state", next_state(self._state, move))
+        init(pos, "_state", next_state(self._state, move) if state is None else state)
         return pos
 
 
 START_STATE = (0, (), None, ())
+
+# The longest outcome a game may ask for.  It bounds the size of
+# ``turns``; every walk recurses once per move, so plays of a few hundred
+# moves are already near Python's default limit of 1,000 frames.
+MAX_HORIZON = 256
+
+
+def _depth(kind: GameKind, played: int) -> int:
+    """Outcome entries produced by ``played`` moves."""
+    return max(0, played - 1) if kind in INTERLEAVED else played // 2
+
+
+@lru_cache(maxsize=64)
+def turns(kind: GameKind, horizon: int) -> tuple:
+    """The order of play: entry n is the player to move after n moves,
+    for n from 0 to the number of moves in a finished play, whose entry
+    is the player who would move next.  A position with n moves is
+    terminal iff ``n >= len(turns(kind, horizon)) - 1``.  The interleaved
+    games open with the second player, the others with the first, and
+    the players alternate.  Built once per kind and horizon; positions
+    and the solver's walks read it."""
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"horizon must be at most {MAX_HORIZON}, got {horizon}")
+    order = [Player.II if kind in INTERLEAVED else Player.I]
+    while _depth(kind, len(order) - 1) < horizon:
+        order.append(order[-1].other)
+    return tuple(order)
 
 
 def next_state(state: tuple, move: Move) -> tuple:
@@ -192,6 +219,7 @@ def initial_position(kind: GameKind, root: SubspaceId, horizon: int) -> GamePosi
         raise ValueError("horizon must be positive")
     if kind in INTERLEAVED and horizon % 2 != 0:
         raise ValueError(f"game {kind.value} needs an even outcome length")
+    turns(kind, horizon)
     return GamePosition(kind, root, horizon)
 
 
@@ -210,7 +238,7 @@ _SUBSPACE_RULES = {
 
 
 def _anchor(pos: GamePosition, rule: str) -> SubspaceId:
-    return pos.moves[-1].subspace if rule == "nested" else pos.root
+    return pos.state()[2] if rule == "nested" else pos.root
 
 
 def _subspaces(space: SpaceInstance, pos: GamePosition, rule: str) -> tuple:
@@ -235,21 +263,21 @@ def _options(space: SpaceInstance, pos: GamePosition) -> tuple:
     "leq", "la" and "nested" (read by ``_subspaces`` and
     ``_subspace_allowed``); each is None when the move leaves that field
     empty."""
+    played, prefix, constraint, _ = pos.state()
     rules = _SUBSPACE_RULES[pos.kind]
     if pos.kind in INTERLEAVED:
-        if not pos.moves:
+        if not played:
             return None, rules[0], None
-        points = space.admitted_points(pos.point_prefix, pos.moves[-1].subspace)
-        if len(pos.moves) == pos.horizon:
+        points = space.admitted_points(prefix, constraint)
+        if played == pos.horizon:
             return points, None, None  # her last answer is a bare point
         return points, rules[1] if pos.to_move is Player.I else rules[2], None
     if pos.kind is GameKind.STRONG_ASYMPTOTIC_SF and space.system is None:
         raise IllegalPosition("strong asymptotic game needs a precompact system")
     if pos.to_move is Player.I:
         return None, rules[0], None
-    constraint = pos.moves[-1].subspace
     if pos.kind in CHOOSER:
-        return space.admitted_points(pos.point_prefix, constraint), None, None
+        return space.admitted_points(prefix, constraint), None, None
     blocks = tuple(
         k
         for k, elems in enumerate(space.system.family)
@@ -302,11 +330,18 @@ def play_outcome(pos: GamePosition, space: Optional[SpaceInstance] = None):
     asymptotic game the sequence of played precompact sets."""
     if not pos.terminal:
         raise NotTerminal(f"position at depth {pos.depth} of {pos.horizon}")
-    if pos.kind is GameKind.STRONG_ASYMPTOTIC_SF:
+    return state_outcome(pos.kind, pos.state(), space)
+
+
+def state_outcome(kind: GameKind, state: tuple, space: Optional[SpaceInstance] = None):
+    """The outcome a finished play with this state has: its point
+    prefix, or in the strong asymptotic game its block prefix, as the
+    system's sets when ``space`` is given."""
+    if kind is GameKind.STRONG_ASYMPTOTIC_SF:
         if space is None:
-            return pos.block_prefix
-        return tuple(space.system.family[k] for k in pos.block_prefix)
-    return pos.point_prefix
+            return state[3]
+        return tuple(space.system.family[k] for k in state[3])
+    return state[1]
 
 
 def replay(

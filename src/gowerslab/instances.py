@@ -37,6 +37,7 @@ from .errors import (
     PaletteNotClosedUnderMeet,
     PigeonholeUnavailable,
     SpecInvalid,
+    TimeExhausted,
 )
 from .payoffs import Payoff, outcome_index, register, vector_length
 from .space import SpaceInstance, bits, transpose
@@ -146,6 +147,8 @@ def _charged(items, budget: Optional[Budget], name: str):
             budget.tick()
         except ExhaustionBudget as exc:
             where = f"{exc.where}, building {name}" if exc.where else f"building {name}"
+            if isinstance(exc, TimeExhausted):
+                raise TimeExhausted(where) from None
             raise ExhaustionBudget(exc.nodes, where) from None
         yield item
 

@@ -31,10 +31,16 @@ memory) pair costs one budget tick.  The memory is the shadow read at
 the state of every simulated play in it, since the simulated
 strategies are memoryless.
 
-Each memoized walk (the solve, the count and ``expand``) keeps its own
-move lists: ``legal_moves`` runs once per ``games.rules_key`` the walk
-meets.  The owner's table moves are still checked with ``move_legal``
-at their own position, and the oracle calls ``legal_moves`` everywhere.
+Each memoized walk (the solve, the count and ``expand``) works from
+the state first: at each edge it computes the child's state with
+``games.next_state`` and probes its memo (or visited set) with it, and
+only a miss builds the child position, which is handed that state.
+Whose turn it is and whether the play is over are read from
+``games.turns`` by moves played, and a finished play is scored from its
+state.  Each walk keeps its own move lists, so ``legal_moves`` runs once
+per ``games.rules_key`` the walk meets, and a table's replay rule checks
+each move with ``move_legal`` once per (rules key, move) pair.  The
+oracle calls ``legal_moves`` at every history it searches.
 
 A player with no legal move at a non-terminal position loses; finite
 truncations can strand a player even though the infinite games cannot.
@@ -57,8 +63,10 @@ from .games import (
     initial_position,
     legal_moves,
     move_legal,
-    play_outcome,
+    next_state,
     rules_key,
+    state_outcome,
+    turns,
 )
 from .payoffs import Payoff
 from .space import SpaceInstance
@@ -160,22 +168,22 @@ class VerificationReport:
         return self.plays > 0 and self.fraction_target == 1
 
 
-def _accepts_fn(space: SpaceInstance, payoff: Payoff) -> Callable[[GamePosition], bool]:
-    def accepts(pos: GamePosition) -> bool:
-        return payoff.accepts(play_outcome(pos, space))
+def _accepts_fn(space: SpaceInstance, payoff: Payoff, kind: GameKind) -> Callable[[tuple], bool]:
+    """``payoff.accepts`` read at the state of a finished play."""
+    accepts = payoff.accepts
+    return lambda state: accepts(state_outcome(kind, state, space))
 
-    return accepts
 
-
-def _move_lists(space: SpaceInstance) -> Callable[[GamePosition], list]:
-    """One walk's move lists: ``legal_moves`` is called once per
-    ``rules_key`` the walk meets, and every other position of the walk
-    with that key gets the same list.  The dict dies with the walk, so
-    nothing outlives it; all positions of a walk belong to one game."""
+def _move_lists(space: SpaceInstance) -> Callable[[GamePosition, tuple], list]:
+    """One walk's move lists, ``moves(pos, state)`` with ``state`` the
+    position's: ``legal_moves`` is called once per ``rules_key`` the
+    walk meets, and every other position of the walk with that key gets
+    the same list.  The dict dies with the walk, so nothing outlives it;
+    all positions of a walk belong to one game."""
     lists: dict = {}
 
-    def moves(pos: GamePosition) -> list:
-        key = rules_key(space, pos.state())
+    def moves(pos: GamePosition, state: tuple) -> list:
+        key = rules_key(space, state)
         hit = lists.get(key)
         if hit is None:
             hit = lists[key] = legal_moves(space, pos)
@@ -184,41 +192,47 @@ def _move_lists(space: SpaceInstance) -> Callable[[GamePosition], list]:
     return moves
 
 
-def _minimax(space, pos0, accepts, goal_owner, budget, memo=None, wins=None) -> bool:
-    """True iff goal_owner forces the outcome into accepts from pos0.
+def _minimax(space, pos0, accepts, goal_owner, budget, wins) -> bool:
+    """True iff goal_owner forces the outcome into ``accepts`` (read at
+    a finished play's state) from pos0, searched on the state graph.
 
-    Without ``memo`` every history is searched, costs one budget tick
-    and calls ``legal_moves`` afresh.  With it (state -> value) each
-    state is searched once and costs one tick, the moves come from the
-    walk's move lists, and ``wins`` maps each searched state the player
-    to move wins to that player's first winning move in canonical order.
+    Each state is searched once and costs one budget tick; the moves
+    come from the walk's move lists, and ``wins`` maps each searched
+    state the player to move wins to that player's first winning move in
+    canonical order.  A child's state is probed in the memo before its
+    position is built, so only a miss builds one.
     """
     tick = budget.tick
-    moves = (lambda pos: legal_moves(space, pos)) if memo is None else _move_lists(space)
+    moves = _move_lists(space)
+    order = turns(pos0.kind, pos0.horizon)
+    end = len(order) - 1
+    memo: dict = {}  # state -> value
 
-    def value(pos: GamePosition) -> bool:
-        state = pos.state()
-        if memo is not None and state in memo:
-            return memo[state]
+    def value(pos: GamePosition, state: tuple) -> bool:
         tick()
-        if pos.terminal:
-            won = bool(accepts(pos))
+        played = state[0]
+        if played == end:
+            won = bool(accepts(state))
         else:
             # The goal owner looks for a child worth True, the opponent
             # for one worth False; a player without a legal move loses.
-            want = pos.to_move is goal_owner
+            want = order[played] is goal_owner
             won = not want
-            for m in moves(pos):
-                if value(pos.child(m)) is want:
-                    if wins is not None:
-                        wins[state] = m
+            for m in moves(pos, state):
+                after = next_state(state, m)
+                v = memo.get(after)
+                if v is None:
+                    v = value(pos.child(m, after), after)
+                if v is want:
+                    wins[state] = m
                     won = want
                     break
-        if memo is not None:
-            memo[state] = won
+        memo[state] = won
         return won
 
-    return value(pos0)
+    won = value(pos0, pos0.state())
+    del value  # the memo goes on return; see ``expand``
+    return won
 
 
 def _memory_key(shadow):
@@ -265,31 +279,40 @@ def expand(
     """
     tick = (budget or Budget(where="expand")).tick
     moves = _move_lists(space)
+    order = turns(pos0.kind, pos0.horizon)
+    end = len(order) - 1
     memories = {_memory_key(shadow): 0}
     seen = defaultdict(set)  # memory -> the states visited with it
     written: dict = {}
 
-    def visit(pos: GamePosition, shadow, memory: int) -> None:
-        state = pos.state()
-        states = seen[memory]
-        if state in states:
-            return
-        states.add(state)
+    def visit(pos: GamePosition, state: tuple, shadow, memory: int) -> None:
+        # The caller has added ``state`` to ``seen[memory]``.
         tick()
-        if pos.terminal:
+        played = state[0]
+        if played == end:
             if leaf is not None:
                 leaf(pos, shadow)
             return
-        if pos.to_move is owner:
+        if order[played] is owner:
             move, shadow = rule(pos, shadow)
             after = memories.setdefault(_memory_key(shadow), len(memories))
             written[(state, memory)] = (move, after)
-            visit(pos.child(move), shadow, after)
+            child = next_state(state, move)
+            states = seen[after]
+            if child not in states:
+                states.add(child)
+                visit(pos.child(move, child), child, shadow, after)
             return
-        for m in moves(pos):
-            visit(pos.child(m), shadow, memory)
+        states = seen[memory]
+        for m in moves(pos, state):
+            child = next_state(state, m)
+            if child not in states:
+                states.add(child)
+                visit(pos.child(m, child), child, shadow, memory)
 
-    visit(pos0, shadow, 0)
+    state0 = pos0.state()
+    seen[0].add(state0)
+    visit(pos0, state0, shadow, 0)
     # The recursive closure is a reference cycle: unbinding it lets the
     # walk's sets go on return rather than at the next collection.
     del visit
@@ -302,15 +325,23 @@ def expand(
 def table_rule(space: SpaceInstance, strat: Strategy) -> Callable:
     """The replay rule of a strategy table, with the memory as its
     shadow: read ``(move, next memory)`` at ``(state, memory)``, and
-    refuse the move with :class:`IllegalMove` unless it is legal."""
+    refuse the move with :class:`IllegalMove` unless it is legal.  Each
+    rule checks a move with ``move_legal`` once per rules key it meets
+    the move at: positions of one game with one ``rules_key`` have the
+    same legal moves."""
     table = strat.table
+    legal = set()  # (rules key, move) pairs found legal
 
     def rule(pos: GamePosition, memory: int):
-        entry = table.get((pos.state(), memory))
+        state = pos.state()
+        entry = table.get((state, memory))
         if entry is None:
             raise StrategyIncomplete(pos.key())
-        if not move_legal(space, pos, entry[0]):
-            raise IllegalMove(f"strategy move {entry[0]} illegal at {pos.key()}")
+        checked = (rules_key(space, state), entry[0])
+        if checked not in legal:
+            if not move_legal(space, pos, entry[0]):
+                raise IllegalMove(f"strategy move {entry[0]} illegal at {pos.key()}")
+            legal.add(checked)
         return entry
 
     return rule
@@ -337,7 +368,7 @@ def solve(
     before = budget.used
     wins: dict = {}
     goal_reached = _minimax(
-        space, pos0, _accepts_fn(space, payoff), goal_owner, budget, {}, wins
+        space, pos0, _accepts_fn(space, payoff, kind), goal_owner, budget, wins
     )
     winner = goal_owner if goal_reached else goal_owner.other
     table: dict = {}
@@ -378,13 +409,24 @@ def naive_solve_oracle(
     give the same move."""
     budget = budget or Budget(500_000, "naive_solve_oracle")
     pos0 = initial_position(kind, root, payoff.horizon)
-    accepts = _accepts_fn(space, payoff)
+    accepts = _accepts_fn(space, payoff, kind)
     nodes = 0
+
+    def search(pos: GamePosition) -> bool:
+        # One tick and one ``legal_moves`` call per history; a player
+        # without a legal move loses.
+        budget.tick()
+        if pos.terminal:
+            return bool(accepts(pos.state()))
+        want = pos.to_move is goal_owner
+        if any(search(pos.child(m)) is want for m in legal_moves(space, pos)):
+            return want
+        return not want
 
     def value(pos: GamePosition) -> bool:
         nonlocal nodes
         before = budget.used
-        v = _minimax(space, pos, accepts, goal_owner, budget)
+        v = search(pos)
         nodes += budget.used - before
         return v
 
@@ -427,31 +469,36 @@ def count_plays(space: SpaceInstance, strat: Strategy, score: Callable, budget: 
     moves = _move_lists(space)
     rule = table_rule(space, strat)
     owner = strat.owner
+    order = turns(strat.kind, strat.horizon)
+    end = len(order) - 1
     memos = defaultdict(dict)  # memory -> state -> (plays, hits)
 
-    def count(pos: GamePosition, memory: int) -> tuple:
-        memo = memos[memory]
-        state = pos.state()
-        out = memo.get(state)
-        if out is not None:
-            return out
+    def count(pos: GamePosition, state: tuple, memory: int) -> tuple:
         tick()
-        if pos.terminal:
+        played = state[0]
+        if played == end:
             out = score(pos)
-        elif pos.to_move is owner:
+        elif order[played] is owner:
             move, after = rule(pos, memory)
-            out = count(pos.child(move), after)
+            child = next_state(state, move)
+            out = memos[after].get(child)
+            if out is None:
+                out = count(pos.child(move, child), child, after)
         else:
+            memo = memos[memory]
             plays = hits = 0
-            for m in moves(pos):
-                p, h = count(pos.child(m), memory)
+            for m in moves(pos, state):
+                child = next_state(state, m)
+                found = memo.get(child)
+                p, h = count(pos.child(m, child), child, memory) if found is None else found
                 plays += p
                 hits += h
             out = (plays, hits)
-        memo[state] = out
+        memos[memory][state] = out
         return out
 
-    out = count(initial_position(strat.kind, strat.root, strat.horizon), 0)
+    pos0 = initial_position(strat.kind, strat.root, strat.horizon)
+    out = count(pos0, pos0.state(), 0)
     del count  # the memo goes on return; see ``expand``
     return out
 
@@ -477,12 +524,12 @@ def verify_strategy(
     if mode not in VERIFY_MODES or target not in VERIFY_TARGETS:
         raise ValueError(f"unknown verification mode {mode!r} or target {target!r}")
     budget = budget or Budget(where="verify_strategy")
-    accepts = _accepts_fn(space, payoff)
+    accepts = _accepts_fn(space, payoff, strat.kind)
     report = VerificationReport(mode, target, 0, 0)
 
     if mode == "exhaustive":
         report.plays, report.in_accepts = count_plays(
-            space, strat, lambda pos: (1, 1 if accepts(pos) else 0), budget
+            space, strat, lambda pos: (1, 1 if accepts(pos.state()) else 0), budget
         )
         return report
 
@@ -503,7 +550,7 @@ def verify_strategy(
             pos = pos.child(move)
         if pos.terminal:
             report.plays += 1
-            if accepts(pos):
+            if accepts(pos.state()):
                 report.in_accepts += 1
     return report
 

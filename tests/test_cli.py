@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gowerslab.cli import RULES, main, report_render, run_scenario
+from gowerslab.games import MAX_HORIZON
 
 
 def scenario_path(name: str) -> Path:
@@ -74,6 +75,15 @@ class TestExitCodes:
         data = json.loads(scenario_path("ms-f-dichotomy.json").read_text())
         data["pipeline"].append({"op": "teleport"})
         bad = tmp_path / "bad-op.json"
+        bad.write_text(json.dumps(data))
+        assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_horizon_past_the_bound_rejected(self, tmp_path):
+        # A longer play would outrun the recursive walks; the parser
+        # refuses it before anything is built.
+        data = json.loads(scenario_path("ms-f-dichotomy.json").read_text())
+        data["game"]["horizon"] = MAX_HORIZON + 1
+        bad = tmp_path / "long.json"
         bad.write_text(json.dumps(data))
         assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
 

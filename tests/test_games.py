@@ -10,12 +10,14 @@ from gowerslab import GameKind, Move, Player, with_system
 from gowerslab.approx import DeltaSeq, discretize, ms_singleton_system
 from gowerslab.errors import IllegalMove, IllegalPosition, NotTerminal
 from gowerslab.games import (
+    MAX_HORIZON,
     initial_position,
     legal_moves,
     move_legal,
     play_outcome,
     replay,
     rules_key,
+    turns,
 )
 from gowerslab.instances import grid_sphere, mathias_silver, top_subspace
 from gowerslab.payoffs import build_payoff
@@ -230,6 +232,29 @@ class TestRulesReference:
             for pos, _ in reachable(space, kind, horizon):
                 rebuilt = type(pos)(pos.kind, pos.root, pos.horizon, pos.moves)
                 assert rebuilt == pos and rebuilt.state() == pos.state()
+
+
+class TestTurns:
+    def test_the_order_of_play(self):
+        # The last entry is the player who would move after the play ends.
+        I, II = Player.I, Player.II
+        assert turns(GameKind.GOWERS_G, 2) == (I, II, I, II, I)
+        assert turns(GameKind.ADVERSARIAL_A, 2) == (II, I, II, I)
+        assert turns(GameKind.STRONG_ASYMPTOTIC_SF, 1) == (I, II, I)
+
+    @pytest.mark.parametrize("kind", ["A", "G"])
+    def test_positions_read_the_order_of_play(self, ms6, kind):
+        order = turns(GameKind(kind), 2)
+        pos = initial_position(GameKind(kind), top_subspace(ms6), 2)
+        while not pos.terminal:
+            assert pos.to_move is order[len(pos.moves)]
+            pos = pos.child(legal_moves(ms6, pos)[0])
+        assert len(pos.moves) == len(order) - 1 and pos.depth == 2
+
+    def test_a_horizon_past_the_bound_is_refused(self):
+        initial_position(GameKind.GOWERS_G, 0, MAX_HORIZON)
+        with pytest.raises(ValueError, match="at most"):
+            initial_position(GameKind.GOWERS_G, 0, MAX_HORIZON + 1)
 
 
 class TestOutsideThePalette:

@@ -1,18 +1,21 @@
 """Instance builders, pigeonhole providers, counterexample sets."""
 
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from gowerslab import check_axioms
 from gowerslab.errors import (
+    CLOCK_EVERY,
     Budget,
     ExhaustionBudget,
     KindMismatch,
     PaletteNotClosedUnderMeet,
     PigeonholeUnavailable,
     SpecInvalid,
+    TimeExhausted,
 )
 from gowerslab.instances import (
     FIRST_COORD_ONE,
@@ -128,6 +131,20 @@ class TestBuildBudget:
         assert budget.used == 6
         assert str(info.value) == (
             "node budget of 5 exhausted in scenario, building mathias-silver(N=16,m=2,t=1)"
+        )
+
+    def test_a_past_deadline_stops_the_build_at_its_first_clock_read(self):
+        # The build reads the budget's clock as it charges the budget, so
+        # a deadline stops it within one clock period, however large the
+        # palette: 65,519 subsets here, and the build stops at the first
+        # tick past CLOCK_EVERY.
+        budget = Budget(deadline=time.monotonic() - 1)
+        spec = InstanceSpec("mathias-silver", {"universe": 16})
+        with pytest.raises(TimeExhausted) as info:
+            build_instance(spec, budget)
+        assert budget.used == CLOCK_EVERY + 1
+        assert str(info.value) == (
+            "time budget exhausted in building mathias-silver(N=16,m=2,t=1)"
         )
 
 

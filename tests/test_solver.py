@@ -21,6 +21,7 @@ from gowerslab import solver
 from gowerslab.errors import CLOCK_EVERY, ExhaustionBudget, IllegalMove, StrategyIncomplete
 from gowerslab.errors import Budget, TimeExhausted
 from gowerslab.games import (
+    GamePosition,
     Move,
     initial_position,
     legal_moves,
@@ -314,6 +315,61 @@ class TestMoveLists:
         assert result.winner is Player.II
         assert (result.nodes_expanded, len(result.strategy.table)) == (672, 572)
         assert (report.plays, report.in_accepts) == (17576, 17576)
+
+    def test_one_position_per_memo_miss_and_one_check_per_rules_key_and_move(self, monkeypatch):
+        # Figures pinned from the walks that built every child before
+        # reading the memo (1,196 positions in the solve) and checked
+        # every table move at its own position (546 move_legal calls in
+        # the count, for 88 distinct (rules key, move) pairs).  The nodes,
+        # entries, plays and ticks are theirs too.
+        space = mathias_silver(5, 2, 1)
+        top = top_subspace(space)
+        payoff = seeded_payoff(3, 1, 0.95)
+        children = []
+        checked = []
+        child = GamePosition.child
+
+        def counted_child(pos, *args):
+            children.append(pos)
+            return child(pos, *args)
+
+        def counted_legal(spc, pos, move):
+            checked.append((rules_key(spc, pos.state()), move))
+            return move_legal(spc, pos, move)
+
+        monkeypatch.setattr(GamePosition, "child", counted_child)
+        monkeypatch.setattr(solver, "move_legal", counted_legal)
+        budget = Budget()
+        result = solve(space, GameKind.GOWERS_G, top, payoff, Player.II, budget)
+        assert (result.nodes_expanded, len(result.strategy.table), budget.used) == (672, 572, 672)
+        assert len(children) == result.nodes_expanded - 1 == 671
+        children[:] = []
+        budget = Budget()
+        report = verify_strategy(space, result.strategy, payoff, budget=budget)
+        assert (report.plays, report.in_accepts, budget.used) == (17576, 17576, 631)
+        assert len(children) == budget.used - 1 == 630
+        assert len(checked) == len(set(checked)) == 88
+
+    def test_a_move_legal_at_one_rules_key_is_checked_again_at_another(self, ms6):
+        # The replay checks a table move once per (rules key, move).  One
+        # move object, legal after the first subspace he plays and illegal
+        # after a later one, is refused at the later one; a check
+        # remembered by the move alone would let it through.
+        top = top_subspace(ms6)
+        payoff = build_payoff(ms6, "everything", 2)
+        strat = solve(ms6, GameKind.GOWERS_G, top, payoff, Player.II).strategy
+        pos0 = initial_position(GameKind.GOWERS_G, top, 2)
+        firsts = [pos0.child(m) for m in legal_moves(ms6, pos0)]  # in the replay's order
+        earlier, later = next(
+            (a, b)
+            for i, a in enumerate(firsts)
+            for b in firsts[i + 1:]
+            if not move_legal(ms6, b, strat.table[(a.state(), 0)][0])
+        )
+        assert rules_key(ms6, earlier.state()) != rules_key(ms6, later.state())
+        strat.table[(later.state(), 0)] = strat.table[(earlier.state(), 0)]
+        with pytest.raises(IllegalMove):
+            verify_strategy(ms6, strat, payoff)
 
 
 class TestMealyTables:
