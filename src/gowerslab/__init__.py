@@ -25,7 +25,6 @@ from .solver import (
     SolveResult,
     Strategy,
     VerificationReport,
-    naive_solve_oracle,
     solve,
     strategy_from_rule,
     verified,
@@ -68,7 +67,6 @@ __all__ = [
     "build_payoff",
     "check_axioms",
     "iterated_meet",
-    "naive_solve_oracle",
     "negate",
     "seeded_payoff",
     "solve",

@@ -53,7 +53,7 @@ from .reductions import (
     gowers_from_asymptotic,
     homogeneous_from_asymptotic,
 )
-from .solver import VERIFY_MODES, VERIFY_TARGETS, solve, strategy_from_rule, verify_strategy
+from .solver import VERIFY_TARGETS, solve, strategy_from_rule, verify_strategy
 from .space import check_axioms
 from .util import canonical_json, fraction_str, json_int, split_seed
 
@@ -228,7 +228,7 @@ STAGE_NAMES = {
     "owner": {p.value for p in Player},
     "kind": {k.value for k in GameKind},
     "flavor": DICHOTOMY_GAMES,
-    "mode": VERIFY_MODES,
+    "mode": ("exhaustive",),  # the only verification there is
     "target": VERIFY_TARGETS,
 }
 
@@ -258,8 +258,6 @@ def _check_pipeline(pipeline, horizon, has_system) -> None:
         for name, known in STAGE_NAMES.items():
             if name in stage and stage[name] not in known:
                 raise SpecInvalid(f"stage {i}: unknown {name} {stage[name]!r}")
-        if "trials" in stage:
-            json_int(stage["trials"], f"stage {i}: trials", 1)
         if "min_dim" in stage:
             json_int(stage["min_dim"], f"stage {i}: min_dim")
         games = [GameKind(stage["kind"])] if "kind" in stage else []
@@ -376,9 +374,7 @@ def _run_parsed(data: dict, out_dir=None, budget_nodes=None) -> RunOutcome:
             break
         before = budget.used
         try:
-            result = _run_stage(
-                space, scenario, root, payoff, stage, current, i, budget
-            )
+            result = _run_stage(space, scenario, root, payoff, stage, current, budget)
         except (FiniteExhaustion, ExhaustionBudget) as exc:
             status = "budget-exhausted"
             diagnostic = {"stage": i, "op": op, "error": str(exc)}
@@ -460,9 +456,7 @@ class _StageOutcome:
     artifact: object = None
 
 
-def _run_stage(
-    space, scenario, root, payoff, stage, current, index, budget
-) -> _StageOutcome:
+def _run_stage(space, scenario, root, payoff, stage, current, budget) -> _StageOutcome:
     op = stage["op"]
     kind = GameKind(stage.get("kind", scenario.game_kind.value))
 
@@ -554,21 +548,11 @@ def _run_stage(
 
     if op == "verify":
         target = stage.get("target", "accepts")
-        mode = stage.get("mode", "exhaustive")
-        report = verify_strategy(
-            space,
-            current,
-            payoff,
-            mode=mode,
-            target=target,
-            seed=split_seed(scenario.seed, f"verify-{index}"),
-            trials=stage.get("trials", 100),
-            budget=budget,
-        )
+        report = verify_strategy(space, current, payoff, target=target, budget=budget)
         return _StageOutcome(
             StageResult(
                 op,
-                {"target": target, "mode": mode, "plays": report.plays},
+                {"target": target, "mode": report.mode, "plays": report.plays},
                 verified_fraction=fraction_str(report.fraction_target),
                 ok=report.passed,
             ),

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations, product
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import Budget, FiniteExhaustion, KindMismatch, StrategyRefused
 from .games import (
@@ -42,7 +42,7 @@ from .games import (
     move_legal,
 )
 from .payoffs import Payoff, negate
-from .solver import Strategy, expand, solve
+from .solver import Strategy, expand, legality, solve
 from .space import FULL_HISTORY, SpaceInstance, iterated_meet
 
 
@@ -85,16 +85,17 @@ def _continuations(space: SpaceInstance, state_pos: GamePosition):
     )
 
 
-def _diagonal_step(space, state_pos, tau, a, b, compat_with, require_star=None):
+def _diagonal_step(space, legal, state_pos, tau, a, b, compat_with, require_star=None):
     """First (u, v): the adversary legally continues with (a, u), tau
     replies with point b and subspace v, and v is compatible with
-    ``compat_with`` (optionally also ``require_star <=* v``)."""
+    ``compat_with`` (optionally also ``require_star <=* v``).  ``legal``
+    is the diagonalization's ``legality`` test."""
     points, pool, make = _continuations(space, state_pos)
     if a not in points:
         return None
     for u in pool:
         move = make(a, u)
-        if not move_legal(space, state_pos, move):
+        if not legal(state_pos, move):
             continue
         reply = tau.move_at(state_pos.child(move))
         if reply.point != b:
@@ -115,6 +116,7 @@ def diagonalize_states(
     states,
     tau: Strategy,
     r: int,
+    legal: Callable,
     budget: Optional[Budget] = None,
 ) -> int:
     """Shrink ``r`` so that every state continuation compatible with the
@@ -125,7 +127,8 @@ def diagonalize_states(
     (state, adversary point, reply point) triples, and whenever some
     continuation's reply subspace is compatible with the current chain
     element, descend to a common lower bound with it.  The fusion
-    witness then closes the chain.
+    witness then closes the chain.  ``legal`` is the diagonalization's
+    ``legality`` test.
     """
     budget = budget or Budget(where="diagonalize_states")
     chain = [r]
@@ -135,7 +138,7 @@ def diagonalize_states(
         for a in adversary_points:
             for b in range(n_points):
                 budget.tick()
-                hit = _diagonal_step(space, pos, tau, a, b, chain[-1])
+                hit = _diagonal_step(space, legal, pos, tau, a, b, chain[-1])
                 if hit is None:
                     chain.append(chain[-1])
                     continue
@@ -154,17 +157,18 @@ def check_diagonalization(space, states, tau, r_star, budget=None) -> list:
     """Exhaustive check of the diagonalization postcondition; returns the
     violating (state index, a, b) triples (empty list means verified)."""
     budget = budget or Budget(where="check_diagonalization")
+    legal = legality(space)
     bad = []
     for idx, pos in enumerate(states):
         adversary_points, _, _ = _continuations(space, pos)
         for a in adversary_points:
             for b in range(len(space.points)):
                 budget.tick()
-                plain = _diagonal_step(space, pos, tau, a, b, r_star)
+                plain = _diagonal_step(space, legal, pos, tau, a, b, r_star)
                 if plain is None:
                     continue
                 strong = _diagonal_step(
-                    space, pos, tau, a, b, r_star, require_star=r_star
+                    space, legal, pos, tau, a, b, r_star, require_star=r_star
                 )
                 if strong is None:
                     bad.append((idx, a, b))
@@ -220,10 +224,11 @@ def _require_verified(strat: Strategy, owner: Player, kind: GameKind, what: str)
     strat.require_memoryless(what)
 
 
-def _stored_pairs_for(space, states, tau, q_next, budget):
+def _stored_pairs_for(space, legal, states, tau, q_next, budget):
     """For every continuation landing in a state's reachable pair set,
     fix the canonical continuation whose reply subspace dominates the
-    next diagonal subspace; extend the states accordingly."""
+    next diagonal subspace; extend the states accordingly.  ``legal`` is
+    the diagonalization's ``legality`` test."""
     stored = {}
     next_states = []
     n_points = len(space.points)
@@ -232,11 +237,11 @@ def _stored_pairs_for(space, states, tau, q_next, budget):
         for a in adversary_points:
             for b in range(n_points):
                 budget.tick()
-                plain = _diagonal_step(space, state_pos, tau, a, b, q_next)
+                plain = _diagonal_step(space, legal, state_pos, tau, a, b, q_next)
                 if plain is None:
                     continue
                 strong = _diagonal_step(
-                    space, state_pos, tau, a, b, q_next, require_star=q_next
+                    space, legal, state_pos, tau, a, b, q_next, require_star=q_next
                 )
                 if strong is None:
                     raise FiniteExhaustion(
@@ -287,10 +292,11 @@ def adversarial_from_kastanas(
         n_diagonal = rounds_total
 
     stored_by_round = []
+    legal = legality(space)
     for n in range(n_diagonal):
-        q_next = diagonalize_states(space, states, tau, chain[-1], budget)
+        q_next = diagonalize_states(space, states, tau, chain[-1], legal, budget)
         chain.append(q_next)
-        stored, states = _stored_pairs_for(space, states, tau, q_next, budget)
+        stored, states = _stored_pairs_for(space, legal, states, tau, q_next, budget)
         stored_by_round.append(stored)
 
     q = space.fusion_witness(tuple(chain))
@@ -325,7 +331,8 @@ def _kastanas_round(space, tau, q, chain, stored_by_round, sim_pos, n, probe, me
     reply point, replayed for real (the replay must give the stored
     reply); and the answer, the reply with its subspace met with ``q``.
     Returns the fictive reply, the stored pair, the answer and the real
-    nested state after the replay."""
+    nested state after the replay, whose last move carries the stored
+    reply subspace."""
     fict_reply = tau.move_at(sim_pos.child(probe))
     if not space.compatible(fict_reply.subspace, chain[n + 1]):
         raise FiniteExhaustion(
@@ -395,8 +402,9 @@ def _build_first_player(space, tau, q, chain, stored_by_round, transfer, budget)
     """His adversarial strategy: answer her opening or round moves by
     probing the nested game with a meet of her subspace, reading off his
     reply point, and replaying the stored continuation for real.  The
-    shadow is the real nested state after his n-th move, with n and his
-    real subspace; it is None before his first move."""
+    shadow is the real nested state after his n-th move, with n; it is
+    None before his first move.  His real subspace is the one the real
+    state's last move carries."""
     strategy = transfer.strategy
     horizon = strategy.horizon
 
@@ -406,7 +414,8 @@ def _build_first_player(space, tau, q, chain, stored_by_round, transfer, budget)
             # Her opening is nested-legal as it stands: it sits below the root.
             sim_pos, n, probe = initial_position(GameKind.KASTANAS, tau.root, horizon), 0, her
         else:
-            sim_pos, prev, u_prev = shadow
+            sim_pos, prev = shadow
+            u_prev = sim_pos.moves[-1].subspace
             w_fict = _meet_or_exhaust(
                 space, her.subspace, u_prev, f"her fictive meet (round {prev})"
             )
@@ -422,7 +431,7 @@ def _build_first_player(space, tau, q, chain, stored_by_round, transfer, budget)
         transfer.rounds.append(
             RoundRecord(n, probe.key(), probe.key(), fict_reply.key(), pair, my_move.key())
         )
-        return my_move, (real, n, pair[1])
+        return my_move, (real, n)
 
     def leaf(a_pos, shadow):
         # Complete the nested play with her bare point.

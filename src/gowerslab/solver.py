@@ -6,9 +6,7 @@ the value of a position is a function of its state
 (``GamePosition.state``), so each state is searched once and then read
 from a memo, and the search records, at each state the player to move
 wins, that player's first winning move in canonical order.  The
-winner's records are the table.  ``naive_solve_oracle`` is the
-independent check: minimax over move histories with a smaller default
-budget and no memo, whose table re-solves each candidate child.
+winner's records are the table.
 
 Every strategy has one shape, a finite-memory (Mealy) table
 ``(state, memory) -> (move, next memory)``.  The memory is a small int,
@@ -18,10 +16,10 @@ stored memoryless, with memory 0 throughout, as the solver's tables
 are.  Tables are total on the pairs reachable when the owner follows
 the table and the opponent plays anything legal.  ``verify_strategy``
 replays a table against the exhaustive adversary (every legal opponent
-line) or a seeded uniform one, and reports the exact fraction of
-outcomes landing in the payoff.  The exhaustive count (``count_plays``)
-runs over (state, memory) pairs: the plays below a pair and how many
-land in the payoff are functions of the pair.
+line) and reports the exact fraction of outcomes landing in the
+payoff.  The count (``count_plays``) runs over (state, memory) pairs:
+the plays below a pair and how many land in the payoff are functions of
+the pair.
 
 Every other walk of a strategy's game tree (each strategy
 transformation, ``strategy_from_rule``) goes through ``expand``: the
@@ -38,9 +36,8 @@ only a miss builds the child position, which is handed that state.
 Whose turn it is and whether the play is over are read from
 ``games.turns`` by moves played, and a finished play is scored from its
 state.  Each walk keeps its own move lists, so ``legal_moves`` runs once
-per ``games.rules_key`` the walk meets, and a table's replay rule checks
-each move with ``move_legal`` once per (rules key, move) pair.  The
-oracle calls ``legal_moves`` at every history it searches.
+per ``games.rules_key`` the walk meets, and each legality test of a walk
+(``legality``) runs ``move_legal`` once per (rules key, move) pair.
 
 A player with no legal move at a non-terminal position loses; finite
 truncations can strand a player even though the infinite games cannot.
@@ -48,7 +45,6 @@ truncations can strand a player even though the infinite games cannot.
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -142,7 +138,6 @@ class SolveResult:
     nodes_expanded: int
 
 
-VERIFY_MODES = ("exhaustive", "sampled")
 VERIFY_TARGETS = ("accepts", "complement")
 
 
@@ -190,6 +185,25 @@ def _move_lists(space: SpaceInstance) -> Callable[[GamePosition, tuple], list]:
         return hit
 
     return moves
+
+
+def legality(space: SpaceInstance) -> Callable[[GamePosition, Move], bool]:
+    """One walk's legality test, ``legal(pos, move)``: ``move_legal``
+    runs once per (rules key, move) pair the walk meets, since positions
+    of one game with one ``rules_key`` have the same legal moves, and
+    every later test of the pair reads the verdict.  As with
+    ``_move_lists``, the verdicts die with the walk and all positions of
+    a walk belong to one game."""
+    verdicts: dict = {}
+
+    def legal(pos: GamePosition, move: Move) -> bool:
+        key = (rules_key(space, pos.state()), move)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = move_legal(space, pos, move)
+        return verdict
+
+    return legal
 
 
 def _minimax(space, pos0, accepts, goal_owner, budget, wins) -> bool:
@@ -326,22 +340,16 @@ def table_rule(space: SpaceInstance, strat: Strategy) -> Callable:
     """The replay rule of a strategy table, with the memory as its
     shadow: read ``(move, next memory)`` at ``(state, memory)``, and
     refuse the move with :class:`IllegalMove` unless it is legal.  Each
-    rule checks a move with ``move_legal`` once per rules key it meets
-    the move at: positions of one game with one ``rules_key`` have the
-    same legal moves."""
+    rule has its own ``legality`` test."""
     table = strat.table
-    legal = set()  # (rules key, move) pairs found legal
+    legal = legality(space)
 
     def rule(pos: GamePosition, memory: int):
-        state = pos.state()
-        entry = table.get((state, memory))
+        entry = table.get((pos.state(), memory))
         if entry is None:
             raise StrategyIncomplete(pos.key())
-        checked = (rules_key(space, state), entry[0])
-        if checked not in legal:
-            if not move_legal(space, pos, entry[0]):
-                raise IllegalMove(f"strategy move {entry[0]} illegal at {pos.key()}")
-            legal.add(checked)
+        if not legal(pos, entry[0]):
+            raise IllegalMove(f"strategy move {entry[0]} illegal at {pos.key()}")
         return entry
 
     return rule
@@ -389,72 +397,6 @@ def solve(
         name=f"solve:{payoff.name}",
     )
     return SolveResult(winner, strategy, budget.used - before)
-
-
-def naive_solve_oracle(
-    space: SpaceInstance,
-    kind: GameKind,
-    root: int,
-    payoff: Payoff,
-    goal_owner: Player,
-    budget: Optional[Budget] = None,
-) -> SolveResult:
-    """Minimax over move histories with no memo that records no moves;
-    the differential oracle.  Its extraction walks every history the
-    winner's table reaches and re-searches each candidate child, and its
-    node count includes those searches.  It walks with a recursion of
-    its own, not ``expand``, and calls ``legal_moves`` at every position
-    it reaches, so no move list is shared with the walks it checks.  The
-    table is written by state, and every history with one state must
-    give the same move."""
-    budget = budget or Budget(500_000, "naive_solve_oracle")
-    pos0 = initial_position(kind, root, payoff.horizon)
-    accepts = _accepts_fn(space, payoff, kind)
-    nodes = 0
-
-    def search(pos: GamePosition) -> bool:
-        # One tick and one ``legal_moves`` call per history; a player
-        # without a legal move loses.
-        budget.tick()
-        if pos.terminal:
-            return bool(accepts(pos.state()))
-        want = pos.to_move is goal_owner
-        if any(search(pos.child(m)) is want for m in legal_moves(space, pos)):
-            return want
-        return not want
-
-    def value(pos: GamePosition) -> bool:
-        nonlocal nodes
-        before = budget.used
-        v = search(pos)
-        nodes += budget.used - before
-        return v
-
-    goal_reached = value(pos0)
-    winner = goal_owner if goal_reached else goal_owner.other
-
-    strategy = Strategy(winner, kind, root, payoff.horizon, name=f"solve:{payoff.name}")
-
-    def extract(pos: GamePosition) -> None:
-        # Every opponent move and the winner's first winning move in
-        # canonical order; one tick per position.
-        budget.tick()
-        if pos.terminal:
-            return
-        options = legal_moves(space, pos)
-        if pos.to_move is winner:
-            move = next((m for m in options if value(pos.child(m)) is goal_reached), None)
-            if move is None:
-                raise AssertionError("winner has no winning move; solver inconsistent")
-            if strategy.table.setdefault((pos.state(), 0), (move, 0))[0] != move:
-                raise AssertionError("two histories with one state got different moves")
-            options = [move]
-        for m in options:
-            extract(pos.child(m))
-
-    extract(pos0)
-    strategy.verified = True
-    return SolveResult(winner, strategy, nodes)
 
 
 def count_plays(space: SpaceInstance, strat: Strategy, score: Callable, budget: Budget) -> tuple:
@@ -507,52 +449,26 @@ def verify_strategy(
     space: SpaceInstance,
     strat: Strategy,
     payoff: Payoff,
-    mode: str = "exhaustive",
     target: str = "accepts",
-    seed: int = 0,
-    trials: int = 100,
     budget: Optional[Budget] = None,
 ) -> VerificationReport:
-    """Replay a strategy against the exhaustive or seeded-random adversary.
+    """Replay a strategy against the exhaustive adversary: ``count_plays``,
+    one tick per (state, memory) pair.
 
     ``target`` names the side the owner claims to force ("accepts" or
-    "complement"); the report's ``passed`` says whether every replayed
-    outcome landed there.  The exhaustive check is ``count_plays``, one
-    tick per (state, memory) pair; a sampled line costs one tick per
-    position and threads the memory along it.
+    "complement"); the report's ``passed`` says whether every outcome
+    landed there.
     """
-    if mode not in VERIFY_MODES or target not in VERIFY_TARGETS:
-        raise ValueError(f"unknown verification mode {mode!r} or target {target!r}")
-    budget = budget or Budget(where="verify_strategy")
+    if target not in VERIFY_TARGETS:
+        raise ValueError(f"unknown verification target {target!r}")
     accepts = _accepts_fn(space, payoff, strat.kind)
-    report = VerificationReport(mode, target, 0, 0)
-
-    if mode == "exhaustive":
-        report.plays, report.in_accepts = count_plays(
-            space, strat, lambda pos: (1, 1 if accepts(pos.state()) else 0), budget
-        )
-        return report
-
-    rule = table_rule(space, strat)
-    pos0 = initial_position(strat.kind, strat.root, strat.horizon)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        pos, memory = pos0, 0
-        while not pos.terminal:
-            budget.tick()
-            if pos.to_move is strat.owner:
-                move, memory = rule(pos, memory)
-            else:
-                options = legal_moves(space, pos)
-                if not options:
-                    break
-                move = rng.choice(options)
-            pos = pos.child(move)
-        if pos.terminal:
-            report.plays += 1
-            if accepts(pos.state()):
-                report.in_accepts += 1
-    return report
+    plays, hits = count_plays(
+        space,
+        strat,
+        lambda pos: (1, 1 if accepts(pos.state()) else 0),
+        budget or Budget(where="verify_strategy"),
+    )
+    return VerificationReport("exhaustive", target, plays, hits)
 
 
 def verified(
@@ -584,10 +500,11 @@ def strategy_from_rule(
     history behind it: ``expand`` calls it once per state it reaches.
     An illegal move raises :class:`IllegalMove`."""
     strat = Strategy(owner, kind, root, horizon, name=name)
+    legal = legality(space)
 
     def checked(pos: GamePosition, shadow):
         move = rule(space, pos)
-        if not move_legal(space, pos, move):
+        if not legal(pos, move):
             raise IllegalMove(f"rule produced illegal move {move} at {pos.key()}")
         return move, shadow
 

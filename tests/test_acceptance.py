@@ -29,6 +29,7 @@ from itertools import combinations
 import pytest
 
 from microsuite import micro_games
+from oracle import naive_solve_oracle
 
 from gowerslab import (
     Budget,
@@ -37,7 +38,6 @@ from gowerslab import (
     Player,
     build_payoff,
     check_axioms,
-    naive_solve_oracle,
     negate,
     seeded_payoff,
     solve,

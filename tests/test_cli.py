@@ -321,11 +321,8 @@ def _universe_x(data):
     data["instance"]["universe"] = "x"
 
 
-def _sampled_trials(value):
-    def edit(data):
-        data["pipeline"].append({"op": "verify", "mode": "sampled", "trials": value})
-
-    return edit
+def _verify_sampled(data):
+    data["pipeline"].append({"op": "verify", "mode": "sampled", "target": "complement"})
 
 
 def _system_table_out_of_range(data):
@@ -360,7 +357,9 @@ MALFORMED = [
     ("instance-without-universe", "ms-f-dichotomy.json", _no_universe),
     ("universe-x", "ms-f-dichotomy.json", _universe_x),
     ("first-in-without-labels", "ms-f-dichotomy.json", _top(payoff={"name": "first_in"})),
-    ("sampled-trials-x", "ms-f-dichotomy.json", _sampled_trials("x")),
+    # Verification is exhaustive: a sampled check used to report a
+    # fraction of 1 from a few random plays.
+    ("verify-mode-sampled", "ms-f-dichotomy.json", _verify_sampled),
     ("labels-not-a-list", "ms-kastanas-h1.json", _stage(0, params={"labels": 5})),
     ("system-table-out-of-range", "ms-kastanas-h1.json", _system_table_out_of_range),
     (
@@ -386,8 +385,6 @@ MALFORMED = [
     ("budget-nodes-negative", "ms-f-dichotomy.json", _top(budgets={"nodes": -5})),
     ("budget-seconds-negative", "ms-f-dichotomy.json", _top(budgets={"seconds": -1})),
     ("budget-seconds-zero", "ms-f-dichotomy.json", _top(budgets={"seconds": 0})),
-    ("sampled-trials-negative", "ms-f-dichotomy.json", _sampled_trials(-3)),
-    ("sampled-trials-bool", "ms-f-dichotomy.json", _sampled_trials(True)),
     # Each of these used to raise a TypeError or IndexError mid-run.
     ("payoff-index-list", "ms-f-dichotomy.json", _payoff_params(index=[])),
     ("payoff-index-past-the-outcome", "ms-f-dichotomy.json", _payoff_params(index=1)),

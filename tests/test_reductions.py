@@ -37,7 +37,7 @@ from gowerslab.approx import (
 )
 from gowerslab.cli import RULES
 from gowerslab.errors import Budget, FiniteExhaustion, PigeonholeUnavailable
-from gowerslab.games import GamePosition, initial_position, legal_moves, play_outcome
+from gowerslab.games import GamePosition, initial_position, legal_moves, move_legal, play_outcome
 from gowerslab.instances import (
     counterexample_sets,
     grid_sphere,
@@ -64,7 +64,7 @@ from gowerslab.reductions import (
     tilde_lift,
     unfold_asymptotic,
 )
-from gowerslab.solver import count_plays, expand
+from gowerslab.solver import count_plays, expand, legality
 from historywalk import count_histories, over_histories, walk_histories
 from microsuite import remembering_strategy
 
@@ -91,7 +91,7 @@ class TestDiagonalization:
             ),
             payoff,
         )
-        out = diagonalize_states(ms8, [], tau, top)
+        out = diagonalize_states(ms8, [], tau, top, legality(ms8))
         assert ms8.leq(out, top)
 
     def test_single_state_postcondition(self, ms8):
@@ -106,9 +106,37 @@ class TestDiagonalization:
         )
         start = initial_position(GameKind.KASTANAS, top, 2)
         state = start.child(tau.move_at(start))
-        out = diagonalize_states(ms8, [state], tau, top)
+        out = diagonalize_states(ms8, [state], tau, top, legality(ms8))
         assert ms8.leq(out, top)
         assert check_diagonalization(ms8, [state], tau, out) == []
+
+    def test_one_legality_check_per_rules_key_and_move(self, ms8, monkeypatch):
+        # The chain and its check each have one legality test; each
+        # candidate continuation used to get a ``move_legal`` call of
+        # its own.
+        top = top_subspace(ms8)
+        payoff = build_payoff(ms8, "point_odd", 2, {"index": 1})
+        tau = verified(
+            ms8,
+            strategy_from_rule(
+                ms8, GameKind.KASTANAS, top, 2, Player.II, odd_responder(ms8)
+            ),
+            payoff,
+        )
+        start = initial_position(GameKind.KASTANAS, top, 2)
+        state = start.child(tau.move_at(start))
+        checked = []
+
+        def counted_legal(spc, pos, move):
+            checked.append((pos.state(), move))
+            return move_legal(spc, pos, move)
+
+        monkeypatch.setattr(solver, "move_legal", counted_legal)
+        out = diagonalize_states(ms8, [state], tau, top, legality(ms8))
+        assert checked and len(checked) == len(set(checked))
+        checked[:] = []
+        assert check_diagonalization(ms8, [state], tau, out) == []
+        assert checked and len(checked) == len(set(checked))
 
     def test_reply_ignoring_strategy_stabilizes(self, ms6):
         # A responder whose replies never depend on the probe leaves
@@ -129,7 +157,7 @@ class TestDiagonalization:
         )
         start = initial_position(GameKind.KASTANAS, top, 2)
         state = start.child(tau.move_at(start))
-        out = diagonalize_states(ms6, [state], tau, top)
+        out = diagonalize_states(ms6, [state], tau, top, legality(ms6))
         assert check_diagonalization(ms6, [state], tau, out) == []
 
 
@@ -242,6 +270,98 @@ class TestAdversarialFromKastanas:
         assert transcript["rounds"] and all(
             r["fictive_probe"] for r in transcript["rounds"]
         )
+
+
+class TestKastanasRound:
+    """One simulated round on a hand-built nested-game table for her, in
+    which the stored reply subspace v is not below q: the fictive probe
+    and the stored continuation differ in his subspace, and her fictive
+    and stored replies differ in theirs."""
+
+    @pytest.fixture(scope="class")
+    def played(self):
+        ms = mathias_silver(4, 2, 1)
+        top = top_subspace(ms)
+        label = ms.palette.index
+        q, u, v = label((0, 1, 2)), top, label((0, 2, 3))
+        sim = initial_position(GameKind.KASTANAS, top, 4).child(Move(Player.II, subspace=top))
+        probe = Move(Player.I, point=0, subspace=label((1, 2, 3)))
+        fict_reply = Move(Player.II, point=2, subspace=label((1, 2)))
+        real_mid = sim.child(Move(Player.I, point=0, subspace=u))
+        real_reply = Move(Player.II, point=2, subspace=v)
+        for pos, move in [
+            (sim, probe),
+            (sim.child(probe), fict_reply),
+            (sim, real_mid.moves[-1]),
+            (real_mid, real_reply),
+        ]:
+            assert move_legal(ms, pos, move)
+        tau = solver.Strategy(Player.II, GameKind.KASTANAS, top, 4, verified=True)
+        tau.table[(sim.child(probe).state(), 0)] = (fict_reply, 0)
+        tau.table[(real_mid.state(), 0)] = (real_reply, 0)
+        stored = [{(sim.state(), 0, 2): (u, v)}]
+        assert not ms.leq(v, q)
+        out = reductions._kastanas_round(
+            ms, tau, q, [top, q], stored, sim, 0, probe, "answer meet"
+        )
+        return ms, q, (u, v), (fict_reply, real_mid.moves[-1], real_reply), out
+
+    def test_answer_is_the_stored_reply_met_with_q(self, played):
+        ms, q, (u, v), (fict_reply, _, _), (fict, pair, answer, _) = played
+        assert (fict, pair) == (fict_reply, (u, v))
+        met = ms.meet_witness(q, v)
+        assert met != v
+        assert answer == Move(Player.II, point=2, subspace=met)
+
+    def test_real_state_carries_the_stored_pair(self, played):
+        _, _, (u, v), (_, real_probe, real_reply), (_, _, _, real) = played
+        assert real.moves[-2:] == (real_probe, real_reply)
+        assert (real.moves[-2].subspace, real.moves[-1].subspace) == (u, v)
+        assert real.state()[2] == v
+
+
+def test_his_next_probe_meets_his_real_subspace(monkeypatch):
+    # His shadow is the real nested state after his stored reply (u, v),
+    # with v strictly below u; her next round move s is probed as the
+    # meet of s with v, his real subspace, which differs from the meet
+    # with u.  The walk and the round are stubbed so the rule is driven
+    # at one hand-built position.
+    ms = mathias_silver(4, 2, 1)
+    top = top_subspace(ms)
+    label = ms.palette.index
+    q = s = label((1, 2, 3))
+    u, v = top, label((0, 2, 3))
+    real = (
+        initial_position(GameKind.KASTANAS, top, 4)
+        .child(Move(Player.II, subspace=u))
+        .child(Move(Player.I, point=0, subspace=v))
+    )
+    her_pos = initial_position(GameKind.ADVERSARIAL_A, q, 4)
+    for move in [
+        Move(Player.II, subspace=q),
+        Move(Player.I, point=1, subspace=q),
+        Move(Player.II, point=2, subspace=s),
+    ]:
+        assert move_legal(ms, her_pos, move)
+        her_pos = her_pos.child(move)
+    assert ms.meet_witness(s, v) != ms.meet_witness(s, u)
+
+    walked, probes = {}, []
+
+    def walk(space, pos0, owner, rule, **kwargs):
+        walked["rule"] = rule
+
+    def one_round(space, tau, q, chain, stored_by_round, sim_pos, n, probe, meet_stage):
+        probes.append((sim_pos, n, probe))
+        return probe, None, Move(Player.I, point=3, subspace=q), sim_pos
+
+    monkeypatch.setattr(reductions, "expand", walk)
+    monkeypatch.setattr(reductions, "_kastanas_round", one_round)
+    strategy = solver.Strategy(Player.I, GameKind.ADVERSARIAL_A, q, 4)
+    transfer = reductions.KastanasTransfer(q, strategy, [top, q])
+    reductions._build_first_player(ms, None, q, [top, q], [], transfer, None)
+    walked["rule"](her_pos, (real, 0))
+    assert probes == [(real, 1, Move(Player.II, point=2, subspace=ms.meet_witness(s, v)))]
 
 
 class TestTildePipeline:

@@ -7,7 +7,6 @@ from gowerslab import (
     Player,
     Strategy,
     build_payoff,
-    naive_solve_oracle,
     negate,
     seeded_payoff,
     solve,
@@ -32,9 +31,10 @@ from gowerslab.games import (
 from gowerslab.instances import mathias_silver, rosendal, top_subspace
 from gowerslab.payoffs import Payoff
 from gowerslab.solver import expand, table_rule
-from gowerslab.space import FULL_HISTORY
+from gowerslab.space import FORGETFUL, FULL_HISTORY
 from historywalk import count_histories, over_histories, walk_histories
 from microsuite import MicroGame, micro_games, remembering_strategy
+from oracle import naive_solve_oracle
 
 
 def seeded_games() -> list:
@@ -232,24 +232,21 @@ class TestVerify:
         report = verify_strategy(climb, strat, payoff)
         assert (report.plays, report.in_accepts) == (1, 1)
 
-    def test_sampled_mode_is_seed_deterministic(self, ms6):
-        top = top_subspace(ms6)
-        payoff = build_payoff(ms6, "everything", 2)
-        strat = solve(ms6, GameKind.GOWERS_G, top, payoff, Player.II).strategy
-        one = verify_strategy(ms6, strat, payoff, mode="sampled", seed=9, trials=50)
-        two = verify_strategy(ms6, strat, payoff, mode="sampled", seed=9, trials=50)
-        assert (one.plays, one.in_accepts) == (two.plays, two.in_accepts)
-        assert one.passed
-
-    @pytest.mark.parametrize(
-        "fields", [{"mode": "exhastive"}, {"target": "acepts"}], ids=["mode", "target"]
-    )
-    def test_misspelled_mode_or_target_rejected(self, ms6, fields):
+    def test_misspelled_target_rejected(self, ms6):
         top = top_subspace(ms6)
         payoff = build_payoff(ms6, "everything", 1)
         strat = solve(ms6, GameKind.GOWERS_G, top, payoff, Player.II).strategy
         with pytest.raises(ValueError):
-            verify_strategy(ms6, strat, payoff, **fields)
+            verify_strategy(ms6, strat, payoff, target="acepts")
+
+    def test_verification_has_no_mode(self, ms6):
+        # Verification is the exhaustive count, and its report says so.
+        top = top_subspace(ms6)
+        payoff = build_payoff(ms6, "everything", 1)
+        strat = solve(ms6, GameKind.GOWERS_G, top, payoff, Player.II).strategy
+        assert verify_strategy(ms6, strat, payoff).mode == "exhaustive"
+        with pytest.raises(TypeError):
+            verify_strategy(ms6, strat, payoff, mode="sampled")
 
     def test_budget_exhaustion_raises(self, ms8):
         top = top_subspace(ms8)
@@ -371,6 +368,46 @@ class TestMoveLists:
         with pytest.raises(IllegalMove):
             verify_strategy(ms6, strat, payoff)
 
+    @pytest.mark.parametrize("admission", [FORGETFUL, FULL_HISTORY])
+    def test_legality_keeps_both_verdicts_per_rules_key_and_move(self, admission, monkeypatch):
+        # Two of her points after his first subspace leave states that
+        # differ in the point prefix only, which forgetful admission
+        # does not read: his next move is checked once there, and twice
+        # when admission reads the full history.  A refusal is kept too.
+        space = mathias_silver(5, 2, 1).derive(admission=admission)
+        top = top_subspace(space)
+        checked = []
+
+        def counted_legal(spc, pos, move):
+            checked.append(move)
+            return move_legal(spc, pos, move)
+
+        monkeypatch.setattr(solver, "move_legal", counted_legal)
+        legal = solver.legality(space)
+        first = initial_position(GameKind.GOWERS_G, top, 2).child(Move(Player.I, subspace=top))
+        his, wrong = Move(Player.I, subspace=top), Move(Player.II, point=0)
+        for point in legal_moves(space, first)[:2]:
+            pos = first.child(point)
+            for _ in range(2):
+                assert legal(pos, his) and not legal(pos, wrong)
+        assert len(checked) == (2 if admission == FORGETFUL else 4)
+
+    def test_strategy_from_rule_checks_each_rules_key_and_move_once(self, ms6, monkeypatch):
+        # The wrapper used to check the rule's move at every state the
+        # walk reached.
+        top = top_subspace(ms6)
+        checked = []
+
+        def counted_legal(spc, pos, move):
+            checked.append((rules_key(spc, pos.state()), move))
+            return move_legal(spc, pos, move)
+
+        monkeypatch.setattr(solver, "move_legal", counted_legal)
+        strat = strategy_from_rule(
+            ms6, GameKind.GOWERS_G, top, 3, Player.I, lambda spc, pos: Move(Player.I, subspace=top)
+        )
+        assert len(checked) == len(set(checked)) < len(strat.table)
+
 
 class TestMealyTables:
     def test_expand_keeps_the_memory_a_state_needs(self):
@@ -400,13 +437,6 @@ class TestMealyTables:
             space, history, _score(space, payoff)
         )
         assert 0 < report.in_accepts < report.plays
-
-    def test_sampled_lines_thread_the_memory(self):
-        space = mathias_silver(4, 2, 1)
-        strat, _ = remembering_strategy(space, 3)
-        payoff = build_payoff(space, "everything", 3)
-        report = verify_strategy(space, strat, payoff, mode="sampled", seed=3, trials=40)
-        assert report.passed and report.plays == 40
 
     def test_memory_survives_a_round_trip(self):
         import json
