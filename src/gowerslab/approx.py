@@ -16,14 +16,15 @@ from itertools import combinations, product
 from typing import Callable, Optional
 
 from .errors import Budget, FiniteExhaustion, NotDense, SpecInvalid
-from .games import GameKind, Move, Player, initial_position, move_legal
+from .games import CHOOSER, GameKind, Move, Player, initial_position, move_legal
 from .payoffs import Payoff
 from .reductions import (
     AsymptoticTransfer,
+    _require_verified,
     _transfer_to_asymptotic,
     asymptotic_recommendation,
 )
-from .solver import Strategy, VerificationReport, count_plays, expand
+from .solver import Strategy, VerificationReport, checked_leaf, expand, require_horizon, table_rule
 from .space import LENGTH_INDEXED, SpaceInstance, iterated_meet
 from .util import parse_fraction
 
@@ -378,22 +379,21 @@ def lift_strategy(
 
     Directions: "F-I" and "B-II" lift strategies toward complements (the
     lift lands in the expanded complement), "G-II" and "A-I" toward the
-    set (the lift lands in the expanded set).  Subspace moves transfer
-    unchanged; points are shadowed to the dense set or witnessed back in
-    the host within the stage's delta.
+    set (the lift lands in the expanded set); each is ``<game>-<player>``
+    of the strategy it lifts, and any other strategy is refused.
+    Subspace moves transfer unchanged; points are shadowed to the dense
+    set or witnessed back in the host within the stage's delta.
     """
-    if not strat.verified:
-        raise ValueError("lift_strategy refuses unverified inputs")
-    strat.require_memoryless("lift_strategy")
+    if direction not in ("F-I", "G-II", "A-I", "B-II"):
+        raise ValueError(f"unknown lift direction {direction!r}")
+    game, player = direction.split("-")
+    kind, owner = GameKind(game), Player(player)
+    _require_verified(strat, owner, kind, "lift_strategy")
     if len(delta) != strat.horizon:
         raise SpecInvalid("delta length must match the strategy horizon")
-    if direction == "F-I":
-        return _lift_chooser(space, discretized, strat, delta, Player.I)
-    if direction == "G-II":
-        return _lift_chooser(space, discretized, strat, delta, Player.II)
-    if direction in ("A-I", "B-II"):
-        return _lift_interleaved(space, discretized, strat, delta)
-    raise ValueError(f"unknown lift direction {direction!r}")
+    if kind in CHOOSER:
+        return _lift_chooser(space, discretized, strat, delta, owner)
+    return _lift_interleaved(space, discretized, strat, delta)
 
 
 def _lift_chooser(space, discretized, strat, delta, owner):
@@ -430,7 +430,7 @@ def _lift_chooser(space, discretized, strat, delta, owner):
         )
         return Move(Player.II, point=x), disc_mid.child(reply)
 
-    rule, leaf = (his_rule, shadow_answer) if owner is Player.I else (her_rule, None)
+    rule, leaf = (his_rule, checked_leaf(shadow_answer)) if owner is Player.I else (her_rule, None)
     start = initial_position(kind, strat.root, strat.horizon)
     expand(space, start, owner, rule, start, leaf=leaf, table=out.table)
     return out
@@ -479,7 +479,7 @@ def _lift_interleaved(space, discretized, strat, delta):
         return my_move, disc_pos.child(disc_move)
 
     start = initial_position(kind, strat.root, strat.horizon)
-    expand(space, start, owner, rule, start, leaf=absorb, table=out.table)
+    expand(space, start, owner, rule, start, leaf=checked_leaf(absorb), table=out.table)
     return out
 
 
@@ -561,9 +561,7 @@ def strong_asymptotic_from_asymptotic(
     then land in the delta-expansion of the target.
     """
     budget = budget or Budget(where="strong_asymptotic")
-    if not tau.verified or tau.owner is not Player.I:
-        raise ValueError("strong asymptotic transfer needs his verified strategy")
-    tau.require_memoryless("strong asymptotic transfer")
+    _require_verified(tau, Player.I, GameKind.ASYMPTOTIC_F, "strong asymptotic transfer")
     k = payoff.horizon
     root = tau.root
     nets: dict = {}
@@ -634,8 +632,11 @@ def verify_strong_asymptotic(
     block sequence of every outcome against the delta-expanded target.
 
     The report counts (outcome, block sequence) pairs, summed by
-    ``count_plays`` over the strategy's (state, memory) pairs: the
-    block sequences of an outcome are a function of its state."""
+    ``expand`` replaying the strategy's table (``table_rule``) over its
+    (state, memory) pairs: the block sequences of an outcome are a
+    function of its state.  The payoff must be read at the strategy's
+    horizon."""
+    require_horizon(strategy, payoff)
     budget = budget or Budget(where="verify_strong_asymptotic")
     if space.metric is None and all(v < 1 for v in delta.values):
         # Discrete distance: expansion below one is the set itself.
@@ -650,10 +651,12 @@ def verify_strong_asymptotic(
         )
         in_target = expanded_set.__contains__
 
-    def score(pos):
+    def score(pos, memory):
         sets = tuple(system.family[b] for b in pos.block_prefix)
         seqs = enumerate_block_sequences(system, sets, payoff.horizon, budget)
         return len(seqs), sum(1 for seq in seqs if in_target(seq))
 
-    plays, hits = count_plays(space, strategy, score, budget)
+    start = initial_position(strategy.kind, strategy.root, strategy.horizon)
+    rule = table_rule(space, strategy)
+    plays, hits = expand(space, start, strategy.owner, rule, 0, leaf=score, budget=budget)
     return VerificationReport("exhaustive", "accepts", plays, hits)

@@ -57,14 +57,16 @@ from .solver import VERIFY_TARGETS, solve, strategy_from_rule, verify_strategy
 from .space import check_axioms
 from .util import canonical_json, fraction_str, json_int, split_seed
 
-STAGE_KINDS = {
-    "strategy",
-    "solve",
-    "reduce",
-    "verify",
-    "dichotomy",
-    "pigeonhole-check",
-    "counterexample",
+# Pipeline op -> the fields its stage may carry besides "op"; a stage
+# with any other field is refused, so a misspelled field is not ignored.
+STAGE_FIELDS = {
+    "strategy": {"rule", "params", "owner", "kind", "target", "save"},
+    "solve": {"goal", "kind", "save"},
+    "reduce": {"name", "owner", "save"},
+    "verify": {"target", "mode", "save"},
+    "dichotomy": {"flavor"},
+    "pigeonhole-check": {"which", "expect", "delta"},
+    "counterexample": {"which", "scan", "min_dim"},
 }
 
 REDUCTIONS_IN_STRATEGY = {
@@ -242,14 +244,18 @@ def _check_game(kind, horizon, has_system) -> None:
 
 
 def _check_pipeline(pipeline, horizon, has_system) -> None:
-    """Each stage's named fields are known, every game it plays besides
+    """Each stage carries only its op's fields (``STAGE_FIELDS``), its
+    named fields are known, every game it plays besides
     the scenario's own passes ``_check_game``, and it is fed the
     artifact kind it consumes."""
     current = None
     for i, stage in enumerate(pipeline):
         op = stage.get("op")
-        if op not in STAGE_KINDS:
+        if op not in STAGE_FIELDS:
             raise SpecInvalid(f"unknown pipeline op {op!r}")
+        unknown = sorted(set(stage) - STAGE_FIELDS[op] - {"op"})
+        if unknown:
+            raise SpecInvalid(f"stage {i}: {op} takes no field {unknown[0]!r}")
         if op == "strategy" and stage.get("rule") not in RULES:
             raise SpecInvalid(f"stage {i}: unknown rule {stage.get('rule')!r}")
         which = stage.get("which")
@@ -458,12 +464,12 @@ class _StageOutcome:
 
 def _run_stage(space, scenario, root, payoff, stage, current, budget) -> _StageOutcome:
     op = stage["op"]
-    kind = GameKind(stage.get("kind", scenario.game_kind.value))
 
     if op == "strategy":
         with _validating(f"rule {stage['rule']!r}"):
             builder = RULES[stage["rule"]](space, stage.get("params", {}))
         owner = Player(stage.get("owner", "II"))
+        kind = GameKind(stage.get("kind", scenario.game_kind.value))
         strat = strategy_from_rule(
             space, kind, root, scenario.horizon, owner, builder, stage["rule"], budget
         )
@@ -482,6 +488,7 @@ def _run_stage(space, scenario, root, payoff, stage, current, budget) -> _StageO
 
     if op == "solve":
         goal = Player(stage.get("goal", "I"))
+        kind = GameKind(stage.get("kind", scenario.game_kind.value))
         outcome = solve(space, kind, root, payoff, goal, budget)
         return _StageOutcome(
             StageResult(
@@ -525,26 +532,25 @@ def _run_stage(space, scenario, root, payoff, stage, current, budget) -> _StageO
                 ),
                 transfer.strategy,
             )
-        if name == "homogeneous_from_asymptotic":
-            homogeneous = homogeneous_from_asymptotic(space, current, payoff, budget)
-            from itertools import combinations
+        # Validation has left homogeneous_from_asymptotic.
+        homogeneous = homogeneous_from_asymptotic(space, current, payoff, budget)
+        from itertools import combinations
 
-            subseqs = list(combinations(homogeneous, payoff.horizon))
-            good = sum(1 for s in subseqs if payoff.accepts(s))
-            ok = good == len(subseqs)
-            return _StageOutcome(
-                StageResult(
-                    op,
-                    {
-                        "name": name,
-                        "set": [space.points[i] for i in homogeneous],
-                        "subsequences": len(subseqs),
-                    },
-                    verified_fraction=f"{good}/{len(subseqs)}" if subseqs else "1",
-                    ok=ok,
-                )
+        subseqs = list(combinations(homogeneous, payoff.horizon))
+        good = sum(1 for s in subseqs if payoff.accepts(s))
+        ok = good == len(subseqs)
+        return _StageOutcome(
+            StageResult(
+                op,
+                {
+                    "name": name,
+                    "set": [space.points[i] for i in homogeneous],
+                    "subsequences": len(subseqs),
+                },
+                verified_fraction=f"{good}/{len(subseqs)}" if subseqs else "1",
+                ok=ok,
             )
-        raise SpecInvalid(f"unknown reduction {name!r}")
+        )
 
     if op == "verify":
         target = stage.get("target", "accepts")
@@ -595,25 +601,23 @@ def _run_stage(space, scenario, root, payoff, stage, current, budget) -> _StageO
             ok = expect in (None, "unavailable")
         return _StageOutcome(StageResult(op, result, ok=ok))
 
-    if op == "counterexample":
-        which = stage["which"]
-        target = counterexample_sets(space, which)
-        result: dict = {"which": which}
-        if isinstance(target, Payoff):
-            result["payoff"] = target.name
-        else:
-            result["size"] = len(target)
-            if stage.get("scan"):
-                failures = meets_both_scan(
-                    space, target, min_dim=stage.get("min_dim", 1)
-                )
-                result["meets_both_failures"] = failures
-                return _StageOutcome(
-                    StageResult(op, result, ok=not failures)
-                )
-        return _StageOutcome(StageResult(op, result))
-
-    raise SpecInvalid(f"unknown pipeline op {op!r}")
+    # Validation has left the counterexample op.
+    which = stage["which"]
+    target = counterexample_sets(space, which)
+    result: dict = {"which": which}
+    if isinstance(target, Payoff):
+        result["payoff"] = target.name
+    else:
+        result["size"] = len(target)
+        if stage.get("scan"):
+            failures = meets_both_scan(
+                space, target, min_dim=stage.get("min_dim", 1)
+            )
+            result["meets_both_failures"] = failures
+            return _StageOutcome(
+                StageResult(op, result, ok=not failures)
+            )
+    return _StageOutcome(StageResult(op, result))
 
 
 # -- rendering -------------------------------------------------------------------------------

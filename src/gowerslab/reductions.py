@@ -42,7 +42,7 @@ from .games import (
     move_legal,
 )
 from .payoffs import Payoff, negate
-from .solver import Strategy, expand, legality, solve
+from .solver import ONE_PLAY, Strategy, checked_leaf, expand, legality, solve
 from .space import FULL_HISTORY, SpaceInstance, iterated_meet
 
 
@@ -440,6 +440,7 @@ def _build_first_player(space, tau, q, chain, stored_by_round, transfer, budget)
             raise FiniteExhaustion(
                 "closing move", f"her point {point} not nested-legal"
             )
+        return ONE_PLAY
 
     a0 = initial_position(strategy.kind, q, horizon)
     expand(space, a0, Player.I, rule, leaf=leaf, budget=budget, table=strategy.table)
@@ -546,7 +547,7 @@ def _project_to_asymptotic(space, twisted, strat):
         Player.I,
         rule,
         shadow=t0.child(Move(Player.II, subspace=root)),
-        leaf=echo,
+        leaf=checked_leaf(echo),
         table=out.table,
     )
     return out

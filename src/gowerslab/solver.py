@@ -14,32 +14,33 @@ numbered in first-visit order with 0 at the root, and the owner updates
 it at its own moves only.  A table that needs one memory per state is
 stored memoryless, with memory 0 throughout, as the solver's tables
 are.  Tables are total on the pairs reachable when the owner follows
-the table and the opponent plays anything legal.  ``verify_strategy``
-replays a table against the exhaustive adversary (every legal opponent
-line) and reports the exact fraction of outcomes landing in the
-payoff.  The count (``count_plays``) runs over (state, memory) pairs:
-the plays below a pair and how many land in the payoff are functions of
-the pair.
+the table and the opponent plays anything legal.
 
-Every other walk of a strategy's game tree (each strategy
-transformation, ``strategy_from_rule``) goes through ``expand``: the
-owner follows a rule threading a shadow (a simulated play, a tracked
-sequence), the opponent tries every legal move, and each (state,
-memory) pair costs one budget tick.  The memory is the shadow read at
-the state of every simulated play in it, since the simulated
-strategies are memoryless.
+Every walk of a strategy's plays goes through ``expand``: the owner
+follows a rule threading a shadow (a simulated play, a tracked
+sequence, a table's memory), the opponent tries every legal move, and
+each (state, memory) pair costs one budget tick.  The memory is the
+shadow read at the state of every simulated play in it, since the
+simulated strategies are memoryless.  Each visit returns the ``(plays,
+hits)`` summed over the finished plays below its pair, which are a
+function of the pair.  Each strategy transformation and
+``strategy_from_rule`` walk it to build a table; ``verify_strategy``
+walks it with the table's own rule (``table_rule``) against the
+exhaustive adversary (every legal opponent line) and reports the exact
+fraction of outcomes landing in the payoff.
 
-Each memoized walk (the solve, the count and ``expand``) works from
-the state first: at each edge it computes the child's state with
-``games.next_state`` and probes its memo (or visited set) with it, and
-only a miss builds the child position, which is handed that state.
-Whose turn it is and whether the play is over are read from
-``games.turns`` by moves played, and a finished play is scored from its
-state.  Each walk keeps its own move lists, so ``legal_moves`` runs once
-per ``games.rules_key`` the walk meets, and each legality test of a walk
+The two memoized walks (the solve and ``expand``) work from the state
+first: at each edge they compute the child's state with
+``games.next_state`` and probe the memo with it, and only a miss
+builds the child position, which is handed that state.  Whose turn it
+is and whether the play is over are read from ``games.turns`` by moves
+played, and a finished play is scored from its state.  Each walk keeps
+its own move lists, so ``legal_moves`` runs once per
+``games.rules_key`` the walk meets, and each legality test of a walk
 (``legality``) runs ``move_legal`` once per (rules key, move) pair.
 
-A player with no legal move at a non-terminal position loses; finite
+In the solve a player with no legal move at a non-terminal position
+loses, and ``expand`` ends such a line without a play; finite
 truncations can strand a player even though the infinite games cannot.
 """
 
@@ -249,6 +250,9 @@ def _minimax(space, pos0, accepts, goal_owner, budget, wins) -> bool:
     return won
 
 
+ONE_PLAY = (1, 0)  # a finished play outside the payoff, or one nothing scores
+
+
 def _memory_key(shadow):
     """The memory a shadow stands for: the shadow with every simulated
     position replaced by its game and state, which is all a memoryless
@@ -260,6 +264,18 @@ def _memory_key(shadow):
     return shadow
 
 
+def checked_leaf(check: Callable) -> Callable:
+    """A leaf for ``expand`` that runs ``check(pos, shadow)`` at each
+    finished play, for its exceptions, and counts the play as
+    ``ONE_PLAY``."""
+
+    def leaf(pos: GamePosition, shadow) -> tuple:
+        check(pos, shadow)
+        return ONE_PLAY
+
+    return leaf
+
+
 def expand(
     space: SpaceInstance,
     pos0: GamePosition,
@@ -269,23 +285,26 @@ def expand(
     leaf: Optional[Callable] = None,
     budget: Optional[Budget] = None,
     table: Optional[dict] = None,
-) -> None:
+) -> tuple:
     """Walk every play from ``pos0`` in which ``owner`` follows ``rule``
     and the opponent plays every legal move, depth first in canonical
-    order, visiting each (state, memory) pair once for one budget tick.
+    order, visiting each (state, memory) pair once for one budget tick,
+    and return ``(plays, hits)`` summed over the finished plays.
 
     At the owner's positions ``rule(pos, shadow)`` returns ``(move,
     shadow)``, the shadow being whatever the rule threads down the line
-    (a simulated play, a tracked sequence).  The opponent's moves do not
-    touch the shadow: the next ``rule`` or ``leaf`` call reads the move
-    from the state.  The memory is ``_memory_key(shadow)``, numbered in
-    first-visit order with 0 for the shadow given; the rule must read
-    only the state and the memory, so the first visit of a pair stands
-    for every history reaching it.  ``leaf(pos, shadow)``, a check, runs
-    once per terminal pair.  Legality is the rule's business, and an
-    opponent without a legal move ends the line without reaching a
-    leaf.  The opponent's moves come from the walk's move lists
-    (``_move_lists``).
+    (a simulated play, a tracked sequence, a table's memory).  The
+    opponent's moves do not touch the shadow: the next ``rule`` or
+    ``leaf`` call reads the move from the state.  The memory is
+    ``_memory_key(shadow)``, numbered in first-visit order with 0 for the
+    shadow given; the rule must read only the state and the memory, so
+    the first visit of a pair stands for every history reaching it, and
+    the pair's ``(plays, hits)`` is memoized.  ``leaf(pos, shadow)`` runs
+    once per terminal pair and returns that finished play's ``(plays,
+    hits)``; without a leaf each play counts as ``ONE_PLAY``.  Legality
+    is the rule's business, and an opponent without a legal move ends
+    the line without a play.  The opponent's moves come from the walk's
+    move lists (``_move_lists``).
 
     The owner's moves go to ``table`` when one is given, as ``(state,
     memory) -> (move, next memory)``; when every state written holds
@@ -296,44 +315,45 @@ def expand(
     order = turns(pos0.kind, pos0.horizon)
     end = len(order) - 1
     memories = {_memory_key(shadow): 0}
-    seen = defaultdict(set)  # memory -> the states visited with it
-    written: dict = {}
+    memos = defaultdict(dict)  # memory -> state -> (plays, hits)
+    written = None if table is None else {}
 
-    def visit(pos: GamePosition, state: tuple, shadow, memory: int) -> None:
-        # The caller has added ``state`` to ``seen[memory]``.
+    def visit(pos: GamePosition, state: tuple, shadow, memory: int) -> tuple:
         tick()
         played = state[0]
         if played == end:
-            if leaf is not None:
-                leaf(pos, shadow)
-            return
-        if order[played] is owner:
+            out = ONE_PLAY if leaf is None else leaf(pos, shadow)
+        elif order[played] is owner:
             move, shadow = rule(pos, shadow)
-            after = memories.setdefault(_memory_key(shadow), len(memories))
-            written[(state, memory)] = (move, after)
+            # An int shadow, such as a table's memory, is its own key.
+            key = shadow if shadow.__class__ is int else _memory_key(shadow)
+            after = memories.setdefault(key, len(memories))
+            if written is not None:
+                written[(state, memory)] = (move, after)
+            # A memoized (plays, hits) is a nonempty tuple, never false.
             child = next_state(state, move)
-            states = seen[after]
-            if child not in states:
-                states.add(child)
-                visit(pos.child(move, child), child, shadow, after)
-            return
-        states = seen[memory]
-        for m in moves(pos, state):
-            child = next_state(state, m)
-            if child not in states:
-                states.add(child)
-                visit(pos.child(m, child), child, shadow, memory)
+            out = memos[after].get(child) or visit(pos.child(move, child), child, shadow, after)
+        else:
+            memo = memos[memory]
+            plays = hits = 0
+            for m in moves(pos, state):
+                child = next_state(state, m)
+                p, h = memo.get(child) or visit(pos.child(m, child), child, shadow, memory)
+                plays += p
+                hits += h
+            out = (plays, hits)
+        memos[memory][state] = out
+        return out
 
-    state0 = pos0.state()
-    seen[0].add(state0)
-    visit(pos0, state0, shadow, 0)
+    out = visit(pos0, pos0.state(), shadow, 0)
     # The recursive closure is a reference cycle: unbinding it lets the
-    # walk's sets go on return rather than at the next collection.
+    # walk's memos go on return rather than at the next collection.
     del visit
     if table is not None:
         if len(memories) > 1 and len({state for state, _ in written}) == len(written):
             written = {(state, 0): (move, 0) for (state, _), (move, _) in written.items()}
         table.update(written)
+    return out
 
 
 def table_rule(space: SpaceInstance, strat: Strategy) -> Callable:
@@ -399,50 +419,10 @@ def solve(
     return SolveResult(winner, strategy, budget.used - before)
 
 
-def count_plays(space: SpaceInstance, strat: Strategy, score: Callable, budget: Budget) -> tuple:
-    """``(plays, hits)`` summed over every play in which the owner
-    follows the table and the opponent plays every legal move, where
-    ``score(pos)`` gives the pair for one finished play.  The sum is
-    taken over (state, memory) pairs: each pair costs one budget tick,
-    the opponent's moves come from the walk's move lists, and an
-    opponent without a legal move ends the line without a play, as in
-    ``expand``."""
-    tick = budget.tick
-    moves = _move_lists(space)
-    rule = table_rule(space, strat)
-    owner = strat.owner
-    order = turns(strat.kind, strat.horizon)
-    end = len(order) - 1
-    memos = defaultdict(dict)  # memory -> state -> (plays, hits)
-
-    def count(pos: GamePosition, state: tuple, memory: int) -> tuple:
-        tick()
-        played = state[0]
-        if played == end:
-            out = score(pos)
-        elif order[played] is owner:
-            move, after = rule(pos, memory)
-            child = next_state(state, move)
-            out = memos[after].get(child)
-            if out is None:
-                out = count(pos.child(move, child), child, after)
-        else:
-            memo = memos[memory]
-            plays = hits = 0
-            for m in moves(pos, state):
-                child = next_state(state, m)
-                found = memo.get(child)
-                p, h = count(pos.child(m, child), child, memory) if found is None else found
-                plays += p
-                hits += h
-            out = (plays, hits)
-        memos[memory][state] = out
-        return out
-
-    pos0 = initial_position(strat.kind, strat.root, strat.horizon)
-    out = count(pos0, pos0.state(), 0)
-    del count  # the memo goes on return; see ``expand``
-    return out
+def require_horizon(strat: Strategy, payoff: Payoff) -> None:
+    """Refuse a payoff of another horizon than the strategy's plays."""
+    if payoff.horizon != strat.horizon:
+        raise ValueError(f"payoff horizon {payoff.horizon} is not strategy horizon {strat.horizon}")
 
 
 def verify_strategy(
@@ -452,21 +432,23 @@ def verify_strategy(
     target: str = "accepts",
     budget: Optional[Budget] = None,
 ) -> VerificationReport:
-    """Replay a strategy against the exhaustive adversary: ``count_plays``,
-    one tick per (state, memory) pair.
+    """Replay a strategy against the exhaustive adversary: ``expand``
+    with the table's rule (``table_rule``), one tick per (state, memory)
+    pair.
 
     ``target`` names the side the owner claims to force ("accepts" or
     "complement"); the report's ``passed`` says whether every outcome
-    landed there.
+    landed there.  The payoff must be read at the strategy's horizon.
     """
     if target not in VERIFY_TARGETS:
         raise ValueError(f"unknown verification target {target!r}")
+    require_horizon(strat, payoff)
     accepts = _accepts_fn(space, payoff, strat.kind)
-    plays, hits = count_plays(
-        space,
-        strat,
-        lambda pos: (1, 1 if accepts(pos.state()) else 0),
-        budget or Budget(where="verify_strategy"),
+    pos0 = initial_position(strat.kind, strat.root, strat.horizon)
+    plays, hits = expand(
+        space, pos0, strat.owner, table_rule(space, strat), 0,
+        leaf=lambda pos, memory: (1, 1) if accepts(pos.state()) else (1, 0),
+        budget=budget or Budget(where="verify_strategy"),
     )
     return VerificationReport("exhaustive", target, plays, hits)
 

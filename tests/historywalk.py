@@ -2,9 +2,10 @@
 the walks over (state, memory) pairs in ``gowerslab.solver``.
 
 ``walk_histories`` has the contract of ``solver.expand`` but visits
-every history, calls the rule at each of the owner's histories and
-writes ``table[pos.key()] = move``.  Patched in for ``expand``, it makes
-a transformation build the table a history walk would build.
+every history, calls the rule at each of the owner's histories, writes
+``table[pos.key()] = move`` and sums ``(plays, hits)`` over histories
+with no memo.  Patched in for ``expand``, it makes a transformation
+build the table a history walk would build.
 """
 
 from __future__ import annotations
@@ -19,19 +20,20 @@ def walk_histories(space, pos0, owner, rule, shadow=None, leaf=None, budget=None
         if budget is not None:
             budget.tick()
         if pos.terminal:
-            if leaf is not None:
-                leaf(pos, shadow)
-            return
+            return (1, 0) if leaf is None else leaf(pos, shadow)
         if pos.to_move is owner:
             move, shadow = rule(pos, shadow)
             if table is not None:
                 table[pos.key()] = move
-            visit(pos.child(move), shadow)
-            return
+            return visit(pos.child(move), shadow)
+        plays = hits = 0
         for m in legal_moves(space, pos):
-            visit(pos.child(m), shadow)
+            p, h = visit(pos.child(m), shadow)
+            plays += p
+            hits += h
+        return plays, hits
 
-    visit(pos0, shadow)
+    return visit(pos0, shadow)
 
 
 def _start(strat):
@@ -46,11 +48,10 @@ def over_histories(space, strat) -> dict:
     return table
 
 
-def count_histories(space, strat, score) -> tuple:
+def count_histories(space, strat, leaf) -> tuple:
     """``(plays, hits)`` of a history table (``strat.table`` maps
-    ``pos.key()`` to a move) replayed over every history, ``score(pos)``
-    giving the pair of one finished play."""
-    total = [0, 0]
+    ``pos.key()`` to a move) replayed over every history, ``leaf(pos,
+    shadow)`` giving the pair of one finished play."""
 
     def rule(pos, shadow):
         move = strat.table.get(pos.key())
@@ -60,10 +61,4 @@ def count_histories(space, strat, score) -> tuple:
             raise IllegalMove(f"history table move {move} illegal at {pos.key()}")
         return move, shadow
 
-    def leaf(pos, shadow):
-        plays, hits = score(pos)
-        total[0] += plays
-        total[1] += hits
-
-    walk_histories(space, _start(strat), strat.owner, rule, leaf=leaf)
-    return tuple(total)
+    return walk_histories(space, _start(strat), strat.owner, rule, leaf=leaf)

@@ -540,7 +540,8 @@ class TestStrongAsymptotic:
 
     def test_replay_refuses_an_illegal_opening(self, ms6):
         # The strong verifier replays through the shared table rule, so a
-        # corrupted entry is refused rather than played.
+        # corrupted entry is refused rather than played; so is a payoff
+        # of another horizon than the strategy's.
         from gowerslab import Move, strategy_from_rule, verified
         from gowerslab.errors import IllegalMove
         from gowerslab.games import initial_position
@@ -561,6 +562,9 @@ class TestStrongAsymptotic:
         delta = DeltaSeq.of("1/2", "1/2")
         strong = strong_asymptotic_from_asymptotic(space, system, tau, payoff, delta)
         assert verify_strong_asymptotic(space, system, strong, payoff, delta).passed
+        short = Payoff(1, lambda s: s[0] >= 1, "nonzero")
+        with pytest.raises(ValueError, match="horizon"):
+            verify_strong_asymptotic(space, system, strong, short, DeltaSeq.of("1/2"))
         small = next(q for q in space.subspaces() if not space.lessapprox(q, top))
         opening = initial_position(GameKind.STRONG_ASYMPTOTIC_SF, top, 2)
         strong.table[(opening.state(), 0)] = (Move(Player.I, subspace=small), 0)

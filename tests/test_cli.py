@@ -348,6 +348,10 @@ MALFORMED = [
     ("verify-mode-misspelled", "ms-kastanas-h1.json", _stage(2, mode="exhastive")),
     ("verify-target-misspelled", "ms-kastanas-h1.json", _stage(2, target="acepts")),
     ("strategy-target-misspelled", "ms-kastanas-h1.json", _stage(0, target="acepts")),
+    # A field no op reads used to be ignored: the misspelled target
+    # verified toward accepts, and a solve ran with a flavor it never read.
+    ("verify-field-taget", "ms-kastanas-h1.json", _stage(2, taget="complement")),
+    ("solve-field-flavor", "ms-f-dichotomy.json", _stage(0, flavor="strategic")),
     ("counterexample-unknown", "f3-pigeonhole-counterexample.json", _stage(0, which="Nope")),
     ("strong-game-without-system", "ms-f-dichotomy.json", _stage(0, kind="SF")),
     ("payoff-counterexample-unknown", "f3-pigeonhole-counterexample.json", _payoff_which),
@@ -773,8 +777,9 @@ def _scalars(data):
 
 # Every scalar of the bundled scenarios (so a kind, rule or name may move
 # to another field), plus values of every other JSON type.  Integers
-# stay small: instance construction is charged to no budget, and a
-# Mathias-Silver palette doubles with each point of the universe.
+# stay small: a Mathias-Silver palette doubles with each point of the
+# universe, and building the instance is charged to the node budget, so
+# a large universe would only spend an example's budget on the build.
 BUNDLED_SCALARS = sorted(
     {
         repr(v): v

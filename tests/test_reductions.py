@@ -36,7 +36,7 @@ from gowerslab.approx import (
     strong_asymptotic_from_asymptotic,
 )
 from gowerslab.cli import RULES
-from gowerslab.errors import Budget, FiniteExhaustion, PigeonholeUnavailable
+from gowerslab.errors import Budget, FiniteExhaustion, PigeonholeUnavailable, StrategyRefused
 from gowerslab.games import GamePosition, initial_position, legal_moves, move_legal, play_outcome
 from gowerslab.instances import (
     counterexample_sets,
@@ -64,7 +64,7 @@ from gowerslab.reductions import (
     tilde_lift,
     unfold_asymptotic,
 )
-from gowerslab.solver import count_plays, expand, legality
+from gowerslab.solver import expand, legality, table_rule
 from historywalk import count_histories, over_histories, walk_histories
 from microsuite import remembering_strategy
 
@@ -768,7 +768,7 @@ def _strong_singletons():
         space, system, tau, payoff, DeltaSeq.of("1/2", "1/2")
     )
 
-    def score(pos):
+    def score(pos, memory):
         sets = tuple(system.family[b] for b in pos.block_prefix)
         seqs = enumerate_block_sequences(system, sets, 2)
         return len(seqs), sum(1 for seq in seqs if payoff.accepts(seq))
@@ -933,7 +933,7 @@ def _walked(monkeypatch, label, over_histories, mutate):
     walk = walk_histories if over_histories else expand
 
     def patched(space, pos0, owner, rule, *args, **kwargs):
-        walk(space, pos0, owner, mutate(space, rule), *args, **kwargs)
+        return walk(space, pos0, owner, mutate(space, rule), *args, **kwargs)
 
     with monkeypatch.context() as patch:
         for module in modules[0] if modules else TRANSFORMS:
@@ -944,30 +944,32 @@ def _walked(monkeypatch, label, over_histories, mutate):
             return f"{type(exc).__name__}: {exc}"
 
 
-def _replay_score(space, scored):
-    """A build's payoff as a replay score (one play per outcome, a hit
-    when the payoff accepts it), or the build's own score."""
+def _replay_leaf(space, scored):
+    """A build's payoff as a replay leaf (one play per outcome, a hit
+    when the payoff accepts it), or the build's own leaf."""
     if not isinstance(scored, Payoff):
         return scored
-    return lambda pos: (1, 1 if scored.accepts(play_outcome(pos, space)) else 0)
+    return lambda pos, memory: (1, 1 if scored.accepts(play_outcome(pos, space)) else 0)
 
 
 def _differential(monkeypatch, label, mutate=lambda space, rule: rule):
     """``(table, (plays, in_accepts))`` of the transfer walked over
     (state, memory) pairs and over histories.  The first table is
     replayed over every history it reaches, threading its memory; the
-    first count is the shared count over pairs, the second a replay of
-    the history table over every history.  Also returns the built
-    strategies."""
+    first count is the table's replay by ``expand`` over pairs, the
+    second a replay of the history table over every history.  Also
+    returns the built strategies."""
     mealy = _walked(monkeypatch, label, False, mutate)
     history = _walked(monkeypatch, label, True, mutate)
     if isinstance(mealy, str) or isinstance(history, str):
         return mealy, history, None
     space, strat, scored = mealy[:3]
-    score = _replay_score(space, scored)
+    leaf = _replay_leaf(space, scored)
+    pos0 = initial_position(strat.kind, strat.root, strat.horizon)
+    by_pairs = expand(space, pos0, strat.owner, table_rule(space, strat), 0, leaf=leaf)
     return (
-        (over_histories(space, strat), count_plays(space, strat, score, Budget())),
-        (history[1].table, count_histories(space, history[1], score)),
+        (over_histories(space, strat), by_pairs),
+        (history[1].table, count_histories(space, history[1], leaf)),
         (strat, history[1]),
     )
 
@@ -1058,6 +1060,8 @@ def _with_memory(strat):
 
 
 def _refusals():
+    """Transformations given a strategy with memory, or one of another
+    game or player than they read: name -> (call, message)."""
     ms6 = mathias_silver(6, 2, 1)
     top = top_subspace(ms6)
     pair = build_payoff(ms6, "first_in", 2, {"labels": [1, 2, 3, 4, 5]})
@@ -1074,7 +1078,16 @@ def _refusals():
     adversarial = solve(twisted, GameKind.ADVERSARIAL_A, top, doubled, Player.I).strategy
     system = ms_singleton_system(ms6)
     half = DeltaSeq.of("1/2", "1/2")
-    return {
+
+    def lift(strat, direction):
+        return lambda: lift_strategy(_discrete(ms6), ms6, strat, direction, everything, half)
+
+    def strong(tau):
+        return lambda: strong_asymptotic_from_asymptotic(
+            with_system(ms6, system), system, tau, everything, half
+        )
+
+    memory = {
         "adversarial_from_kastanas": lambda: adversarial_from_kastanas(
             ms6, _with_memory(nested), Player.I, pair
         ),
@@ -1091,20 +1104,33 @@ def _refusals():
         "homogeneous_from_asymptotic": lambda: homogeneous_from_asymptotic(
             ms6, _with_memory(his), everything
         ),
-        "lift_strategy": lambda: lift_strategy(_discrete(ms6), ms6, hers, "G-II", everything, half),
-        "strong_asymptotic_from_asymptotic": lambda: strong_asymptotic_from_asymptotic(
-            with_system(ms6, system), system, _with_memory(his), everything, half
-        ),
+        "lift_strategy": lift(hers, "G-II"),
+        "strong_asymptotic_from_asymptotic": strong(_with_memory(his)),
+    }
+    # A lift used to read its direction for the lift's shape only, and
+    # the strong transfer checked the owner but not the game.
+    mismatched = {
+        "lift_strategy/G-II-given-F-I": lift(his, "G-II"),
+        "lift_strategy/A-I-given-F-I": lift(his, "A-I"),
+        "lift_strategy/B-II-given-G-II": lift(hers, "B-II"),
+        "lift_strategy/F-I-given-A-I": lift(adversarial, "F-I"),
+        "strong_asymptotic_from_asymptotic/A-I": strong(adversarial),
+    }
+    return {
+        **{name: (call, "has memory") for name, call in memory.items()},
+        **{name: (call, "needs a") for name, call in mismatched.items()},
     }
 
 
-class TestMemoryRefused:
+class TestRefusals:
     @pytest.mark.parametrize("name", list(_refusals()))
-    def test_transformation_refuses_a_strategy_with_memory(self, name):
+    def test_transformation_refuses_its_input(self, name):
         # Transformations simulate their inputs at a state: a table
-        # with memory would be read at memory 0 only.
-        with pytest.raises(ValueError, match="has memory"):
-            _refusals()[name]()
+        # with memory would be read at memory 0 only, and one of another
+        # game or player would be simulated in the wrong game.
+        call, message = _refusals()[name]
+        with pytest.raises(StrategyRefused, match=message):
+            call()
 
 
 class TestHomogeneousExtraction:

@@ -68,7 +68,7 @@ def seeded_games() -> list:
 
 
 def _score(space, payoff):
-    return lambda pos: (1, 1 if payoff.accepts(play_outcome(pos, space)) else 0)
+    return lambda pos, shadow: (1, 1 if payoff.accepts(play_outcome(pos, space)) else 0)
 
 
 def check_against_the_oracle(game) -> None:
@@ -184,6 +184,15 @@ class TestVerify:
         )
         with pytest.raises(StrategyIncomplete):
             verify_strategy(ms6, broken, payoff)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 4])
+    def test_payoff_of_another_horizon_refused(self, horizon):
+        # Outcomes of three entries used to be scored by a payoff of any
+        # horizon: 17,576 plays with 7,663 accepted whatever it was.
+        ms = mathias_silver(5, 2, 1)
+        strat = solve(ms, GameKind.GOWERS_G, top_subspace(ms), seeded_payoff(3, 1), Player.I)
+        with pytest.raises(ValueError, match="horizon"):
+            verify_strategy(ms, strat.strategy, seeded_payoff(horizon, 1, 0.5))
 
     def test_illegal_table_move_detected_by_the_state_count(self, ms6):
         top = top_subspace(ms6)
