@@ -55,7 +55,7 @@ from .reductions import (
 )
 from .solver import VERIFY_TARGETS, solve, strategy_from_rule, verify_strategy
 from .space import check_axioms
-from .util import canonical_json, fraction_str, json_int, split_seed
+from .util import canonical_json, fraction_str, json_int, parse_fraction, split_seed
 
 # Pipeline op -> the fields its stage may carry besides "op"; a stage
 # with any other field is refused, so a misspelled field is not ignored.
@@ -232,6 +232,7 @@ STAGE_NAMES = {
     "flavor": DICHOTOMY_GAMES,
     "mode": ("exhaustive",),  # the only verification there is
     "target": VERIFY_TARGETS,
+    "expect": ("available", "unavailable"),
 }
 
 
@@ -245,9 +246,9 @@ def _check_game(kind, horizon, has_system) -> None:
 
 def _check_pipeline(pipeline, horizon, has_system) -> None:
     """Each stage carries only its op's fields (``STAGE_FIELDS``), its
-    named fields are known, every game it plays besides
-    the scenario's own passes ``_check_game``, and it is fed the
-    artifact kind it consumes."""
+    named fields are known, a ``delta`` is a rational, every game it
+    plays besides the scenario's own passes ``_check_game``, and it is
+    fed the artifact kind it consumes."""
     current = None
     for i, stage in enumerate(pipeline):
         op = stage.get("op")
@@ -266,6 +267,9 @@ def _check_pipeline(pipeline, horizon, has_system) -> None:
                 raise SpecInvalid(f"stage {i}: unknown {name} {stage[name]!r}")
         if "min_dim" in stage:
             json_int(stage["min_dim"], f"stage {i}: min_dim")
+        if "delta" in stage:
+            with _validating(f"stage {i}: delta"):
+                parse_fraction(stage["delta"])
         games = [GameKind(stage["kind"])] if "kind" in stage else []
         if op == "dichotomy":
             games += DICHOTOMY_GAMES[stage.get("flavor", "strategic")]

@@ -1,13 +1,15 @@
 """Rule systems of the six games at finite horizon.
 
-Positions are immutable move histories that carry their state; move
-generation is a pure function of (space, position).  Once kind, root
-and horizon are fixed, the rules and the outcome read only a position's
-state (see ``GamePosition.state``), so two histories with one state
-have the same moves, children's states and outcomes.  The rules read
-less than the whole state: ``rules_key`` is the part they read, so two
-positions of one game with one rules key have the same legal moves.
-Conventions for the finite truncation:
+Positions are immutable move histories that carry their state.  The
+rules read the game (kind, root and horizon) and a state, never the
+history: ``legal_moves(space, pos, state)`` gives the moves at any
+state of ``pos``'s game, so two histories with one state have the same
+moves, children's states and outcomes (see ``GamePosition.state``).
+The rules read less than the whole state: ``rules_key`` is the part
+they read, so two states of one game with one rules key have the same
+legal moves.  Each distinct move is built once per instance and shared
+by every list ``legal_moves`` returns after.  Conventions for the
+finite truncation:
 
 * The horizon of a position is the length of the finished outcome: the
   number of point moves for the interleaved games (so always even there)
@@ -237,46 +239,47 @@ _SUBSPACE_RULES = {
 }
 
 
-def _anchor(pos: GamePosition, rule: str) -> SubspaceId:
-    return pos.state()[2] if rule == "nested" else pos.root
+def _anchor(root: SubspaceId, state: tuple, rule: str) -> SubspaceId:
+    return state[2] if rule == "nested" else root
 
 
-def _subspaces(space: SpaceInstance, pos: GamePosition, rule: str) -> tuple:
-    """The subspaces the rule allows, in canonical order."""
-    anchor = _anchor(pos, rule)
+def _subspaces(space: SpaceInstance, root: SubspaceId, state: tuple, rule: str) -> tuple:
+    """The subspaces the rule allows at ``state``, in canonical order."""
+    anchor = _anchor(root, state, rule)
     return space.lessapprox_below(anchor) if rule == "la" else space.below(anchor)
 
 
-def _subspace_allowed(space: SpaceInstance, pos: GamePosition, rule: str, q) -> bool:
-    """Whether q is among ``_subspaces(space, pos, rule)``, read from the
-    relation for the one pair."""
+def _subspace_allowed(space: SpaceInstance, root: SubspaceId, state: tuple, rule: str, q) -> bool:
+    """Whether q is among ``_subspaces(space, root, state, rule)``, read
+    from the relation for the one pair."""
     if not isinstance(q, int) or not 0 <= q < len(space.palette):
         return False
-    anchor = _anchor(pos, rule)
+    anchor = _anchor(root, state, rule)
     return space.lessapprox(q, anchor) if rule == "la" else space.leq(q, anchor)
 
 
-def _options(space: SpaceInstance, pos: GamePosition) -> tuple:
+def _options(space: SpaceInstance, kind: GameKind, horizon: int, state: tuple) -> tuple:
     """The rules of every game: ``(points, subspace rule, blocks)`` for
-    the player to move at a non-terminal position.  Points and blocks
-    are tuples of ids in canonical order, the subspace rule one of
-    "leq", "la" and "nested" (read by ``_subspaces`` and
+    the player to move at a non-terminal state of the game.  Points and
+    blocks are tuples of ids in canonical order, the subspace rule one
+    of "leq", "la" and "nested" (read by ``_subspaces`` and
     ``_subspace_allowed``); each is None when the move leaves that field
     empty."""
-    played, prefix, constraint, _ = pos.state()
-    rules = _SUBSPACE_RULES[pos.kind]
-    if pos.kind in INTERLEAVED:
+    played, prefix, constraint, _ = state
+    rules = _SUBSPACE_RULES[kind]
+    to_move = turns(kind, horizon)[played]
+    if kind in INTERLEAVED:
         if not played:
             return None, rules[0], None
         points = space.admitted_points(prefix, constraint)
-        if played == pos.horizon:
+        if played == horizon:
             return points, None, None  # her last answer is a bare point
-        return points, rules[1] if pos.to_move is Player.I else rules[2], None
-    if pos.kind is GameKind.STRONG_ASYMPTOTIC_SF and space.system is None:
+        return points, rules[1] if to_move is Player.I else rules[2], None
+    if kind is GameKind.STRONG_ASYMPTOTIC_SF and space.system is None:
         raise IllegalPosition("strong asymptotic game needs a precompact system")
-    if pos.to_move is Player.I:
+    if to_move is Player.I:
         return None, rules[0], None
-    if pos.kind in CHOOSER:
+    if kind in CHOOSER:
         return space.admitted_points(prefix, constraint), None, None
     blocks = tuple(
         k
@@ -299,30 +302,43 @@ def move_legal(space: SpaceInstance, pos: GamePosition, move: Move) -> bool:
     outside them (outside the palette, say) is illegal."""
     if pos.terminal or move.player is not pos.to_move:
         return False
-    points, rule, blocks = _options(space, pos)
+    state = pos.state()
+    points, rule, blocks = _options(space, pos.kind, pos.horizon, state)
     if rule is None:
         subspace_ok = move.subspace is None
     else:
-        subspace_ok = _subspace_allowed(space, pos, rule, move.subspace)
+        subspace_ok = _subspace_allowed(space, pos.root, state, rule, move.subspace)
     return _allowed(move.point, points) and subspace_ok and _allowed(move.block, blocks)
 
 
-def legal_moves(space: SpaceInstance, pos: GamePosition) -> list:
-    """All legal moves for the player to move, in canonical order.
+def legal_moves(space: SpaceInstance, pos: GamePosition, state: Optional[tuple] = None) -> list:
+    """All legal moves for the player to move at ``state`` in ``pos``'s
+    game (by default ``pos``'s own state), in canonical order.
 
-    Pairs are ordered point-major, then by subspace id.
+    Pairs are ordered point-major, then by subspace id.  The list is
+    new at each call, but its moves are the instance's: each distinct
+    move is built once per instance and shared by every list after.
     """
-    if pos.terminal:
+    if state is None:
+        state = pos.state()
+    order = turns(pos.kind, pos.horizon)
+    played = state[0]
+    if played >= len(order) - 1:
         return []
-    points, rule, blocks = _options(space, pos)
-    subspaces = None if rule is None else _subspaces(space, pos, rule)
-    player = pos.to_move
-    return [
-        Move(player, x, q, k)
-        for x in _each(points)
-        for q in _each(subspaces)
-        for k in _each(blocks)
-    ]
+    points, rule, blocks = _options(space, pos.kind, pos.horizon, state)
+    subspaces = None if rule is None else _subspaces(space, pos.root, state, rule)
+    player = order[played]
+    interned = space._moves.setdefault(player, {})  # (point, subspace, block) -> Move
+    out = []
+    for x in _each(points):
+        for q in _each(subspaces):
+            for k in _each(blocks):
+                key = (x, q, k)
+                move = interned.get(key)
+                if move is None:
+                    move = interned[key] = Move(player, *key)
+                out.append(move)
+    return out
 
 
 def play_outcome(pos: GamePosition, space: Optional[SpaceInstance] = None):

@@ -216,9 +216,13 @@ class KastanasTransfer:
         }
 
 
-def _require_verified(strat: Strategy, owner: Player, kind: GameKind, what: str):
+def _require_game(strat: Strategy, owner: Player, kind: GameKind, what: str):
     if strat.owner is not owner or strat.kind is not kind:
         raise StrategyRefused(f"{what} needs a {kind.value}-game strategy for {owner.value}")
+
+
+def _require_verified(strat: Strategy, owner: Player, kind: GameKind, what: str):
+    _require_game(strat, owner, kind, what)
     if not strat.verified:
         raise StrategyRefused(f"{what} refuses unverified input strategies")
     strat.require_memoryless(what)
@@ -451,8 +455,7 @@ def reinterpret_adversarial(strat: Strategy) -> Strategy:
     game constraining hers: his moves stay legal (the tighter relation
     implies the looser), her options only shrink, so the table carries
     over unchanged (states hold no game kind)."""
-    if strat.owner is not Player.I or strat.kind is not GameKind.ADVERSARIAL_A:
-        raise ValueError("reinterpretation goes from his constrained game")
+    _require_game(strat, Player.I, GameKind.ADVERSARIAL_A, "reinterpretation")
     return replace(
         strat, kind=GameKind.ADVERSARIAL_B, table=dict(strat.table), name=f"B-read:{strat.name}"
     )
@@ -509,7 +512,7 @@ def project_tilde_strategy(
         return _project_to_asymptotic(space, twisted, strat)
     if strat.owner is Player.II and strat.kind is GameKind.ADVERSARIAL_B:
         return _project_to_gowers(space, twisted, strat)
-    raise ValueError("projection expects his A-strategy or her B-strategy")
+    raise StrategyRefused("projection needs a strategy for I in game A or for II in game B")
 
 
 def _project_to_asymptotic(space, twisted, strat):

@@ -31,13 +31,16 @@ fraction of outcomes landing in the payoff.
 
 The two memoized walks (the solve and ``expand``) work from the state
 first: at each edge they compute the child's state with
-``games.next_state`` and probe the memo with it, and only a miss
-builds the child position, which is handed that state.  Whose turn it
-is and whether the play is over are read from ``games.turns`` by moves
-played, and a finished play is scored from its state.  Each walk keeps
-its own move lists, so ``legal_moves`` runs once per
-``games.rules_key`` the walk meets, and each legality test of a walk
-(``legality``) runs ``move_legal`` once per (rules key, move) pair.
+``games.next_state`` and probe the memo with it.  The solve walks
+states only and builds no position; in ``expand`` a miss builds the
+child position, handed that state, since the rules it follows read
+positions.  Whose turn it is and whether the play is over are read from
+``games.turns`` by moves played, and a finished play is scored from its
+state.  Each walk keeps its own move lists, asking ``legal_moves`` for
+the moves at a state of its root position's game once per
+``games.rules_key`` it meets; the moves in them are the instance's,
+built once each.  Each legality test of a walk (``legality``) runs
+``move_legal`` once per (rules key, move) pair.
 
 In the solve a player with no legal move at a non-terminal position
 loses, and ``expand`` ends such a line without a play; finite
@@ -170,35 +173,36 @@ def _accepts_fn(space: SpaceInstance, payoff: Payoff, kind: GameKind) -> Callabl
     return lambda state: accepts(state_outcome(kind, state, space))
 
 
-def _move_lists(space: SpaceInstance) -> Callable[[GamePosition, tuple], list]:
-    """One walk's move lists, ``moves(pos, state)`` with ``state`` the
-    position's: ``legal_moves`` is called once per ``rules_key`` the
-    walk meets, and every other position of the walk with that key gets
+def _move_lists(space: SpaceInstance, pos0: GamePosition) -> Callable[[tuple], list]:
+    """One walk's move lists, ``moves(state)`` for a state of
+    ``pos0``'s game: ``legal_moves`` is called once per ``rules_key``
+    the walk meets, and every other state of the walk with that key gets
     the same list.  The dict dies with the walk, so nothing outlives it;
-    all positions of a walk belong to one game."""
+    the moves in the lists are the instance's own (see ``legal_moves``)."""
     lists: dict = {}
 
-    def moves(pos: GamePosition, state: tuple) -> list:
+    def moves(state: tuple) -> list:
         key = rules_key(space, state)
         hit = lists.get(key)
         if hit is None:
-            hit = lists[key] = legal_moves(space, pos)
+            hit = lists[key] = legal_moves(space, pos0, state)
         return hit
 
     return moves
 
 
-def legality(space: SpaceInstance) -> Callable[[GamePosition, Move], bool]:
-    """One walk's legality test, ``legal(pos, move)``: ``move_legal``
-    runs once per (rules key, move) pair the walk meets, since positions
-    of one game with one ``rules_key`` have the same legal moves, and
-    every later test of the pair reads the verdict.  As with
-    ``_move_lists``, the verdicts die with the walk and all positions of
-    a walk belong to one game."""
+def legality(space: SpaceInstance) -> Callable[..., bool]:
+    """One walk's legality test, ``legal(pos, move, state=None)`` with
+    ``state`` the position's, passed by a caller that has read it:
+    ``move_legal`` runs once per (rules key, move) pair the walk meets,
+    since positions of one game with one ``rules_key`` have the same
+    legal moves, and every later test of the pair reads the verdict.  As
+    with ``_move_lists``, the verdicts die with the walk and all
+    positions of a walk belong to one game."""
     verdicts: dict = {}
 
-    def legal(pos: GamePosition, move: Move) -> bool:
-        key = (rules_key(space, pos.state()), move)
+    def legal(pos: GamePosition, move: Move, state: Optional[tuple] = None) -> bool:
+        key = (rules_key(space, pos.state() if state is None else state), move)
         verdict = verdicts.get(key)
         if verdict is None:
             verdict = verdicts[key] = move_legal(space, pos, move)
@@ -214,16 +218,16 @@ def _minimax(space, pos0, accepts, goal_owner, budget, wins) -> bool:
     Each state is searched once and costs one budget tick; the moves
     come from the walk's move lists, and ``wins`` maps each searched
     state the player to move wins to that player's first winning move in
-    canonical order.  A child's state is probed in the memo before its
-    position is built, so only a miss builds one.
+    canonical order.  The search reads states only and builds no
+    position: the rules read ``pos0``'s game and the state.
     """
     tick = budget.tick
-    moves = _move_lists(space)
+    moves = _move_lists(space, pos0)
     order = turns(pos0.kind, pos0.horizon)
     end = len(order) - 1
     memo: dict = {}  # state -> value
 
-    def value(pos: GamePosition, state: tuple) -> bool:
+    def value(state: tuple) -> bool:
         tick()
         played = state[0]
         if played == end:
@@ -233,11 +237,11 @@ def _minimax(space, pos0, accepts, goal_owner, budget, wins) -> bool:
             # for one worth False; a player without a legal move loses.
             want = order[played] is goal_owner
             won = not want
-            for m in moves(pos, state):
+            for m in moves(state):
                 after = next_state(state, m)
                 v = memo.get(after)
                 if v is None:
-                    v = value(pos.child(m, after), after)
+                    v = value(after)
                 if v is want:
                     wins[state] = m
                     won = want
@@ -245,7 +249,7 @@ def _minimax(space, pos0, accepts, goal_owner, budget, wins) -> bool:
         memo[state] = won
         return won
 
-    won = value(pos0, pos0.state())
+    won = value(pos0.state())
     del value  # the memo goes on return; see ``expand``
     return won
 
@@ -311,7 +315,7 @@ def expand(
     one memory, they go in memoryless, at memory 0.
     """
     tick = (budget or Budget(where="expand")).tick
-    moves = _move_lists(space)
+    moves = _move_lists(space, pos0)
     order = turns(pos0.kind, pos0.horizon)
     end = len(order) - 1
     memories = {_memory_key(shadow): 0}
@@ -336,7 +340,7 @@ def expand(
         else:
             memo = memos[memory]
             plays = hits = 0
-            for m in moves(pos, state):
+            for m in moves(state):
                 child = next_state(state, m)
                 p, h = memo.get(child) or visit(pos.child(m, child), child, shadow, memory)
                 plays += p
@@ -365,10 +369,11 @@ def table_rule(space: SpaceInstance, strat: Strategy) -> Callable:
     legal = legality(space)
 
     def rule(pos: GamePosition, memory: int):
-        entry = table.get((pos.state(), memory))
+        state = pos.state()
+        entry = table.get((state, memory))
         if entry is None:
             raise StrategyIncomplete(pos.key())
-        if not legal(pos, entry[0]):
+        if not legal(pos, entry[0], state):
             raise IllegalMove(f"strategy move {entry[0]} illegal at {pos.key()}")
         return entry
 

@@ -111,6 +111,7 @@ class SpaceInstance:
         self._lessapprox_below: dict[SubspaceId, tuple] = {}
         self._admitted: dict = {}
         self._compat: dict = {}
+        self._moves: dict = {}  # player -> (point, subspace, block) -> games.Move
         # Rows are read off the relations as given, so a wrapper put on
         # ``self.leq`` later does not turn the bulk rows off.
         self._leq_row = self._rows(leq, "row", lambda p, q: self.leq(p, q))

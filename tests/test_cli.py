@@ -393,6 +393,11 @@ MALFORMED = [
     ("payoff-index-list", "ms-f-dichotomy.json", _payoff_params(index=[])),
     ("payoff-index-past-the-outcome", "ms-f-dichotomy.json", _payoff_params(index=1)),
     ("min-dim-list", "f3-pigeonhole-counterexample.json", _stage(0, min_dim=[])),
+    # A misspelled expectation used to fail the check (exit 4), and a
+    # delta that is no rational to run as if absent (exit 0).
+    ("pigeonhole-expect-misspelled", "f3-pigeonhole-counterexample.json",
+     _stage(1, expect="unavailble")),
+    ("pigeonhole-delta-abc", "f3-pigeonhole-counterexample.json", _stage(1, delta="abc")),
     # Payoffs reading coordinates of integer labels used to raise a
     # TypeError at the first outcome.
     (

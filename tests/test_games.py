@@ -227,6 +227,18 @@ class TestRulesReference:
             assert seen.setdefault(rules_key(space, pos.state()), moves) == moves, pos.key()
         assert len(seen) > 1
 
+    @pytest.mark.parametrize(
+        "space,kind,horizon",
+        [case[1:] for case in RULES_KEY_CASES],
+        ids=[f"{name}-{k}-h{h}" for name, _, k, h in RULES_KEY_CASES],
+    )
+    def test_the_rules_read_the_game_and_the_state(self, space, kind, horizon):
+        # The solve asks for the moves at a state of the root position's
+        # game, and builds no position of its own.
+        pos0 = initial_position(GameKind(kind), top_subspace(space), horizon)
+        for pos, moves in reachable(space, kind, horizon):
+            assert legal_moves(space, pos0, pos.state()) == moves, pos.key()
+
     def test_positions_carry_the_folded_state(self):
         for space, kind, horizon in ((TILDE, "A", 4), (MS4_SF, "SF", 2)):
             for pos, _ in reachable(space, kind, horizon):

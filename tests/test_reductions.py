@@ -1107,14 +1107,17 @@ def _refusals():
         "lift_strategy": lift(hers, "G-II"),
         "strong_asymptotic_from_asymptotic": strong(_with_memory(his)),
     }
-    # A lift used to read its direction for the lift's shape only, and
-    # the strong transfer checked the owner but not the game.
+    # A lift used to read its direction for the lift's shape only, the
+    # strong transfer checked the owner but not the game, and the
+    # projection and the reinterpretation raised a plain ValueError.
     mismatched = {
         "lift_strategy/G-II-given-F-I": lift(his, "G-II"),
         "lift_strategy/A-I-given-F-I": lift(his, "A-I"),
         "lift_strategy/B-II-given-G-II": lift(hers, "B-II"),
         "lift_strategy/F-I-given-A-I": lift(adversarial, "F-I"),
         "strong_asymptotic_from_asymptotic/A-I": strong(adversarial),
+        "project_tilde_strategy/F-I": lambda: project_tilde_strategy(ms6, twisted, his),
+        "reinterpret_adversarial/G-II": lambda: reinterpret_adversarial(hers),
     }
     return {
         **{name: (call, "has memory") for name, call in memory.items()},

@@ -308,9 +308,9 @@ class TestMoveLists:
         payoff = seeded_payoff(3, 1, 0.95)
         keys = []
 
-        def counted(spc, pos):
-            keys.append(rules_key(spc, pos.state()))
-            return legal_moves(spc, pos)
+        def counted(spc, pos, state):
+            keys.append(rules_key(spc, state))
+            return legal_moves(spc, pos, state)
 
         monkeypatch.setattr(solver, "legal_moves", counted)
         result = solve(space, GameKind.GOWERS_G, top, payoff, Player.II)
@@ -323,8 +323,10 @@ class TestMoveLists:
         assert (report.plays, report.in_accepts) == (17576, 17576)
 
     def test_one_position_per_memo_miss_and_one_check_per_rules_key_and_move(self, monkeypatch):
+        # The solve builds no position, and the count one per memo miss.
         # Figures pinned from the walks that built every child before
-        # reading the memo (1,196 positions in the solve) and checked
+        # reading the memo (1,196 positions in the solve, then 671, one
+        # per memo miss, until the solve read states only) and checked
         # every table move at its own position (546 move_legal calls in
         # the count, for 88 distinct (rules key, move) pairs).  The nodes,
         # entries, plays and ticks are theirs too.
@@ -348,13 +350,35 @@ class TestMoveLists:
         budget = Budget()
         result = solve(space, GameKind.GOWERS_G, top, payoff, Player.II, budget)
         assert (result.nodes_expanded, len(result.strategy.table), budget.used) == (672, 572, 672)
-        assert len(children) == result.nodes_expanded - 1 == 671
-        children[:] = []
+        assert children == []
         budget = Budget()
         report = verify_strategy(space, result.strategy, payoff, budget=budget)
         assert (report.plays, report.in_accepts, budget.used) == (17576, 17576, 631)
         assert len(children) == budget.used - 1 == 630
         assert len(checked) == len(set(checked)) == 88
+
+    def test_solves_share_the_instance_moves_in_fresh_lists(self, monkeypatch):
+        # Each distinct move is built once per instance: a second solve
+        # on the instance is handed the first one's move objects, in
+        # lists of its own, and a derived view builds its own moves.
+        space = mathias_silver(5, 2, 1)
+        top = top_subspace(space)
+        payoff = seeded_payoff(3, 1, 0.95)
+        lists = []
+
+        def kept(spc, pos, state):
+            lists.append((rules_key(spc, state), legal_moves(spc, pos, state)))
+            return lists[-1][1]
+
+        monkeypatch.setattr(solver, "legal_moves", kept)
+        for spc in (space, space, space.derive()):
+            solve(spc, GameKind.GOWERS_G, top, payoff, Player.II)
+        first, second, derived = (lists[i:i + 81] for i in (0, 81, 162))
+        assert len(lists) == 3 * 81
+        for (key, a), (again, b), (_, c) in zip(first, second, derived):
+            assert key == again and a == b == c and a is not b
+            assert all(x is y for x, y in zip(a, b))
+            assert not any(x is z for x, z in zip(a, c))
 
     def test_a_move_legal_at_one_rules_key_is_checked_again_at_another(self, ms6):
         # The replay checks a table move once per (rules key, move).  One
