@@ -246,9 +246,9 @@ def _check_game(kind, horizon, has_system) -> None:
 
 def _check_pipeline(pipeline, horizon, has_system) -> None:
     """Each stage carries only its op's fields (``STAGE_FIELDS``), its
-    named fields are known, a ``delta`` is a rational, every game it
-    plays besides the scenario's own passes ``_check_game``, and it is
-    fed the artifact kind it consumes."""
+    named fields are known, a ``delta`` is a nonnegative rational, every
+    game it plays besides the scenario's own passes ``_check_game``, and
+    it is fed the artifact kind it consumes."""
     current = None
     for i, stage in enumerate(pipeline):
         op = stage.get("op")
@@ -269,7 +269,8 @@ def _check_pipeline(pipeline, horizon, has_system) -> None:
             json_int(stage["min_dim"], f"stage {i}: min_dim")
         if "delta" in stage:
             with _validating(f"stage {i}: delta"):
-                parse_fraction(stage["delta"])
+                if parse_fraction(stage["delta"]) < 0:
+                    raise SpecInvalid(f"stage {i}: delta {stage['delta']!r} is negative")
         games = [GameKind(stage["kind"])] if "kind" in stage else []
         if op == "dichotomy":
             games += DICHOTOMY_GAMES[stage.get("flavor", "strategic")]
@@ -591,9 +592,10 @@ def _run_stage(space, scenario, root, payoff, stage, current, budget) -> _StageO
         provider = provider_for(space)
         point_set = counterexample_sets(space, stage["which"])
         expect = stage.get("expect")
+        delta = stage.get("delta")
         try:
             q, side = provider.decide(
-                space, (), point_set, root, stage.get("delta")
+                space, (), point_set, root, None if delta is None else parse_fraction(delta)
             )
             result = {"pigeonhole": side, "q": q}
             ok = expect in (None, "available")

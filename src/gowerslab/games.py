@@ -1,6 +1,7 @@
 """Rule systems of the six games at finite horizon.
 
-Positions are immutable move histories that carry their state.  The
+A position is a tuple record: an immutable move history of one game
+that carries its state, so a walk builds one tuple per position.  The
 rules read the game (kind, root and horizon) and a state, never the
 history: ``legal_moves(space, pos, state)`` gives the moves at any
 state of ``pos``'s game, so two histories with one state have the same
@@ -26,9 +27,10 @@ finite truncation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional
 
 from .errors import IllegalPosition, NotTerminal
@@ -90,25 +92,53 @@ class Move:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class GamePosition:
-    """A move history of one game, with its state.
+class GamePosition(tuple):
+    """A move history of one game, with its state: the tuple record
+    ``(kind, root, horizon, moves, state)``.
 
-    The state is derived and takes no part in equality, hashing or the
-    repr: constructing a position folds ``next_state`` over its moves,
-    and ``child`` extends the parent's state by the one move instead."""
+    The state is derived and stays out of the repr: constructing a
+    position folds ``next_state`` over its moves, and ``child`` extends
+    the parent's state by the one move instead.  It decides nothing in
+    equality or hashing either, since equal moves fold to equal states.
+    A position equals only a position, never a plain tuple.  It is
+    still a sequence of those five fields (``len`` is 5, it iterates,
+    and ``<`` is tuple ordering, also against a plain tuple), so keep
+    positions out of orderings and report data that mix in tuples."""
 
-    kind: GameKind
-    root: SubspaceId
-    horizon: int
-    moves: tuple = ()
-    _state: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
+    kind = property(itemgetter(0))
+    root = property(itemgetter(1))
+    horizon = property(itemgetter(2))
+    moves = property(itemgetter(3))
+
+    def __new__(cls, kind: GameKind, root: SubspaceId, horizon: int, moves: tuple = ()):
         state = START_STATE
-        for move in self.moves:
+        for move in moves:
             state = next_state(state, move)
-        object.__setattr__(self, "_state", state)
+        return tuple.__new__(cls, (kind, root, horizon, moves, state))
+
+    # Both comparisons are spelled out: tuple's own ``__ne__`` would
+    # otherwise answer ``!=``, and find a position equal to its fields.
+    def __eq__(self, other):
+        if isinstance(other, GamePosition):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        if isinstance(other, GamePosition):
+            return tuple.__ne__(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        kind, root, horizon, moves, _ = self
+        return f"GamePosition(kind={kind!r}, root={root!r}, horizon={horizon!r}, moves={moves!r})"
+
+    def __getnewargs__(self) -> tuple:
+        """Copies and pickles are rebuilt from the history by ``__new__``."""
+        return self[:4]
 
     def key(self) -> tuple:
         return (
@@ -125,11 +155,11 @@ class GamePosition:
 
     @property
     def point_prefix(self) -> tuple:
-        return self._state[1]
+        return self[4][1]
 
     @property
     def block_prefix(self) -> tuple:
-        return self._state[3]
+        return self[4][3]
 
     @property
     def terminal(self) -> bool:
@@ -143,21 +173,17 @@ class GamePosition:
         """``(moves played, point prefix, last move's subspace, block
         prefix)``: everything the rules and the outcome read within one
         game.  It leaves out kind, root and horizon.  A field read."""
-        return self._state
+        return self[4]
 
     def child(self, move: Move, state: Optional[tuple] = None) -> "GamePosition":
         """The position after ``move``.  ``state``, when given, must be
         ``next_state(self.state(), move)``: a walk that has computed it
         passes it in rather than have it computed twice."""
-        # Built without ``__init__``, so the state is extended, not refolded.
-        pos = object.__new__(GamePosition)
-        init = object.__setattr__
-        init(pos, "kind", self.kind)
-        init(pos, "root", self.root)
-        init(pos, "horizon", self.horizon)
-        init(pos, "moves", self.moves + (move,))
-        init(pos, "_state", next_state(self._state, move) if state is None else state)
-        return pos
+        # Built without ``__new__``, so the state is extended, not refolded.
+        kind, root, horizon, moves, before = self
+        if state is None:
+            state = next_state(before, move)
+        return tuple.__new__(GamePosition, (kind, root, horizon, moves + (move,), state))
 
 
 START_STATE = (0, (), None, ())

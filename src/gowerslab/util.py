@@ -27,10 +27,11 @@ def stable_fraction_hash(seed: int, payload: str, modulus: int = 1_000_000) -> i
 
 
 def parse_fraction(text) -> Fraction:
-    """Parse "3/20", "0.15"-free exact strings, or ints into a Fraction."""
+    """Parse "3/20", "0.15"-free exact strings, or ints into a Fraction.
+    A bool is no rational, though Python counts it an int."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
         return Fraction(text.strip())

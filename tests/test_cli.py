@@ -1,6 +1,7 @@
 """Scenario runner: pipelines, exit codes, deterministic reports."""
 
 import json
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from gowerslab.cli import RULES, main, report_render, run_scenario
 from gowerslab.games import MAX_HORIZON
+from gowerslab.instances import PigeonholeProvider
 
 
 def scenario_path(name: str) -> Path:
@@ -376,6 +378,12 @@ MALFORMED = [
         "ms-f-dichotomy.json",
         _top(instance={"kind": "grid-sphere", "step": "0"}),
     ),
+    # A bool is no rational: it used to build the grid at step 1.
+    (
+        "grid-step-bool",
+        "ms-f-dichotomy.json",
+        _top(instance={"kind": "grid-sphere", "step": True}),
+    ),
     # Integer fields are checked, not coerced: each of these used to run
     # as the integer it rounds or parses to (or to exit 3 or 4).
     ("horizon-float", "ms-f-dichotomy.json", _game(horizon=2.5)),
@@ -398,6 +406,9 @@ MALFORMED = [
     ("pigeonhole-expect-misspelled", "f3-pigeonhole-counterexample.json",
      _stage(1, expect="unavailble")),
     ("pigeonhole-delta-abc", "f3-pigeonhole-counterexample.json", _stage(1, delta="abc")),
+    # A bool delta used to run as 1, and a negative one to run (exit 0).
+    ("pigeonhole-delta-bool", "f3-pigeonhole-counterexample.json", _stage(1, delta=True)),
+    ("pigeonhole-delta-negative", "f3-pigeonhole-counterexample.json", _stage(1, delta="-3")),
     # Payoffs reading coordinates of integer labels used to raise a
     # TypeError at the first outcome.
     (
@@ -455,6 +466,26 @@ class TestMalformedScenarios:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
         assert flag_err == capsys.readouterr().err
         assert flag_err.startswith("validation error: budgets: nodes must be")
+
+    @pytest.mark.parametrize("delta,parsed", [(0, Fraction(0)), ("1/2", Fraction(1, 2))])
+    def test_pigeonhole_delta_reaches_the_provider_parsed(
+        self, delta, parsed, tmp_path, monkeypatch
+    ):
+        # The raw JSON value used to go to ``decide``.
+        seen = []
+        decide = PigeonholeProvider.decide
+
+        def spy(provider, space, history, point_set, p, delta=None):
+            seen.append(delta)
+            return decide(provider, space, history, point_set, p, delta)
+
+        monkeypatch.setattr(PigeonholeProvider, "decide", spy)
+        data = json.loads(scenario_path("f3-pigeonhole-counterexample.json").read_text())
+        data["pipeline"][1]["delta"] = delta
+        path = tmp_path / "delta.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        assert seen == [parsed] and all(type(d) is Fraction for d in seen)
 
 
 class TestDeterminism:

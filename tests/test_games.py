@@ -1,5 +1,7 @@
 """Rule systems: legal move generation, replay, outcome shapes."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -11,9 +13,11 @@ from gowerslab.approx import DeltaSeq, discretize, ms_singleton_system
 from gowerslab.errors import IllegalMove, IllegalPosition, NotTerminal
 from gowerslab.games import (
     MAX_HORIZON,
+    GamePosition,
     initial_position,
     legal_moves,
     move_legal,
+    next_state,
     play_outcome,
     replay,
     rules_key,
@@ -22,7 +26,7 @@ from gowerslab.games import (
 from gowerslab.instances import grid_sphere, mathias_silver, top_subspace
 from gowerslab.payoffs import build_payoff
 from gowerslab.reductions import tilde_lift
-from gowerslab.solver import strategy_from_rule
+from gowerslab.solver import _memory_key, strategy_from_rule
 from gowerslab.space import FULL_HISTORY, LENGTH_INDEXED
 
 
@@ -244,6 +248,70 @@ class TestRulesReference:
             for pos, _ in reachable(space, kind, horizon):
                 rebuilt = type(pos)(pos.kind, pos.root, pos.horizon, pos.moves)
                 assert rebuilt == pos and rebuilt.state() == pos.state()
+
+
+def _g_position(*subspaces):
+    return GamePosition(
+        GameKind.GOWERS_G, 3, 2, tuple(Move(Player.I, subspace=q) for q in subspaces)
+    )
+
+
+class TestPositionRecord:
+    def test_a_position_is_never_equal_to_a_plain_tuple(self):
+        pos = _g_position(1)
+        for fields in (tuple(pos), tuple(pos)[:4]):
+            assert pos != fields and fields != pos
+            assert not pos == fields and not fields == pos
+
+    def test_equal_histories_give_equal_positions_and_hashes(self):
+        one = _g_position(1)
+        other = initial_position(GameKind.GOWERS_G, 3, 2).child(Move(Player.I, subspace=1))
+        assert one is not other and one == other and not one != other
+        assert hash(one) == hash(other) and len({one, other}) == 1
+        assert _g_position(1) != _g_position(2) and _g_position() != _g_position(1)
+
+    # The reference games, and one whose admission reads the prefix.
+    FOLD_CASES = REFERENCE_CASES + [("tilde", TILDE, "A", 4)]
+
+    @pytest.mark.parametrize(
+        "space,kind,horizon",
+        [case[1:] for case in FOLD_CASES],
+        ids=[f"{name}-{k}-h{h}" for name, _, k, h in FOLD_CASES],
+    )
+    def test_child_equals_the_constructors_fold(self, space, kind, horizon):
+        for pos, moves in reachable(space, kind, horizon):
+            for m in moves:
+                child = pos.child(m, next_state(pos.state(), m))
+                folded = GamePosition(pos.kind, pos.root, pos.horizon, pos.moves + (m,))
+                assert child == folded and child.state() == folded.state(), folded.key()
+                assert pos.child(m) == folded
+
+    def test_fields_cannot_be_assigned(self):
+        pos = _g_position(1)
+        for name in ("kind", "root", "horizon", "moves", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(pos, name, 0)
+        assert pos == _g_position(1)
+
+    def test_repr_names_the_history_not_the_state(self):
+        assert repr(_g_position(1)) == (
+            "GamePosition(kind=<GameKind.GOWERS_G: 'G'>, root=3, horizon=2, "
+            "moves=(Move(player=<Player.I: 'I'>, point=None, subspace=1, block=None),))"
+        )
+
+    def test_copies_and_pickles_are_equal_positions(self):
+        pos = _g_position(1, 2)
+        for again in (copy.copy(pos), copy.deepcopy(pos), pickle.loads(pickle.dumps(pos))):
+            assert type(again) is GamePosition and again == pos
+            assert again.state() == pos.state()
+
+    def test_the_memory_key_reads_a_position_as_its_game_and_state(self):
+        # A position is a tuple, so the position branch must come first:
+        # read as a tuple, its moves would split the memory by history.
+        pos = _g_position(1)
+        game_and_state = (GameKind.GOWERS_G, 3, 2, pos.state())
+        assert _memory_key(pos) == game_and_state
+        assert _memory_key((pos, 4, (pos,))) == (game_and_state, 4, (game_and_state,))
 
 
 class TestTurns:
