@@ -319,14 +319,26 @@ def discretize(
         if not any(space.distance(x, y) <= scale for y in host_ids):
             raise NotDense(f"host point {x} farther than {scale} from the dense set")
     n_host = len(space.points)
+    # Host point bitsets, each made on first use: balls[(y, bound)] holds
+    # the host points closer than bound to dense point y, admitted[p] the
+    # host points admitted below p.
+    balls: dict = {}
+    admitted: dict = {}
 
     def admits(history, p):
-        y = host_ids[history[-1]]
-        bound = delta[len(history) - 1]
-        return any(
-            space.admits((x,), p) and space.distance(x, y) < bound
-            for x in range(n_host)
-        )
+        y, bound = history[-1], delta[len(history) - 1]
+        ball = balls.get((y, bound))
+        if ball is None:
+            centre = host_ids[y]
+            ball = balls[y, bound] = sum(
+                1 << x for x in range(n_host) if space.distance(x, centre) < bound
+            )
+        below = admitted.get(p)
+        if below is None:
+            below = admitted[p] = sum(
+                1 << x for x in range(n_host) if space.admits((x,), p)
+            )
+        return ball & below != 0
 
     return space.derive(
         name=name or f"discretized({space.name})",

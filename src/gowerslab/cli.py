@@ -36,6 +36,7 @@ from .errors import (
 from .games import GameKind, Move, Player, initial_position, legal_moves
 from .instances import (
     COUNTEREXAMPLES,
+    GRID_SPHERE,
     InstanceSpec,
     build_instance,
     counterexample_sets,
@@ -177,6 +178,7 @@ class Scenario:
             kind = GameKind(game["kind"])
             horizon = json_int(game["horizon"], "horizon")
             has_system = instance.params.get("system") is not None
+            has_metric = instance.kind == GRID_SPHERE  # the one approximate kind
             _check_game(kind, horizon, has_system)
             payoff = data.get("payoff", {"name": "everything"})
             if payoff["name"] not in PAYOFFS:
@@ -186,7 +188,7 @@ class Scenario:
                 if which not in COUNTEREXAMPLES:
                     raise SpecInvalid(f"payoff: unknown counterexample {which!r}")
             pipeline = data.get("pipeline", [])
-            _check_pipeline(pipeline, horizon, has_system)
+            _check_pipeline(pipeline, horizon, has_system, has_metric)
             budgets = data.get("budgets", {})
             seconds = budgets.get("seconds")
             wrong_type = isinstance(seconds, bool) or not isinstance(seconds, (int, float))
@@ -244,11 +246,13 @@ def _check_game(kind, horizon, has_system) -> None:
         raise SpecInvalid("the strong asymptotic game needs an instance with a system")
 
 
-def _check_pipeline(pipeline, horizon, has_system) -> None:
+def _check_pipeline(pipeline, horizon, has_system, has_metric) -> None:
     """Each stage carries only its op's fields (``STAGE_FIELDS``), its
-    named fields are known, a ``delta`` is a nonnegative rational, every
-    game it plays besides the scenario's own passes ``_check_game``, and
-    it is fed the artifact kind it consumes."""
+    named fields are known, a ``delta`` is a nonnegative rational and
+    positive only on an instance with a metric (the pigeonhole provider
+    reads no delta on any other), every game it plays besides the
+    scenario's own passes ``_check_game``, and it is fed the artifact
+    kind it consumes."""
     current = None
     for i, stage in enumerate(pipeline):
         op = stage.get("op")
@@ -269,8 +273,13 @@ def _check_pipeline(pipeline, horizon, has_system) -> None:
             json_int(stage["min_dim"], f"stage {i}: min_dim")
         if "delta" in stage:
             with _validating(f"stage {i}: delta"):
-                if parse_fraction(stage["delta"]) < 0:
-                    raise SpecInvalid(f"stage {i}: delta {stage['delta']!r} is negative")
+                delta = parse_fraction(stage["delta"])
+            if delta < 0:
+                raise SpecInvalid(f"stage {i}: delta {stage['delta']!r} is negative")
+            if delta and not has_metric:
+                raise SpecInvalid(
+                    f"stage {i}: delta {stage['delta']!r} needs an instance with a metric"
+                )
         games = [GameKind(stage["kind"])] if "kind" in stage else []
         if op == "dichotomy":
             games += DICHOTOMY_GAMES[stage.get("flavor", "strategic")]

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from operator import sub
 from typing import Optional
 
 from .errors import (
@@ -219,6 +220,11 @@ def _mask(indices) -> int:
     for i in indices:
         out |= 1 << i
     return out
+
+
+def _mask_points(mask: int) -> tuple:
+    """The point ids of a point bitmask, ascending."""
+    return tuple(bits(mask))
 
 
 def _mask_space(
@@ -468,36 +474,47 @@ def max_support(vec) -> int:
     return vec_support(vec)[-1]
 
 
-def _span_mask(basis, q, vec_index) -> int:
-    mask = 0
-    for coeffs in product(range(q), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        vec = tuple(
-            sum(c * b[i] for c, b in zip(coeffs, basis)) % q
-            for i in range(len(basis[0]))
-        )
-        mask |= 1 << vec_index[vec]
-    return mask
-
-
-def _block_palette_masks(q: int, d: int, vectors, vec_index, budget, name):
+def _block_palette_masks(q: int, d: int, budget, name):
     """Tails, one- and two-term block spans, closed under intersection;
-    the budget is charged a tick per span and per closure candidate."""
-    basis = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
+    the budget is charged a tick per span and per closure candidate.
+
+    A vector is read as its base-q numeral, first coordinate most
+    significant, so the sorted nonzero vectors are the numerals 1 to
+    q**d - 1 and a vector's id is its numeral minus one.  A tail span is
+    an id range.  Two vectors with disjoint supports add digit by digit
+    with no carry, so the span of a two-term block is the set of the
+    numeral sums of the two terms' multiples."""
+    size = q**d
+    weights = [q ** (d - 1 - i) for i in range(d)]
+    # multiples[n]: bit c * v for every scalar c (bit 0 is the zero
+    # vector), where v is the vector with numeral n.  after[n]: the
+    # vectors whose support lies past v's are the numerals below it.
+    # Index 0 is the zero vector.
+    multiples, after = [1], [1]
+    for vec in product(range(q), repeat=d):
+        if not any(vec):
+            continue
+        row = 1
+        for c in range(1, q):
+            row |= 1 << sum(c * x % q * w for x, w in zip(vec, weights))
+        multiples.append(row)
+        after.append(weights[max(i for i, x in enumerate(vec) if x)])
 
     def spans():
         for j in range(d):
-            yield basis[j:]
-        for v in vectors:
-            yield [v]
-        for u in vectors:
-            hi = max_support(u)
-            for v in vectors:
-                if min_support(v) > hi:
-                    yield [u, v]
+            yield (1 << (q ** (d - j) - 1)) - 1
+        for v in range(1, size):
+            yield multiples[v] >> 1
+        for u in range(1, size):
+            shifts = bits(multiples[u])
+            for v in range(1, after[u]):
+                row = multiples[v]
+                span = 0
+                for s in shifts:
+                    span |= row << s
+                yield span >> 1
 
-    masks = {_span_mask(span, q, vec_index) for span in _charged(spans(), budget, name)}
+    masks = set(_charged(spans(), budget, name))
     # Intersection closure; nonzero meets of block spans are block spans.
     while True:
         fresh = set()
@@ -532,8 +549,7 @@ def _vector_space_instance(
     kind = PROJECTIVE_ROSENDAL if projective else ROSENDAL
     name = name or f"{kind}(F{q},d={d},t={slack})"
     vectors = sorted(v for v in product(range(q), repeat=d) if any(v))
-    vec_index = {v: i for i, v in enumerate(vectors)}
-
+    vmasks = _block_palette_masks(q, d, budget, name)
     if projective:
         inverse = {a: pow(a, q - 2, q) for a in range(1, q)}
 
@@ -541,33 +557,24 @@ def _vector_space_instance(
             inv = inverse[first_nonzero_value(v)]
             return tuple(c * inv % q for c in v)
 
-        points = sorted({normalize(v) for v in vectors})
+        lines = [normalize(v) for v in vectors]
+        points = sorted(set(lines))
         pt_index = {v: i for i, v in enumerate(points)}
+        line_bit = [1 << pt_index[line] for line in lines]
 
         def to_point_mask(vmask):
             out = 0
-            for v, i in vec_index.items():
-                if vmask >> i & 1:
-                    out |= 1 << pt_index[normalize(v)]
+            for i in bits(vmask):
+                out |= line_bit[i]
             return out
 
+        vmasks = {to_point_mask(m) for m in vmasks}
     else:
         points = vectors
-        to_point_mask = None
-
-    vmasks = _block_palette_masks(q, d, vectors, vec_index, budget, name)
-    if projective:
-        masks = sorted({to_point_mask(m) for m in vmasks})
-    else:
-        masks = sorted(vmasks)
     # Canonical palette order: lexicographic on the sorted point tuples.
-    def mask_points(m):
-        return tuple(i for i in range(len(points)) if m >> i & 1)
-
-    order = sorted(range(len(masks)), key=lambda i: mask_points(masks[i]))
-    masks = [masks[i] for i in order]
+    masks = sorted(vmasks, key=_mask_points)
     dims = [_dim_from_count(m.bit_count(), q, projective) for m in masks]
-    labels = [mask_points(m)[:1] + (dims[i],) for i, m in enumerate(masks)]
+    labels = [_mask_points(m)[:1] + (dims[i],) for i, m in enumerate(masks)]
     return _mask_space(
         name,
         points,
@@ -605,11 +612,14 @@ def grid_sphere(
     if steps.denominator != 1 or steps <= 0:
         raise SpecInvalid(f"grid step {step} does not divide 1")
     name = name or f"grid-sphere(dim={dimension},step={step},t={slack})"
-    m = int(steps)
-    axis = [Fraction(i) * step for i in range(-m, m + 1)]
-    grid = _charged(product(axis, repeat=dimension), budget, name)
-    points = sorted(v for v in grid if max(abs(c) for c in v) == 1)
-    pt_index = {v: i for i, v in enumerate(points)}
+    # A point is read as its integer coordinates, its label divided by
+    # the step: the sphere is where the largest of them is n in size.
+    n = int(steps)
+    grid = _charged(product(range(-n, n + 1), repeat=dimension), budget, name)
+    coords = sorted(v for v in grid if max(map(abs, v)) == n)
+    axis = [Fraction(i) * step for i in range(-n, n + 1)]
+    points = [tuple(axis[c + n] for c in v) for v in coords]
+    pt_index = {v: i for i, v in enumerate(coords)}
 
     # Palette: the whole sphere, tail sub-spheres (first coordinates zero),
     # and the sphere of every line, which is an antipodal pair of grid
@@ -620,22 +630,20 @@ def grid_sphere(
     whole = _mask(range(len(points)))
     dim_of[whole] = dimension
     for j in range(1, dimension):
-        m = _mask(i for i, v in enumerate(points) if all(c == 0 for c in v[:j]))
-        dim_of[m] = dimension - j
-    for v in points:
-        anti = tuple(-c for c in v)
-        m = _mask((pt_index[v], pt_index[anti]))
-        dim_of.setdefault(m, 1)
+        tail = _mask(i for i, v in enumerate(coords) if not any(v[:j]))
+        dim_of[tail] = dimension - j
+    for i, v in enumerate(coords):
+        line = _mask((i, pt_index[tuple(-c for c in v)]))
+        dim_of.setdefault(line, 1)
 
-    def mask_points(mm):
-        return tuple(i for i in range(len(points)) if mm >> i & 1)
-
-    masks = sorted(dim_of, key=mask_points)
-    dims = [dim_of[mm] for mm in masks]
-    labels = [(dims[i],) + mask_points(masks[i])[:1] for i in range(len(masks))]
+    masks = sorted(dim_of, key=_mask_points)
+    dims = [dim_of[mask] for mask in masks]
+    labels = [(dims[i],) + _mask_points(mask)[:1] for i, mask in enumerate(masks)]
+    # The sup distance of two points is k steps for an integer k <= 2n.
+    levels = [Fraction(k) * step for k in range(2 * n + 1)]
 
     def metric(x, y):
-        return max(abs(a - b) for a, b in zip(points[x], points[y]))
+        return levels[max(map(abs, map(sub, coords[x], coords[y])))]
 
     return _mask_space(
         name,

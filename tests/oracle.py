@@ -1,14 +1,19 @@
-"""The differential oracle for ``gowerslab.solver.solve``, kept for the
-tests next to ``historywalk``.
+"""Test-only references, kept for the tests next to ``historywalk``.
 
 ``naive_solve_oracle`` decides a game by minimax over move histories,
 with no memo and a smaller default budget than ``solve``, and reads the
 payoff at ``state_outcome`` rather than through the solver.  The solver
 tests and acceptance criteria 2 and 5 compare ``solve`` with it.
+
+``vector_palette_reference`` builds the Rosendal palettes by tuple
+arithmetic, apart from the base-q numeral bitsets of
+``gowerslab.instances``; the instance tests compare the two.
 """
 
 from __future__ import annotations
 
+import time
+from itertools import combinations, product
 from typing import Optional
 
 from gowerslab.errors import Budget
@@ -89,3 +94,81 @@ def naive_solve_oracle(
     extract(pos0)
     strategy.verified = True
     return SolveResult(winner, strategy, nodes)
+
+
+def vector_palette_reference(q: int, d: int, projective: bool, deadline=None) -> tuple:
+    """``(points, masks, dims, labels, ticks)`` of ``rosendal(q, d)``, or
+    of ``projective_rosendal(q, d)``, by tuple arithmetic.
+
+    A span's mask is read off every combination of its basis with
+    coefficients mod q, coordinate by coordinate; the spans are the
+    tails, every one-term block and every two-term block ``(u, v)`` with
+    v's support past u's, closed under intersection.  ``ticks`` counts
+    one per span and one per closure candidate, as the builder charges
+    its budget.  Past ``deadline`` (a ``time.monotonic()`` reading) it
+    raises TimeoutError."""
+    ticks = 0
+
+    def tick():
+        nonlocal ticks
+        ticks += 1
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError(f"reference palette q={q}, d={d} past its deadline")
+
+    vectors = sorted(v for v in product(range(q), repeat=d) if any(v))
+    vec_index = {v: i for i, v in enumerate(vectors)}
+
+    def support(v):
+        return [i for i, c in enumerate(v) if c]
+
+    def span_mask(basis):
+        mask = 0
+        for coeffs in product(range(q), repeat=len(basis)):
+            if any(coeffs):
+                vec = tuple(
+                    sum(c * b[i] for c, b in zip(coeffs, basis)) % q for i in range(d)
+                )
+                mask |= 1 << vec_index[vec]
+        return mask
+
+    unit = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    spans = [unit[j:] for j in range(d)] + [[v] for v in vectors]
+    spans += [[u, v] for u in vectors for v in vectors if support(v)[0] > support(u)[-1]]
+    masks = set()
+    for basis in spans:
+        tick()
+        masks.add(span_mask(basis))
+    while True:
+        fresh = set()
+        for a, b in combinations(list(masks), 2):
+            tick()
+            if a & b and a & b not in masks:
+                fresh.add(a & b)
+        if not fresh:
+            break
+        masks |= fresh
+
+    points = vectors
+    if projective:
+
+        def normalize(v):
+            inv = pow(v[support(v)[0]], q - 2, q)
+            return tuple(c * inv % q for c in v)
+
+        points = sorted({normalize(v) for v in vectors})
+        pt_index = {v: i for i, v in enumerate(points)}
+        masks = {
+            sum({1 << pt_index[normalize(v)] for v, i in vec_index.items() if m >> i & 1})
+            for m in masks
+        }
+
+    def members(m):
+        return tuple(i for i in range(len(points)) if m >> i & 1)
+
+    def size(k):
+        return (q**k - 1) // (q - 1) if projective else q**k - 1
+
+    masks = sorted(masks, key=members)
+    dims = [next(k for k in range(d + 1) if size(k) == m.bit_count()) for m in masks]
+    labels = [members(m)[:1] + (k,) for m, k in zip(masks, dims)]
+    return tuple(points), masks, dims, tuple(labels), ticks

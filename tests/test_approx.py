@@ -268,6 +268,35 @@ class TestDiscretize:
                 )
                 assert disc.admits((y,), p) == direct
 
+    @pytest.mark.parametrize("dense", ["full", "half"])
+    def test_two_stage_admission_is_the_bounded_host_search(self, grid_half, dense):
+        # The half set is the integer points, within 1/2 of every point.
+        host_points = range(len(grid_half.points))
+        if dense == "half":
+            host_points = [
+                i for i, v in enumerate(grid_half.points) if all(c.denominator == 1 for c in v)
+            ]
+        delta = DeltaSeq.of("1", "3/2")
+        disc = discretize(grid_half, host_points, delta)
+        host = disc.meta["host_points"]
+        local = range(len(disc.points))
+        histories = [(y,) for y in local] + list(product(local, repeat=2))
+        for history in histories:
+            y = host[history[-1]]
+            bound = delta[len(history) - 1]
+            for p in range(len(grid_half.palette)):
+                direct = any(
+                    grid_half.admits((x,), p) and grid_half.distance(x, y) < bound
+                    for x in range(len(grid_half.points))
+                )
+                assert disc.admits(history, p) == direct
+        # The second stage's bound admits more than the first's.
+        assert any(
+            disc.admits((y, y), p) and not disc.admits((y,), p)
+            for y in local
+            for p in range(len(grid_half.palette))
+        )
+
     def test_huge_delta_saturates(self, grid_half):
         delta = DeltaSeq.of("4")
         disc = discretize(grid_half, range(len(grid_half.points)), delta)

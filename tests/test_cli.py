@@ -409,6 +409,10 @@ MALFORMED = [
     # A bool delta used to run as 1, and a negative one to run (exit 0).
     ("pigeonhole-delta-bool", "f3-pigeonhole-counterexample.json", _stage(1, delta=True)),
     ("pigeonhole-delta-negative", "f3-pigeonhole-counterexample.json", _stage(1, delta="-3")),
+    # A positive delta on an instance without a metric used to run as if
+    # absent (exit 0): the provider reads a delta only on a metric.
+    ("pigeonhole-delta-without-metric", "f3-pigeonhole-counterexample.json",
+     _stage(1, delta="1/2")),
     # Payoffs reading coordinates of integer labels used to raise a
     # TypeError at the first outcome.
     (
@@ -467,7 +471,7 @@ class TestMalformedScenarios:
         assert flag_err == capsys.readouterr().err
         assert flag_err.startswith("validation error: budgets: nodes must be")
 
-    @pytest.mark.parametrize("delta,parsed", [(0, Fraction(0)), ("1/2", Fraction(1, 2))])
+    @pytest.mark.parametrize("delta,parsed", [(0, Fraction(0)), ("0/3", Fraction(0))])
     def test_pigeonhole_delta_reaches_the_provider_parsed(
         self, delta, parsed, tmp_path, monkeypatch
     ):

@@ -34,6 +34,7 @@ from gowerslab.instances import (
     subspace_of_labels,
     top_subspace,
 )
+from oracle import vector_palette_reference
 
 
 class TestBuilders:
@@ -146,6 +147,63 @@ class TestBuildBudget:
         assert str(info.value) == (
             "time budget exhausted in building mathias-silver(N=16,m=2,t=1)"
         )
+
+
+    @pytest.mark.parametrize(
+        "build,args,ticks",
+        [
+            (rosendal, (3, 4, 1), 3070),
+            (projective_rosendal, (3, 4, 1), 3070),
+            (rosendal, (2, 4, 1), 597),
+            (projective_rosendal, (2, 4, 1), 597),
+            (rosendal, (3, 3, 1), 267),
+            (projective_rosendal, (3, 3, 1), 267),
+            (rosendal, (2, 3, 1), 93),
+            (projective_rosendal, (2, 3, 1), 93),
+        ],
+    )
+    def test_one_tick_per_span_and_per_closure_candidate(self, build, args, ticks):
+        # The README's charge for the vector instances: d tails, one span
+        # per nonzero vector, one per two-term block, and one per pair of
+        # masks each closure round looks at.
+        budget = Budget(10**6)
+        build(*args, budget=budget)
+        assert budget.used == ticks
+
+
+class TestPaletteReference:
+    @pytest.mark.parametrize("projective", [False, True], ids=["rosendal", "projective"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_the_numeral_build_gives_the_tuple_arithmetic_palette(self, q, d, projective):
+        try:
+            reference = vector_palette_reference(
+                q, d, projective, deadline=time.monotonic() + 1
+            )
+        except TimeoutError:
+            pytest.skip(f"the reference took over 1 s to build q={q}, d={d}")
+        budget = Budget(10**7)
+        space = (projective_rosendal if projective else rosendal)(q, d, 1, budget=budget)
+        built = (
+            space.points,
+            space.meta["masks"],
+            space.meta["dims"],
+            space.palette,
+            budget.used,
+        )
+        assert built == reference
+
+
+class TestGridMetric:
+    @pytest.mark.parametrize("step", ["1", "1/2", "1/3", "1/4"])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_distance_is_the_sup_of_the_label_differences(self, dimension, step):
+        grid = grid_sphere(dimension, Fraction(step), 1)
+        for x, a in enumerate(grid.points):
+            for y, b in enumerate(grid.points):
+                distance = grid.distance(x, y)
+                assert type(distance) is Fraction
+                assert distance == max(abs(s - t) for s, t in zip(a, b))
 
 
 class TestPigeonhole:
