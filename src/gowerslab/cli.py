@@ -28,8 +28,10 @@ from .errors import (
     ExhaustionBudget,
     FiniteExhaustion,
     GowersLabError,
+    IllegalMove,
     PigeonholeUnavailable,
     SpecInvalid,
+    StrategyIncomplete,
     StrategyRefused,
     TimeExhausted,
 )
@@ -401,9 +403,10 @@ def _run_parsed(data: dict, out_dir=None, budget_nodes=None) -> RunOutcome:
             stages.append(StageResult(op, {"error": str(exc)}, exhausted=True, ok=False))
             exit_code = 3
             break
-        except StrategyRefused as exc:
+        except (StrategyRefused, IllegalMove, StrategyIncomplete) as exc:
             # A transformation refused its input strategy (the wrong owner
-            # or game, say): the stage fails.
+            # or game, say), a hand rule made an illegal move, or a table
+            # had no move at a state its replay reached: the stage fails.
             result = _StageOutcome(StageResult(op, {"error": str(exc)}, ok=False))
         result.stage.nodes = max(result.stage.nodes, budget.used - before)
         stages.append(result.stage)

@@ -34,7 +34,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import IllegalPosition, NotTerminal
-from .space import FULL_HISTORY, SpaceInstance, SubspaceId
+from .space import FULL_HISTORY, SpaceInstance, SubspaceId, bits
 
 
 class Player(str, Enum):
@@ -282,6 +282,23 @@ def _subspace_allowed(space: SpaceInstance, root: SubspaceId, state: tuple, rule
         return False
     anchor = _anchor(root, state, rule)
     return space.lessapprox(q, anchor) if rule == "la" else space.leq(q, anchor)
+
+
+def _subspace_masks(space: SpaceInstance, roots: int, state: tuple, rule: str) -> tuple:
+    """``(r, mask)`` for every subspace r the rule allows at ``state`` in
+    the game rooted at some q in ``roots`` (a palette bitset), in
+    canonical order: bit q of ``mask`` is set iff q is in ``roots`` and r
+    is in ``_subspaces(space, q, state, rule)``.  The pairs depend on the
+    state only through ``_anchor(None, state, rule)``, which is None for
+    the rules anchored at the root."""
+    if _anchor(None, state, rule) is not None:
+        return tuple((r, roots) for r in _subspaces(space, None, state, rule))
+    masks: dict = {}
+    for q in bits(roots):
+        bit = 1 << q
+        for r in _subspaces(space, q, state, rule):
+            masks[r] = masks.get(r, 0) | bit
+    return tuple(sorted(masks.items()))
 
 
 def _options(space: SpaceInstance, kind: GameKind, horizon: int, state: tuple) -> tuple:

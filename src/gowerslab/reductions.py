@@ -42,7 +42,7 @@ from .games import (
     move_legal,
 )
 from .payoffs import Payoff, negate
-from .solver import ONE_PLAY, Strategy, checked_leaf, expand, legality, solve
+from .solver import ONE_PLAY, Strategy, checked_leaf, expand, legality, winning_roots
 from .space import FULL_HISTORY, SpaceInstance, iterated_meet
 
 
@@ -943,13 +943,15 @@ def check_ramsey_dichotomy(
     flavor: str = "strategic",
     budget: Optional[Budget] = None,
 ) -> DichotomyReport:
-    """Solve the paired games below every subspace under p and report
+    """Decide the paired games below every subspace under p and report
     which subspaces realize the dichotomy.  Findings only; nothing is
     asserted about the infinite statement.
 
     Strategic flavor: his asymptotic game toward the complement against
     her chooser game toward the set.  Adversarial flavor: his
     constrained game toward the set against hers toward the complement.
+    Each game is decided at every root q below p in one search,
+    ``winning_roots``, and each row is read off the two bitsets.
     """
     if flavor not in DICHOTOMY_GAMES:
         raise ValueError(f"unknown dichotomy flavor {flavor!r}")
@@ -957,11 +959,10 @@ def check_ramsey_dichotomy(
     first_goal, second_goal = negate(payoff), payoff
     if flavor == "adversarial":
         first_goal, second_goal = second_goal, first_goal
-    entries = []
-    for q in space.below(p):
-        first = solve(space, first_kind, q, first_goal, Player.I, budget)
-        second = solve(space, second_kind, q, second_goal, Player.II, budget)
-        entries.append(
-            DichotomyEntry(q, first.winner is Player.I, second.winner is Player.II)
-        )
+    roots = space._leq_column(p)
+    first = winning_roots(space, first_kind, roots, first_goal, Player.I, budget)
+    second = winning_roots(space, second_kind, roots, second_goal, Player.II, budget)
+    entries = [
+        DichotomyEntry(q, bool(first >> q & 1), bool(second >> q & 1)) for q in space.below(p)
+    ]
     return DichotomyReport(flavor, entries)

@@ -29,22 +29,30 @@ walks it with the table's own rule (``table_rule``) against the
 exhaustive adversary (every legal opponent line) and reports the exact
 fraction of outcomes landing in the payoff.
 
-The two memoized walks (the solve and ``expand``) work from the state
-first: at each edge they compute the child's state with
-``games.next_state`` and probe the memo with it.  The solve walks
-states only and builds no position; in ``expand`` a miss builds the
-child position, handed that state, since the rules it follows read
-positions.  Whose turn it is and whether the play is over are read from
+The memoized walks (the solve, ``winning_roots`` and ``expand``) work
+from the state first: at each edge they compute the child's state and
+probe the memo with it.  The solve and ``winning_roots`` walk states
+only and build no position; in ``expand`` a miss builds the child
+position, handed that state, since the rules it follows read
+positions.  ``winning_roots`` decides one game at a whole set of roots
+in one search, for the dichotomy sweep: its value at a state is the
+bitset of the roots the goal owner wins from it, and it extracts no
+strategy.  Whose turn it is and whether the play is over are read from
 ``games.turns`` by moves played, and a finished play is scored from its
-state.  Each walk keeps its own move lists, asking ``legal_moves`` for
-the moves at a state of its root position's game once per
-``games.rules_key`` it meets; the moves in them are the instance's,
-built once each.  Each legality test of a walk (``legality``) runs
-``move_legal`` once per (rules key, move) pair.
+state.  The solve and ``expand`` keep their own move lists, asking
+``legal_moves`` for the moves at a state of their root position's game
+once per ``games.rules_key`` they meet; the moves in them are the
+instance's, built once each.  ``winning_roots`` builds no move: it
+keeps ``games._options`` once per rules key, and each subspace a rule
+allows with the set of roots it is allowed at
+(``games._subspace_masks``) once per rule and anchor.  Each legality
+test of a walk (``legality``) runs ``move_legal`` once per (rules key,
+move) pair.
 
-In the solve a player with no legal move at a non-terminal position
-loses, and ``expand`` ends such a line without a play; finite
-truncations can strand a player even though the infinite games cannot.
+In the solve and ``winning_roots`` a player with no legal move at a
+non-terminal position loses, and ``expand`` ends such a line without a
+play; finite truncations can strand a player even though the infinite
+games cannot.
 """
 
 from __future__ import annotations
@@ -67,6 +75,10 @@ from .games import (
     rules_key,
     state_outcome,
     turns,
+    _anchor,
+    _each,
+    _options,
+    _subspace_masks,
 )
 from .payoffs import Payoff
 from .space import SpaceInstance
@@ -250,6 +262,107 @@ def _minimax(space, pos0, accepts, goal_owner, budget, wins) -> bool:
         return won
 
     won = value(pos0.state())
+    del value  # the memo goes on return; see ``expand``
+    return won
+
+
+def winning_roots(
+    space: SpaceInstance,
+    kind: GameKind,
+    roots: int,
+    payoff: Payoff,
+    goal_owner: Player,
+    budget: Optional[Budget] = None,
+) -> int:
+    """The roots q in ``roots`` (a palette bitset) from which
+    ``goal_owner`` forces the outcome into ``payoff.accepts`` in the
+    game of ``kind`` rooted at q, as a palette bitset: bit q is set iff
+    ``solve(space, kind, q, payoff, goal_owner).winner is goal_owner``.
+
+    One search on the state graph decides every root.  A state's value
+    is the set of roots won from it, and the memo keeps ``(roots
+    decided, roots won among them)`` per state: a visit asks only for
+    the roots its caller needs that the memo has not decided, stops
+    once each of them is, and costs one budget tick.  A move's mask is
+    the set of roots it is legal at (``games._subspace_masks``; the
+    points and blocks do not depend on the root), and a move is tried
+    only for the open roots in its mask.  The goal owner wins a root
+    with one child won there, the opponent with one child lost there,
+    and a player without a legal move at a root loses there, as in
+    ``_minimax``.  No strategy is extracted.
+    """
+    budget = budget or Budget(2_000_000, "winning_roots")
+    horizon = payoff.horizon
+    start = initial_position(kind, None, horizon).state()  # the same at every root
+    tick = budget.tick
+    accepts = _accepts_fn(space, payoff, kind)
+    order = turns(kind, horizon)
+    end = len(order) - 1
+    rows: dict = {}  # rules key -> (goal owner to move, subspace masks, tails)
+    masks: dict = {}  # (rule, anchor) -> ((subspace, roots it is legal at), ...)
+    memo: dict = {}  # state -> (roots decided, roots won among them)
+    undecided = (0, 0)
+
+    def options(state: tuple) -> tuple:
+        key = rules_key(space, state)
+        hit = rows.get(key)
+        if hit is None:
+            points, rule, blocks = _options(space, kind, horizon, state)
+            if rule is None:
+                subspaces = ((None, roots),)
+            else:
+                at = (rule, _anchor(None, state, rule))
+                subspaces = masks.get(at)
+                if subspaces is None:
+                    subspaces = masks[at] = _subspace_masks(space, roots, state, rule)
+            # A move with subspace r and tail (points, blocks) extends the
+            # state's prefixes by the tail, as ``games.next_state`` does.
+            tails = tuple(
+                (() if x is None else (x,), () if k is None else (k,))
+                for x in _each(points)
+                for k in _each(blocks)
+            )
+            hit = rows[key] = (order[state[0]] is goal_owner, subspaces, tails)
+        return hit
+
+    def value(state: tuple, need: int) -> int:
+        tick()
+        played, prefix, _, blocks = state
+        if played == end:
+            won = need if accepts(state) else 0
+        else:
+            mine, subspaces, tails = options(state)
+            played += 1
+            # ``found`` collects the roots the player to move wins: a
+            # child won there for the goal owner, lost for the opponent.
+            open_ = need
+            found = 0
+            for r, allowed in subspaces:
+                sub = open_ & allowed
+                if not sub:
+                    continue
+                for x, k in tails:
+                    child = (played, prefix + x, r, blocks + k)
+                    known, child_won = memo.get(child, undecided)
+                    ask = sub & ~known
+                    if ask:
+                        child_won = value(child, ask)
+                    hit = sub & child_won if mine else sub & ~child_won
+                    if hit:
+                        found |= hit
+                        sub ^= hit
+                        if not sub:
+                            break
+                open_ &= ~found
+                if not open_:
+                    break
+            won = found if mine else need & ~found
+        known, before = memo.get(state, undecided)
+        won |= before
+        memo[state] = (known | need, won)
+        return won
+
+    won = value(start, roots) if roots else 0
     del value  # the memo goes on return; see ``expand``
     return won
 

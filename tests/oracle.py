@@ -5,6 +5,10 @@ with no memo and a smaller default budget than ``solve``, and reads the
 payoff at ``state_outcome`` rather than through the solver.  The solver
 tests and acceptance criteria 2 and 5 compare ``solve`` with it.
 
+``per_root_winners`` decides a game at every root of a palette bitset
+with one ``solve`` per root; the tests compare ``winning_roots``, the
+one search over all the roots that the dichotomy runs, with it.
+
 ``vector_palette_reference`` builds the Rosendal palettes by tuple
 arithmetic, apart from the base-q numeral bitsets of
 ``gowerslab.instances``; the instance tests compare the two.
@@ -26,8 +30,8 @@ from gowerslab.games import (
     state_outcome,
 )
 from gowerslab.payoffs import Payoff
-from gowerslab.solver import SolveResult, Strategy
-from gowerslab.space import SpaceInstance
+from gowerslab.solver import SolveResult, Strategy, solve
+from gowerslab.space import SpaceInstance, bits
 
 
 def naive_solve_oracle(
@@ -94,6 +98,19 @@ def naive_solve_oracle(
     extract(pos0)
     strategy.verified = True
     return SolveResult(winner, strategy, nodes)
+
+
+def per_root_winners(
+    space: SpaceInstance, kind: GameKind, roots: int, payoff: Payoff, goal_owner: Player
+) -> int:
+    """The palette bitset of the roots q in ``roots`` with
+    ``solve(space, kind, q, payoff, goal_owner).winner is goal_owner``:
+    one solve, with its own budget, per root."""
+    won = 0
+    for q in bits(roots):
+        if solve(space, kind, q, payoff, goal_owner).winner is goal_owner:
+            won |= 1 << q
+    return won
 
 
 def vector_palette_reference(q: int, d: int, projective: bool, deadline=None) -> tuple:

@@ -59,6 +59,32 @@ class TestBundledScenarios:
         assert verify_stage["result"]["plays"] == 207_360_000
         assert verify_stage["verified_fraction"] == "1"
 
+    # The rows of the two bundled dichotomy sweeps, one character per
+    # subspace below the root in palette order ("1" where the side
+    # holds), and the sweep's nodes.
+    DICHOTOMY_ROWS = {
+        "ms-f-dichotomy.json": (
+            "000000000100100100000000000100001001001111101100010000110",
+            "110000100000010011100111110011110000100000010011001111001",
+            197,
+        ),
+        "rosendal-f2-gowers.json": ("1101111110111", "0000000001000", 165),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DICHOTOMY_ROWS))
+    def test_dichotomy_rows_are_pinned(self, name, tmp_path):
+        first, second, nodes = self.DICHOTOMY_ROWS[name]
+        stage = run_scenario(scenario_path(name), out_dir=tmp_path).report["stages"][1]
+        result = stage["result"]
+        assert result["subspaces"] == len(first)
+        assert result["rows"] == [
+            [q, a == "1", b == "1"] for q, (a, b) in enumerate(zip(first, second))
+        ]
+        assert result["realized_at"] == [
+            q for q, (a, b) in enumerate(zip(first, second)) if "1" in (a, b)
+        ]
+        assert stage["nodes"] == nodes
+
     def test_counterexample_scenario_reports_unavailable(self, tmp_path):
         outcome = run_scenario(
             scenario_path("f3-pigeonhole-counterexample.json"), out_dir=tmp_path
@@ -106,6 +132,64 @@ class TestExitCodes:
         report = json.loads((tmp_path / "ms-f-dichotomy.json").read_text())
         assert report["status"] == "budget-exhausted"
         assert report["diagnostic"]["stage"] == 0
+
+    def test_dichotomy_exhaustion_names_its_stage(self, tmp_path):
+        # Building the instance takes 57 nodes of the budget and the solve
+        # stage 12, so the sweep, which needs 197, is the stage that runs
+        # out.
+        data = json.loads(scenario_path("ms-f-dichotomy.json").read_text())
+        data["budgets"] = {"nodes": 100}
+        tight = tmp_path / "tight.json"
+        tight.write_text(json.dumps(data))
+        assert main(["run", str(tight), "--out", str(tmp_path)]) == 3
+        report = json.loads((tmp_path / "ms-f-dichotomy.json").read_text())
+        assert report["status"] == "budget-exhausted"
+        assert report["stages"][0]["nodes"] == 12
+        assert (report["diagnostic"]["stage"], report["diagnostic"]["op"]) == (1, "dichotomy")
+
+    def test_illegal_hand_rule_fails_verification_with_a_report(self, tmp_path):
+        # The pass-set rule names a subspace outside the root [0, 1]:
+        # the stage fails as a declared verification does (exit 4), and
+        # the report is written.
+        scenario = {
+            "name": "illegal-rule",
+            "seed": 1,
+            "instance": {"kind": "mathias-silver", "universe": 6, "min_size": 2, "slack": 1},
+            "game": {"kind": "G", "root": [0, 1], "horizon": 2},
+            "payoff": {"name": "everything"},
+            "pipeline": [
+                {"op": "strategy", "rule": "pass-set", "params": {"labels": [2, 3]}},
+                {"op": "verify"},
+            ],
+        }
+        path = tmp_path / "illegal-rule.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 4
+        report = json.loads((tmp_path / "illegal-rule.json").read_text())
+        assert report["status"] == "verification-failed"
+        assert (report["diagnostic"]["stage"], report["diagnostic"]["op"]) == (0, "strategy")
+        assert "illegal move" in report["diagnostic"]["error"]
+        assert len(report["stages"]) == 1 and not report["stages"][0]["ok"]
+
+    def test_incomplete_table_fails_verification_with_a_report(self, tmp_path, monkeypatch):
+        # A replay that reaches a state its table has no move at fails
+        # the stage as an illegal move does.
+        from gowerslab import cli
+        from gowerslab.errors import StrategyIncomplete
+
+        def incomplete(*args, **kwargs):
+            raise StrategyIncomplete("no move at the state")
+
+        monkeypatch.setattr(cli, "verify_strategy", incomplete)
+        data = json.loads(scenario_path("ms-kastanas-h1.json").read_text())
+        path = tmp_path / "incomplete.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 4
+        report = json.loads((tmp_path / f"{data['name']}.json").read_text())
+        assert report["status"] == "verification-failed"
+        diagnostic = report["diagnostic"]
+        assert (diagnostic["stage"], diagnostic["op"]) == (0, "strategy")
+        assert "no move at the state" in diagnostic["error"]
 
     def test_witness_exhaustion_is_three(self, tmp_path):
         scenario = {

@@ -28,13 +28,14 @@ from gowerslab.games import (
     play_outcome,
     rules_key,
 )
-from gowerslab.instances import mathias_silver, rosendal, top_subspace
+from gowerslab.approx import DeltaSeq, discretize
+from gowerslab.instances import grid_sphere, mathias_silver, rosendal, top_subspace
 from gowerslab.payoffs import Payoff
-from gowerslab.solver import expand, table_rule
+from gowerslab.solver import expand, table_rule, winning_roots
 from gowerslab.space import FORGETFUL, FULL_HISTORY
 from historywalk import count_histories, over_histories, walk_histories
 from microsuite import MicroGame, micro_games, remembering_strategy
-from oracle import naive_solve_oracle
+from oracle import naive_solve_oracle, per_root_winners
 
 
 def seeded_games() -> list:
@@ -529,3 +530,108 @@ class TestDeterminacyProperties:
         a = solve(degenerate, GameKind.GOWERS_G, 0, payoff, Player.II)
         b = solve(degenerate, GameKind.GOWERS_G, 0, negate(payoff), Player.I)
         assert a.winner is Player.II and b.winner is Player.II
+
+
+def _stranding_views() -> list:
+    """Two views of ``mathias_silver(4, 2, 1)`` on which a line strands a
+    player: under "climb" (full-history admission) a second point must
+    have a larger id than the first, which can leave the chooser no
+    point; under "bare-pairs" no two-point subspace lies below itself,
+    so the subspace player has no move below one."""
+    ms = mathias_silver(4, 2, 1)
+    admits, leq = ms.admits, ms.leq
+    pairs = frozenset(q for q, label in enumerate(ms.palette) if len(label) == 2)
+    climb = ms.derive(
+        name="climb",
+        admits=lambda h, p: admits(h, p) and (len(h) < 2 or h[-1] > h[0]),
+        admission=FULL_HISTORY,
+    )
+    bare = ms.derive(name="bare-pairs", leq=lambda p, q: leq(p, q) and not (p == q and q in pairs))
+    return [("climb", climb, "ms"), ("bare-pairs", bare, "ms")]
+
+
+def _discretized_grid():
+    grid = grid_sphere(2, "1/2", 1)
+    return discretize(grid, range(len(grid.points)), DeltaSeq.of("1/2", "1"))
+
+
+# (label, instance, family): the family names the registry payoffs the
+# instance's point labels can be read by.
+ROOTS_INSTANCES = [
+    ("ms421", mathias_silver(4, 2, 1), "ms"),
+    ("ms521", mathias_silver(5, 2, 1), "ms"),
+    ("ms431", mathias_silver(4, 3, 1), "ms"),
+    ("ros231", rosendal(2, 3, 1), "vector"),
+    ("ros321", rosendal(3, 2, 1), "vector"),
+    ("disc", _discretized_grid(), "grid"),
+] + _stranding_views()
+ROOTS_GAMES = [("F", 1), ("F", 2), ("G", 1), ("G", 2), ("A", 2), ("B", 2), ("K", 2)]
+
+
+def _root_payoffs(space, family, horizon) -> list:
+    """Seeded payoffs, and the registry payoffs the pipelines workload's
+    dichotomy sweeps read, at ``horizon``."""
+    payoffs = [seeded_payoff(horizon, seed, 0.5) for seed in (1, 2)]
+    index = horizon - 1
+    if family == "ms":
+        payoffs.append(build_payoff(space, "point_even", horizon, {"index": index}))
+        payoffs.append(build_payoff(space, "increasing", horizon))
+    elif family == "vector":
+        params = {"value": 1, "index": index}
+        payoffs.append(build_payoff(space, "first_nonzero_is", horizon, params))
+    return payoffs
+
+
+class TestWinningRoots:
+    """``winning_roots`` against one ``solve`` per root
+    (``oracle.per_root_winners``)."""
+
+    @pytest.mark.parametrize("kind,horizon", ROOTS_GAMES, ids=[f"{k}-h{h}" for k, h in ROOTS_GAMES])
+    @pytest.mark.parametrize(
+        "space,family", [case[1:] for case in ROOTS_INSTANCES], ids=[c[0] for c in ROOTS_INSTANCES]
+    )
+    def test_each_root_bit_is_the_solve_verdict(self, space, family, kind, horizon):
+        every = (1 << len(space.palette)) - 1
+        alternate = every & int("01" * len(space.palette), 2)
+        for payoff in _root_payoffs(space, family, horizon):
+            for goal in (Player.I, Player.II):
+                want = per_root_winners(space, GameKind(kind), every, payoff, goal)
+                assert winning_roots(space, GameKind(kind), every, payoff, goal) == want
+                # A move's mask is read within the roots asked for.
+                got = winning_roots(space, GameKind(kind), alternate, payoff, goal)
+                assert got == want & alternate
+
+    def test_the_stranding_views_strand_each_player(self):
+        # No play is in "nothing", so a goal owner wins a root only by
+        # stranding the other player on every line: the differential
+        # above reads the stranding convention on both views.
+        climb, bare = (space for _, space, _ in _stranding_views())
+        # On "climb" he leaves her no larger second point.
+        every = (1 << len(climb.palette)) - 1
+        nothing = build_payoff(climb, "nothing", 2)
+        assert winning_roots(climb, GameKind.GOWERS_G, every, nothing, Player.I)
+        # On "bare-pairs" she opens the nested game with a pair, and he
+        # has no subspace below it.
+        assert winning_roots(bare, GameKind.KASTANAS, every, nothing, Player.II)
+
+    def test_no_roots_no_search(self, ms6):
+        budget = Budget(1, "empty")
+        payoff = seeded_payoff(1, 1)
+        assert winning_roots(ms6, GameKind.GOWERS_G, 0, payoff, Player.I, budget) == 0
+        assert budget.used == 0
+
+    def test_the_search_runs_in_the_ticks_it_charges(self, ms6):
+        top = top_subspace(ms6)
+        payoff = seeded_payoff(2, 5)
+        roots = ms6._leq_column(top)
+        budget = Budget(10_000_000, "roots")
+        winning_roots(ms6, GameKind.GOWERS_G, roots, payoff, Player.I, budget)
+        assert budget.used > 0
+        with pytest.raises(ExhaustionBudget):
+            winning_roots(ms6, GameKind.GOWERS_G, roots, payoff, Player.I, Budget(budget.used - 1, "x"))
+        winning_roots(ms6, GameKind.GOWERS_G, roots, payoff, Player.I, Budget(budget.used, "x"))
+
+    def test_the_game_is_checked_as_solve_checks_it(self, ms6):
+        top = top_subspace(ms6)
+        with pytest.raises(ValueError):
+            winning_roots(ms6, GameKind.ADVERSARIAL_A, 1 << top, seeded_payoff(1, 1), Player.I)
