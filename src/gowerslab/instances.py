@@ -51,6 +51,19 @@ GRID_SPHERE = "grid-sphere"
 SINGLE_SUBSPACE = "single-subspace"
 
 
+# The fields an instance of each kind reads, besides the ones every kind
+# reads (``COMMON_FIELDS``); any other field is refused, so a misspelled
+# field is not ignored.
+INSTANCE_FIELDS = {
+    MATHIAS_SILVER: {"universe", "min_size", "palette"},
+    ROSENDAL: {"field_order", "dimension"},
+    PROJECTIVE_ROSENDAL: {"field_order", "dimension"},
+    GRID_SPHERE: {"dimension", "step"},
+    SINGLE_SUBSPACE: {"universe"},
+}
+COMMON_FIELDS = {"kind", "slack", "name", "system"}
+
+
 @dataclass
 class InstanceSpec:
     """Parsed instance description (the JSON schema of instance files)."""
@@ -58,44 +71,25 @@ class InstanceSpec:
     kind: str
     params: dict = field(default_factory=dict)
     slack: int = 1
-    palette_rule: str = ""
     explicit_palette: Optional[list] = None
     name: str = ""
 
     @staticmethod
     def from_json(data: dict) -> "InstanceSpec":
-        known = {
-            MATHIAS_SILVER,
-            ROSENDAL,
-            PROJECTIVE_ROSENDAL,
-            GRID_SPHERE,
-            SINGLE_SUBSPACE,
-        }
         kind = data.get("kind")
-        if kind not in known:
+        if kind not in INSTANCE_FIELDS:
             raise SpecInvalid(f"unknown instance kind {kind!r}")
-        params = {
-            k: v
-            for k, v in data.items()
-            if k not in {"kind", "slack", "palette_rule", "palette", "name"}
-        }
+        unknown = sorted(set(data) - INSTANCE_FIELDS[kind] - COMMON_FIELDS)
+        if unknown:
+            raise SpecInvalid(f"instance kind {kind} takes no field {unknown[0]!r}")
+        params = {k: v for k, v in data.items() if k not in {"kind", "slack", "palette", "name"}}
         return InstanceSpec(
             kind=kind,
             params=params,
             slack=json_int(data.get("slack", 1), "slack"),
-            palette_rule=data.get("palette_rule", ""),
             explicit_palette=data.get("palette"),
             name=data.get("name", ""),
         )
-
-
-PALETTE_RULES = {
-    MATHIAS_SILVER: ("all-subsets-min-size", "explicit"),
-    ROSENDAL: ("tail-plus-2-block",),
-    PROJECTIVE_ROSENDAL: ("tail-plus-2-block",),
-    GRID_SPHERE: ("sphere-tails-and-lines",),
-    SINGLE_SUBSPACE: ("single",),
-}
 
 
 def _attach_system(space: SpaceInstance, description) -> SpaceInstance:
@@ -155,61 +149,42 @@ def _charged(items, budget: Optional[Budget], name: str):
 
 
 def build_instance(spec: InstanceSpec, budget: Optional[Budget] = None) -> SpaceInstance:
-    """The instance the spec describes; ``budget``, when given, is charged
-    one tick per palette element the builder generates."""
-    if spec.palette_rule and spec.palette_rule not in PALETTE_RULES[spec.kind]:
-        raise SpecInvalid(
-            f"instance kind {spec.kind} does not support palette rule "
-            f"{spec.palette_rule!r}"
-        )
-    system = spec.params.get("system")
-    if system is not None:
-        bare = {k: v for k, v in spec.params.items() if k != "system"}
-        space = build_instance(
-            InstanceSpec(
-                spec.kind, bare, spec.slack, spec.palette_rule,
-                spec.explicit_palette, spec.name,
-            ),
-            budget,
-        )
-        return _attach_system(space, system)
+    """The instance the spec describes, with its system attached when the
+    spec names one; ``budget``, when given, is charged one tick per
+    palette element the builder generates."""
+    params = spec.params
     if spec.kind == MATHIAS_SILVER:
-        return mathias_silver(
-            json_int(spec.params["universe"], "universe"),
-            min_size=json_int(spec.params.get("min_size", 2), "min_size"),
+        space = mathias_silver(
+            json_int(params["universe"], "universe"),
+            min_size=json_int(params.get("min_size", 2), "min_size"),
             slack=spec.slack,
             explicit_palette=spec.explicit_palette,
             name=spec.name,
             budget=budget,
         )
-    if spec.kind == ROSENDAL:
-        return rosendal(
-            json_int(spec.params["field_order"], "field_order"),
-            json_int(spec.params["dimension"], "dimension"),
+    elif spec.kind in (ROSENDAL, PROJECTIVE_ROSENDAL):
+        build = rosendal if spec.kind == ROSENDAL else projective_rosendal
+        space = build(
+            json_int(params["field_order"], "field_order"),
+            json_int(params["dimension"], "dimension"),
             slack=spec.slack,
             name=spec.name,
             budget=budget,
         )
-    if spec.kind == PROJECTIVE_ROSENDAL:
-        return projective_rosendal(
-            json_int(spec.params["field_order"], "field_order"),
-            json_int(spec.params["dimension"], "dimension"),
+    elif spec.kind == GRID_SPHERE:
+        space = grid_sphere(
+            json_int(params.get("dimension", 2), "dimension"),
+            parse_fraction(params.get("step", "1/4")),
             slack=spec.slack,
             name=spec.name,
             budget=budget,
         )
-    if spec.kind == GRID_SPHERE:
-        return grid_sphere(
-            json_int(spec.params.get("dimension", 2), "dimension"),
-            parse_fraction(spec.params.get("step", "1/4")),
-            slack=spec.slack,
-            name=spec.name,
-            budget=budget,
-        )
-    if spec.kind == SINGLE_SUBSPACE:
-        n_points = json_int(spec.params.get("universe", 2), "universe")
-        return single_subspace(n_points, name=spec.name)
-    raise SpecInvalid(f"unknown instance kind {spec.kind!r}")
+    elif spec.kind == SINGLE_SUBSPACE:
+        space = single_subspace(json_int(params.get("universe", 2), "universe"), name=spec.name)
+    else:
+        raise SpecInvalid(f"unknown instance kind {spec.kind!r}")
+    system = params.get("system")
+    return space if system is None else _attach_system(space, system)
 
 
 # -- Mathias-Silver ----------------------------------------------------------
@@ -228,14 +203,13 @@ def _mask_points(mask: int) -> tuple:
 
 
 def _mask_space(
-    name, points, labels, meta, fusion_message, slack, min_common=1, metric=None
+    name, points, labels, meta, fusion_message, slack, metric=None
 ) -> SpaceInstance:
     """An instance whose subspaces are the point bitmasks ``meta["masks"]``:
     inclusion is the order, admission is membership of the last point,
-    meets and fusions are intersections that must stay in the palette,
-    and two subspaces are compatible when they share ``min_common``
-    points (a palette scan when it is None).  ``fusion_message`` may name
-    the ``{size}`` of an intersection that left the palette.
+    and meets and fusions are intersections that must stay in the
+    palette.  ``fusion_message`` may name the ``{size}`` of an
+    intersection that left the palette.
 
     The star order is "misses at most ``slack`` points", or, when
     ``meta`` carries ``dims``, "contains a palette subspace of
@@ -365,9 +339,6 @@ def _mask_space(
 
     meet.groups, fusion.row = meet_groups, fusion_row
 
-    def compatible(p, q):
-        return (masks[p] & masks[q]).bit_count() >= min_common
-
     return SpaceInstance(
         name,
         points=points,
@@ -379,7 +350,6 @@ def _mask_space(
         fusion_witness=fusion,
         metric=metric,
         asymptotic_slack=slack,
-        compatible_hint=None if min_common is None else compatible,
         meta=meta,
     )
 
@@ -419,8 +389,6 @@ def mathias_silver(
         {"kind": MATHIAS_SILVER, "universe": n, "min_size": min_size, "masks": masks},
         "chain intersection of size {size} left the palette",
         slack,
-        # An explicit palette falls back to the palette scan.
-        min_common=None if explicit_palette is not None else min_size,
     )
 
 
@@ -441,7 +409,6 @@ def single_subspace(n_points: int = 2, name: str = "") -> SpaceInstance:
         meet_witness=lambda p, q: 0,
         fusion_witness=fusion,
         asymptotic_slack=0,
-        compatible_hint=lambda p, q: True,
         meta={"kind": SINGLE_SUBSPACE, "universe": n_points},
     )
 

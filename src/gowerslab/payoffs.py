@@ -103,6 +103,14 @@ def vector_length(space: SpaceInstance, what: str) -> int:
     return lengths.pop()
 
 
+def integer_labels(space: SpaceInstance, what: str) -> None:
+    """SpecInvalid unless every point label is an integer, since a payoff
+    reading the parity of a vector label fails at the first outcome."""
+    if not all(isinstance(label, int) for label in space.points):
+        raise SpecInvalid(f"{what} reads the parity of integer point labels, "
+                          f"which {space.name} does not have")
+
+
 def outcome_index(params, horizon: int) -> int:
     """The ``index`` parameter (default 0): a position in an outcome of
     ``horizon`` entries, negative counting from the end."""
@@ -115,6 +123,7 @@ def outcome_index(params, horizon: int) -> int:
 @register("point_even")
 def _point_even(space, horizon, params):
     idx = outcome_index(params, horizon)
+    integer_labels(space, "payoff point_even")
     return Payoff(
         horizon, lambda seq: _label(space, seq[idx]) % 2 == 0, f"point_even[{idx}]"
     )
@@ -123,6 +132,7 @@ def _point_even(space, horizon, params):
 @register("point_odd")
 def _point_odd(space, horizon, params):
     idx = outcome_index(params, horizon)
+    integer_labels(space, "payoff point_odd")
     return Payoff(
         horizon, lambda seq: _label(space, seq[idx]) % 2 == 1, f"point_odd[{idx}]"
     )
@@ -130,6 +140,7 @@ def _point_odd(space, horizon, params):
 
 @register("all_even")
 def _all_even(space, horizon, params):
+    integer_labels(space, "payoff all_even")
     return Payoff(
         horizon, lambda seq: all(_label(space, x) % 2 == 0 for x in seq), "all_even"
     )

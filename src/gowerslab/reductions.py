@@ -64,51 +64,54 @@ def reachable_set(
 # -- diagonalization over states (the chain construction) -----------------------
 
 
-def _continuations(space: SpaceInstance, state_pos: GamePosition):
-    """Adversary continuation shapes for a nested-game state.
+def _continuations(space, legal, pos, tau) -> dict:
+    """The continuation table of a nested-game state: for each adversary
+    point a, the ``(u, v)`` pairs such that the adversary legally
+    continues with (a, u) and ``tau`` replies with a point b and the
+    subspace v, grouped by b, each list in pool order.  The adversary
+    opens the empty state with a bare subspace, so a is only None there.
+    ``tau`` is read once per legal continuation; ``legal`` is the
+    diagonalization's ``legality`` test."""
+    if pos.moves:
+        points, pool = range(len(space.points)), space.below(pos.moves[-1].subspace)
+    else:
+        points, pool = (None,), space.below(pos.root)
+    table: dict = {a: {} for a in points}
+    for a, by_reply in table.items():
+        for u in pool:
+            move = Move(pos.to_move, point=a, subspace=u)
+            if legal(pos, move):
+                reply = tau.move_at(pos.child(move))
+                if reply.subspace is not None:
+                    by_reply.setdefault(reply.point, []).append((u, reply.subspace))
+    return table
 
-    Returns (adversary_points, subspace_pool, make_move) where
-    ``adversary_points`` is the list of the adversary's point choices
-    (``[None]`` for the bare opening of the empty state).
-    """
-    if not state_pos.moves:
-        # The adversary opens with a bare subspace.
-        pool = space.below(state_pos.root)
-        return [None], pool, lambda a, u: Move(Player.II, subspace=u)
-    constraint = state_pos.moves[-1].subspace
-    pool = space.below(constraint)
-    player = state_pos.to_move
-    return (
-        list(range(len(space.points))),
-        pool,
-        lambda a, u: Move(player, point=a, subspace=u),
-    )
+
+def _triples(space, legal, states, tau, budget):
+    """``(state index, state, a, b, candidates)`` for every nested state,
+    adversary point a and reply point b, in enumeration order, one budget
+    tick each; the candidates are the state's ``(u, v)`` continuations
+    under (a, b).  The chain, its check and the stored pairs all walk
+    these."""
+    reply_points = range(len(space.points))
+    for idx, pos in enumerate(states):
+        for a, by_reply in _continuations(space, legal, pos, tau).items():
+            for b in reply_points:
+                budget.tick()
+                yield idx, pos, a, b, by_reply.get(b, ())
 
 
-def _diagonal_step(space, legal, state_pos, tau, a, b, compat_with, require_star=None):
-    """First (u, v): the adversary legally continues with (a, u), tau
-    replies with point b and subspace v, and v is compatible with
-    ``compat_with`` (optionally also ``require_star <=* v``).  ``legal``
-    is the diagonalization's ``legality`` test."""
-    points, pool, make = _continuations(space, state_pos)
-    if a not in points:
-        return None
-    for u in pool:
-        move = make(a, u)
-        if not legal(state_pos, move):
-            continue
-        reply = tau.move_at(state_pos.child(move))
-        if reply.point != b:
-            continue
-        v = reply.subspace
-        if v is None:
-            continue
-        if not space.compatible(v, compat_with):
-            continue
-        if require_star is not None and not space.leq_star(require_star, v):
-            continue
-        return u, v
-    return None
+def _star_fit(space, candidates, r):
+    """One scan of a triple's candidates against ``r``: whether some
+    reply subspace is compatible with r, and the first ``(u, v)`` whose
+    v is compatible with r and star-above it (None if there is none)."""
+    compatible = False
+    for u, v in candidates:
+        if space.compatible(v, r):
+            compatible = True
+            if space.leq_star(r, v):
+                return True, (u, v)
+    return compatible, None
 
 
 def diagonalize_states(
@@ -126,30 +129,24 @@ def diagonalize_states(
     The chain construction: walk the finite enumeration of
     (state, adversary point, reply point) triples, and whenever some
     continuation's reply subspace is compatible with the current chain
-    element, descend to a common lower bound with it.  The fusion
-    witness then closes the chain.  ``legal`` is the diagonalization's
-    ``legality`` test.
+    element, descend to a common lower bound with the first one.  The
+    fusion witness then closes the chain.  ``legal`` is the
+    diagonalization's ``legality`` test.
     """
     budget = budget or Budget(where="diagonalize_states")
     chain = [r]
-    n_points = len(space.points)
-    for pos in states:
-        adversary_points, _, _ = _continuations(space, pos)
-        for a in adversary_points:
-            for b in range(n_points):
-                budget.tick()
-                hit = _diagonal_step(space, legal, pos, tau, a, b, chain[-1])
-                if hit is None:
-                    chain.append(chain[-1])
-                    continue
-                _, v = hit
-                lower = space.common_lower_bound(chain[-1], v)
-                if lower is None:
-                    raise FiniteExhaustion(
-                        "diagonalize_states",
-                        f"no common lower bound of {chain[-1]} and {v}",
-                    )
-                chain.append(lower)
+    for _, _, _, _, candidates in _triples(space, legal, states, tau, budget):
+        v = next((v for _, v in candidates if space.compatible(v, chain[-1])), None)
+        if v is None:
+            chain.append(chain[-1])
+            continue
+        lower = space.common_lower_bound(chain[-1], v)
+        if lower is None:
+            raise FiniteExhaustion(
+                "diagonalize_states",
+                f"no common lower bound of {chain[-1]} and {v}",
+            )
+        chain.append(lower)
     return space.fusion_witness(tuple(chain))
 
 
@@ -157,21 +154,11 @@ def check_diagonalization(space, states, tau, r_star, budget=None) -> list:
     """Exhaustive check of the diagonalization postcondition; returns the
     violating (state index, a, b) triples (empty list means verified)."""
     budget = budget or Budget(where="check_diagonalization")
-    legal = legality(space)
     bad = []
-    for idx, pos in enumerate(states):
-        adversary_points, _, _ = _continuations(space, pos)
-        for a in adversary_points:
-            for b in range(len(space.points)):
-                budget.tick()
-                plain = _diagonal_step(space, legal, pos, tau, a, b, r_star)
-                if plain is None:
-                    continue
-                strong = _diagonal_step(
-                    space, legal, pos, tau, a, b, r_star, require_star=r_star
-                )
-                if strong is None:
-                    bad.append((idx, a, b))
+    for idx, _, a, b, candidates in _triples(space, legality(space), states, tau, budget):
+        compatible, pair = _star_fit(space, candidates, r_star)
+        if compatible and pair is None:
+            bad.append((idx, a, b))
     return bad
 
 
@@ -235,27 +222,17 @@ def _stored_pairs_for(space, legal, states, tau, q_next, budget):
     the diagonalization's ``legality`` test."""
     stored = {}
     next_states = []
-    n_points = len(space.points)
-    for state_pos in states:
-        adversary_points, _, make = _continuations(space, state_pos)
-        for a in adversary_points:
-            for b in range(n_points):
-                budget.tick()
-                plain = _diagonal_step(space, legal, state_pos, tau, a, b, q_next)
-                if plain is None:
-                    continue
-                strong = _diagonal_step(
-                    space, legal, state_pos, tau, a, b, q_next, require_star=q_next
-                )
-                if strong is None:
-                    raise FiniteExhaustion(
-                        "stored_pairs",
-                        f"diagonalization guarantee failed for reply point {b}",
-                    )
-                u, v = strong
-                stored[(state_pos.state(), a, b)] = (u, v)
-                mid = state_pos.child(make(a, u))
-                next_states.append(mid.child(tau.move_at(mid)))
+    for _, pos, a, b, candidates in _triples(space, legal, states, tau, budget):
+        compatible, pair = _star_fit(space, candidates, q_next)
+        if not compatible:
+            continue
+        if pair is None:
+            raise FiniteExhaustion(
+                "stored_pairs", f"diagonalization guarantee failed for reply point {b}"
+            )
+        stored[(pos.state(), a, b)] = pair
+        mid = pos.child(Move(pos.to_move, point=a, subspace=pair[0]))
+        next_states.append(mid.child(tau.move_at(mid)))
     return stored, next_states
 
 
@@ -282,17 +259,13 @@ def adversarial_from_kastanas(
         raise ValueError("payoff horizon must match the nested-game strategy")
     rounds_total = payoff.horizon // 2
 
-    root = tau.root
     if owner is Player.II:
-        opening = tau.move_at(initial_position(GameKind.KASTANAS, root, tau.horizon))
-        chain = [opening.subspace]
-        states = [
-            initial_position(GameKind.KASTANAS, root, tau.horizon).child(opening)
-        ]
+        states = [_opening_state(tau, tau.horizon)]
+        chain = [states[0].moves[0].subspace]
         n_diagonal = rounds_total - 1
     else:
-        chain = [root]
-        states = [initial_position(GameKind.KASTANAS, root, tau.horizon)]
+        chain = [tau.root]
+        states = [initial_position(GameKind.KASTANAS, tau.root, tau.horizon)]
         n_diagonal = rounds_total
 
     stored_by_round = []
@@ -326,6 +299,17 @@ def _meet_or_exhaust(space, a, b, stage):
     if r is None:
         raise FiniteExhaustion(stage, f"meet of subspaces {a} and {b} undefined")
     return r
+
+
+def _fictive_probe(space, sim_pos, move, meet_stage, n):
+    """The adversarial ``move`` read in the nested game at ``sim_pos``:
+    its subspace met with the last nested subspace, then checked legal
+    there (``n`` is the round an illegal probe names)."""
+    met = _meet_or_exhaust(space, move.subspace, sim_pos.moves[-1].subspace, meet_stage)
+    probe = Move(move.player, point=move.point, subspace=met)
+    if not move_legal(space, sim_pos, probe):
+        raise FiniteExhaustion("fictive probe", f"probe {probe} illegal at round {n}")
+    return probe
 
 
 def _kastanas_round(space, tau, q, chain, stored_by_round, sim_pos, n, probe, meet_stage):
@@ -371,13 +355,7 @@ def _build_second_player(space, tau, q, chain, stored_by_round, transfer, budget
             return Move(Player.II, subspace=q), (_opening_state(tau, horizon), 0)
         sim_pos, n = shadow
         i_move = b_pos.moves[-1]
-        v_sim = sim_pos.moves[-1].subspace
-        u_fict = _meet_or_exhaust(space, i_move.subspace, v_sim, f"fictive meet (round {n})")
-        probe = Move(Player.I, point=i_move.point, subspace=u_fict)
-        if not move_legal(space, sim_pos, probe):
-            raise FiniteExhaustion(
-                "fictive probe", f"probe {probe} illegal at round {n}"
-            )
+        probe = _fictive_probe(space, sim_pos, i_move, f"fictive meet (round {n})", n)
         if n == rounds_total - 1:
             fict_reply = tau.move_at(sim_pos.child(probe))
             pair, reply, shadow = None, Move(Player.II, point=fict_reply.point), None
@@ -419,16 +397,8 @@ def _build_first_player(space, tau, q, chain, stored_by_round, transfer, budget)
             sim_pos, n, probe = initial_position(GameKind.KASTANAS, tau.root, horizon), 0, her
         else:
             sim_pos, prev = shadow
-            u_prev = sim_pos.moves[-1].subspace
-            w_fict = _meet_or_exhaust(
-                space, her.subspace, u_prev, f"her fictive meet (round {prev})"
-            )
-            probe = Move(Player.II, point=her.point, subspace=w_fict)
-            if not move_legal(space, sim_pos, probe):
-                raise FiniteExhaustion(
-                    "fictive probe", f"probe {probe} illegal at round {prev + 1}"
-                )
             n = prev + 1
+            probe = _fictive_probe(space, sim_pos, her, f"her fictive meet (round {prev})", n)
         fict_reply, pair, my_move, real = _kastanas_round(
             space, tau, q, chain, stored_by_round, sim_pos, n, probe, "his meet"
         )

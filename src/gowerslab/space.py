@@ -89,7 +89,6 @@ class SpaceInstance:
         metric: Optional[Callable[[PointId, PointId], Fraction]] = None,
         asymptotic_slack: int = 0,
         admission: str = FORGETFUL,
-        compatible_hint: Optional[Callable[[SubspaceId, SubspaceId], bool]] = None,
         system=None,
         meta: Optional[dict] = None,
     ):
@@ -104,13 +103,11 @@ class SpaceInstance:
         self.metric = metric
         self.asymptotic_slack = asymptotic_slack
         self.admission = admission
-        self.compatible_hint = compatible_hint
         self.system = system
         self.meta = dict(meta or {})
         self._below: dict[SubspaceId, tuple] = {}
         self._lessapprox_below: dict[SubspaceId, tuple] = {}
         self._admitted: dict = {}
-        self._compat: dict = {}
         self._moves: dict = {}  # player -> (point, subspace, block) -> games.Move
         # Rows are read off the relations as given, so a wrapper put on
         # ``self.leq`` later does not turn the bulk rows off.
@@ -185,16 +182,9 @@ class SpaceInstance:
         return self.leq(p, q) and self.leq_star(q, p)
 
     def compatible(self, p: SubspaceId, q: SubspaceId) -> bool:
-        """Some palette subspace lies below both p and q."""
-        key = (p, q) if p <= q else (q, p)
-        hit = self._compat.get(key)
-        if hit is None:
-            if self.compatible_hint is not None:
-                hit = self.compatible_hint(key[0], key[1])
-            else:
-                hit = self._leq_column(key[0]) & self._leq_column(key[1]) != 0
-            self._compat[key] = hit
-        return hit
+        """Some palette subspace lies below both p and q: their cached
+        ``leq`` columns meet."""
+        return self._leq_column(p) & self._leq_column(q) != 0
 
     def common_lower_bound(self, p: SubspaceId, q: SubspaceId) -> Optional[SubspaceId]:
         """First palette r with r <= p and r <= q, or None."""

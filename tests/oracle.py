@@ -9,6 +9,12 @@ tests and acceptance criteria 2 and 5 compare ``solve`` with it.
 with one ``solve`` per root; the tests compare ``winning_roots``, the
 one search over all the roots that the dichotomy runs, with it.
 
+``diagonal_step`` is the Kastanas diagonalization's scan of one
+(state, adversary point a, reply point b) triple, rereading the strategy
+at every candidate continuation; ``diagonalize_by_scan``,
+``check_by_scan`` and ``stored_pairs_by_scan`` walk the triples with it.
+The tests compare ``reductions``' continuation tables with them.
+
 ``vector_palette_reference`` builds the Rosendal palettes by tuple
 arithmetic, apart from the base-q numeral bitsets of
 ``gowerslab.instances``; the instance tests compare the two.
@@ -20,17 +26,18 @@ import time
 from itertools import combinations, product
 from typing import Optional
 
-from gowerslab.errors import Budget
+from gowerslab.errors import Budget, FiniteExhaustion
 from gowerslab.games import (
     GameKind,
     GamePosition,
+    Move,
     Player,
     initial_position,
     legal_moves,
     state_outcome,
 )
 from gowerslab.payoffs import Payoff
-from gowerslab.solver import SolveResult, Strategy, solve
+from gowerslab.solver import SolveResult, Strategy, legality, solve
 from gowerslab.space import SpaceInstance, bits
 
 
@@ -111,6 +118,79 @@ def per_root_winners(
         if solve(space, kind, q, payoff, goal_owner).winner is goal_owner:
             won |= 1 << q
     return won
+
+
+def diagonal_step(space, legal, pos, tau, a, b, compat_with, require_star=None):
+    """First (u, v) in pool order such that the adversary legally
+    continues ``pos`` with (a, u), ``tau`` replies with point b and
+    subspace v, and v is compatible with ``compat_with`` (and, when
+    ``require_star`` is given, star-above it), or None.  The adversary
+    opens the empty state with a bare subspace below the root (a is
+    None there), and later moves below the last nested subspace."""
+    anchor = pos.moves[-1].subspace if pos.moves else pos.root
+    for u in space.below(anchor):
+        move = Move(pos.to_move, point=a, subspace=u)
+        if not legal(pos, move):
+            continue
+        reply = tau.move_at(pos.child(move))
+        v = reply.subspace
+        if reply.point != b or v is None or not space.compatible(v, compat_with):
+            continue
+        if require_star is not None and not space.leq_star(require_star, v):
+            continue
+        return u, v
+    return None
+
+
+def _scanned_triples(space, states, budget):
+    """(state index, state, a, b) in the diagonalization's order, one
+    budget tick each."""
+    for idx, pos in enumerate(states):
+        for a in range(len(space.points)) if pos.moves else (None,):
+            for b in range(len(space.points)):
+                budget.tick()
+                yield idx, pos, a, b
+
+
+def diagonalize_by_scan(space, states, tau, r, legal, budget) -> int:
+    """``reductions.diagonalize_states`` by one ``diagonal_step`` per
+    triple."""
+    chain = [r]
+    for _, pos, a, b in _scanned_triples(space, states, budget):
+        hit = diagonal_step(space, legal, pos, tau, a, b, chain[-1])
+        lower = chain[-1] if hit is None else space.common_lower_bound(chain[-1], hit[1])
+        if lower is None:
+            raise FiniteExhaustion("diagonalize_states", "no common lower bound")
+        chain.append(lower)
+    return space.fusion_witness(tuple(chain))
+
+
+def check_by_scan(space, states, tau, r_star, budget) -> list:
+    """``reductions.check_diagonalization`` by two ``diagonal_step``
+    scans per triple."""
+    legal = legality(space)
+    return [
+        (idx, a, b)
+        for idx, pos, a, b in _scanned_triples(space, states, budget)
+        if diagonal_step(space, legal, pos, tau, a, b, r_star) is not None
+        and diagonal_step(space, legal, pos, tau, a, b, r_star, r_star) is None
+    ]
+
+
+def stored_pairs_by_scan(space, legal, states, tau, q_next, budget) -> tuple:
+    """``reductions._stored_pairs_for`` by two ``diagonal_step`` scans
+    per triple."""
+    stored, next_states = {}, []
+    for _, pos, a, b in _scanned_triples(space, states, budget):
+        if diagonal_step(space, legal, pos, tau, a, b, q_next) is None:
+            continue
+        pair = diagonal_step(space, legal, pos, tau, a, b, q_next, q_next)
+        if pair is None:
+            raise FiniteExhaustion("stored_pairs", f"guarantee failed for reply point {b}")
+        stored[(pos.state(), a, b)] = pair
+        mid = pos.child(Move(pos.to_move, point=a, subspace=pair[0]))
+        next_states.append(mid.child(tau.move_at(mid)))
+    return stored, next_states
 
 
 def vector_palette_reference(q: int, d: int, projective: bool, deadline=None) -> tuple:

@@ -455,7 +455,7 @@ MALFORMED = [
     (
         "palette-not-closed-under-meet",
         "ms-kastanas-h1.json",
-        _instance(palette=[[0, 1], [1, 2]], palette_rule="explicit"),
+        _instance(palette=[[0, 1], [1, 2]]),
     ),
     (
         "grid-step-zero",
@@ -519,6 +519,23 @@ MALFORMED = [
         "rosendal-f2-gowers.json",
         _top(payoff={"name": "coord_eq", "params": {"coord": "0", "value": 1}}),
     ),
+    # Payoffs reading the parity of vector labels used to raise a
+    # TypeError at the first outcome (exit 1, a traceback).
+    (
+        "point-even-on-vector-labels",
+        "ms-f-dichotomy.json",
+        _top(instance={"kind": "rosendal", "field_order": 2, "dimension": 3}),
+    ),
+    (
+        "all-even-on-grid-labels",
+        "ms-f-dichotomy.json",
+        _top(instance={"kind": "grid-sphere", "step": "1/2"}, payoff={"name": "all_even"}),
+    ),
+    # An instance field its kind does not read used to be ignored (exit 0),
+    # and "palette_rule" was only checked against a list, never read.
+    ("instance-field-misspelled", "ms-f-dichotomy.json", _instance(min_sise=4)),
+    ("instance-palette-rule", "ms-f-dichotomy.json", _instance(palette_rule="explicit")),
+    ("rosendal-universe", "rosendal-f2-gowers.json", _instance(universe=4)),
     # A null name used to write None.json and exit 0.
     ("name-null", "ms-f-dichotomy.json", _top(name=None)),
     ("name-empty", "ms-f-dichotomy.json", _top(name="")),

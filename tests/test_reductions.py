@@ -65,6 +65,7 @@ from gowerslab.reductions import (
     unfold_asymptotic,
 )
 from gowerslab.solver import expand, legality, table_rule
+import oracle
 from historywalk import count_histories, over_histories, walk_histories
 from microsuite import remembering_strategy
 
@@ -159,6 +160,131 @@ class TestDiagonalization:
         state = start.child(tau.move_at(start))
         out = diagonalize_states(ms6, [state], tau, top, legality(ms6))
         assert check_diagonalization(ms6, [state], tau, out) == []
+
+
+def _point_odd(ms):
+    return build_payoff(ms, "point_odd", 2, {"index": 1})
+
+
+# The nested-game strategies the transfer tests and the benchmark's
+# pipelines hand to ``adversarial_from_kastanas``: label -> (the
+# Mathias-Silver parameters, the payoff, the owner, and her hand rule's
+# labels, or None for a solved strategy).
+NESTED = {
+    "II/ms8-hand-h2": ((8, 2, 1), _point_odd, Player.II, [1, 3, 5, 7]),
+    "II/ms6-everything-h2": (
+        (6, 2, 1), lambda ms: build_payoff(ms, "everything", 2), Player.II, list(range(6))
+    ),
+    "II/ms10-hand-h2": ((10, 2, 1), _point_odd, Player.II, [1, 3, 5, 7, 9]),
+    "I/ms6-h2": (
+        (6, 2, 1),
+        lambda ms: build_payoff(ms, "first_in", 2, {"labels": [1, 2, 3, 4, 5]}),
+        Player.I,
+        None,
+    ),
+    "I/ms3-h4": (
+        (3, 2, 1),
+        lambda ms: Payoff(4, lambda s: s[0] <= 1 and s[2] <= 1, "small-firsts"),
+        Player.I,
+        None,
+    ),
+    "II/ms3-h4": ((3, 2, 1), lambda ms: seeded_payoff(4, 40, density=0.15), Player.II, None),
+    "II/ms4-h4": ((4, 3, 1), lambda ms: seeded_payoff(4, 86, 0.2), Player.II, None),
+    "I/ms4-h4": ((4, 3, 1), lambda ms: seeded_payoff(4, 70, 0.85), Player.I, None),
+}
+
+
+def _nested_rounds(label):
+    """``(space, tau, rounds)`` for a ``NESTED`` case: per diagonal round
+    of its transfer, the nested states, the chain element before the
+    round and the round's diagonal subspace, advanced as
+    ``adversarial_from_kastanas`` advances them.  Her transfer at
+    horizon 2 has no diagonal round; its one round here is the
+    diagonalization of her opening state below the root."""
+    args, make_payoff, owner, labels = NESTED[label]
+    space = mathias_silver(*args)
+    tau = _nested_strategy(space, make_payoff(space), owner, labels)
+    legal = legality(space)
+    if owner is Player.II:
+        states = [reductions._opening_state(tau, tau.horizon)]
+        r, n_rounds = states[0].moves[0].subspace, tau.horizon // 2 - 1
+    else:
+        states = [initial_position(GameKind.KASTANAS, tau.root, tau.horizon)]
+        r, n_rounds = tau.root, tau.horizon // 2
+    rounds = []
+    for _ in range(max(n_rounds, 1)):
+        q = diagonalize_states(space, states, tau, r, legal)
+        rounds.append((states, r, q))
+        states = reductions._stored_pairs_for(space, legal, states, tau, q, Budget())[1]
+        r = q
+    return space, tau, rounds
+
+
+def _table_against_scan(label) -> tuple:
+    """Assert that the chain, its check and the stored pairs of every
+    round of a ``NESTED`` case equal the scan's, ticks included, and
+    return the numbers of violations the checks found and of pairs
+    stored.  The checks run against the round's diagonal subspace, where
+    they must find none, and against subspaces the chain passed
+    through.  Her last reply is a bare point, so at horizon 2 her
+    opening state has no candidate continuation at all."""
+    space, tau, rounds = _nested_rounds(label)
+    legal = legality(space)
+    violations = stored = 0
+    for states, r, q in rounds:
+        mine, ref = Budget(), Budget()
+        assert diagonalize_states(space, states, tau, r, legal, mine) == q
+        assert oracle.diagonalize_by_scan(space, states, tau, r, legal, ref) == q
+        assert mine.used == ref.used > 0
+        below = space.below(r)
+        for r_star in {q, r, *below[:: max(1, len(below) // 6)]}:
+            mine, ref = Budget(), Budget()
+            bad = check_diagonalization(space, states, tau, r_star, mine)
+            assert bad == oracle.check_by_scan(space, states, tau, r_star, ref)
+            assert mine.used == ref.used and (bad == [] or r_star != q)
+            violations += len(bad)
+        mine, ref = Budget(), Budget()
+        got = reductions._stored_pairs_for(space, legal, states, tau, q, mine)
+        assert got == oracle.stored_pairs_by_scan(space, legal, states, tau, q, ref)
+        assert mine.used == ref.used
+        stored += len(got[0])
+    return violations, stored
+
+
+class TestContinuationTable:
+    """The chain, its check and the stored pairs read one continuation
+    table per nested state; each must give what a scan of the candidate
+    continuations per (state, a, b) triple gives (``oracle``), with the
+    same ticks."""
+
+    @pytest.mark.parametrize("label", list(NESTED))
+    def test_the_table_agrees_with_the_scan(self, label):
+        _table_against_scan(label)
+
+    def test_the_comparisons_are_not_vacuous(self):
+        # Else they would hold of a check that reports nothing, or of a
+        # table that stores nothing.
+        counts = [_table_against_scan(label) for label in NESTED]
+        assert all(map(sum, zip(*counts)))
+
+    @pytest.mark.parametrize("label", list(NESTED))
+    def test_the_strategy_is_read_once_per_legal_continuation(self, label, monkeypatch):
+        space, tau, rounds = _nested_rounds(label)
+        reads = []
+        real = solver.Strategy.move_at
+
+        def counted(strategy, pos):
+            reads.append(pos)
+            return real(strategy, pos)
+
+        monkeypatch.setattr(solver.Strategy, "move_at", counted)
+        legal = legality(space)
+        for states, r, _ in rounds:
+            for pos in states:
+                reads[:] = []
+                diagonalize_states(space, [pos], tau, r, legal)
+                continuations = {pos.child(m) for m in legal_moves(space, pos)}
+                assert len(reads) == len(set(reads)) and set(reads) == continuations
 
 
 class TestAdversarialFromKastanas:
@@ -691,21 +817,26 @@ def _approx_from_solved(grid, delta):
     return grid, transfer.strategy, expanded_target(grid, payoff, delta.tripled()), "accepts"
 
 
-def _kastanas(space, payoff, owner, labels=None):
-    """Her or his adversarial strategy from a solved nested-game strategy,
-    or from her hand rule staying inside ``labels``."""
+def _nested_strategy(space, payoff, owner, labels=None):
+    """A solved nested-game strategy, or her verified hand rule staying
+    inside ``labels``."""
     top = top_subspace(space)
     if labels is None:
         result = solve(space, GameKind.KASTANAS, top, payoff, owner)
         assert result.winner is owner
-        tau = result.strategy
-    else:
-        rule = RULES["stay-in-set"](space, {"labels": labels})
-        tau = verified(
-            space,
-            strategy_from_rule(space, GameKind.KASTANAS, top, payoff.horizon, owner, rule),
-            payoff,
-        )
+        return result.strategy
+    rule = RULES["stay-in-set"](space, {"labels": labels})
+    return verified(
+        space,
+        strategy_from_rule(space, GameKind.KASTANAS, top, payoff.horizon, owner, rule),
+        payoff,
+    )
+
+
+def _kastanas(space, payoff, owner, labels=None):
+    """Her or his adversarial strategy from a solved nested-game strategy,
+    or from her hand rule staying inside ``labels``."""
+    tau = _nested_strategy(space, payoff, owner, labels)
     return space, adversarial_from_kastanas(space, tau, owner, payoff).strategy, payoff
 
 

@@ -88,14 +88,28 @@ class TestDerivedRelations:
         assert ms6.compatible(a, c)
 
     def test_compatibility_hint_agrees_with_scan(self, ms6):
-        # The fast hint must match the defining palette search.
-        n = len(ms6.palette)
-        for p in range(0, n, 7):
-            for q in range(0, n, 5):
-                scan = any(
-                    ms6.leq(r, p) and ms6.leq(r, q) for r in range(n)
-                )
-                assert ms6.compatible(p, q) == scan
+        # Compatibility, read off the two leq columns, must match the
+        # defining palette search on every instance family.
+        explicit = mathias_silver(
+            5, 1, 1, explicit_palette=[[0, 1, 2, 3, 4], [0, 1, 2], [2, 3, 4], [2], [0, 1], [3, 4]]
+        )
+        spaces = [
+            (ms6, 7, 5),
+            (rosendal(2, 3, 1), 1, 1),
+            (projective_rosendal(3, 2, 1), 1, 1),
+            (grid_sphere(2, "1/2", 1), 1, 1),
+            (single_subspace(2), 1, 1),
+            (explicit, 1, 1),
+        ]
+        for space, p_step, q_step in spaces:
+            n = len(space.palette)
+            verdicts = set()
+            for p in range(0, n, p_step):
+                for q in range(0, n, q_step):
+                    scan = any(space.leq(r, p) and space.leq(r, q) for r in range(n))
+                    assert space.compatible(p, q) == scan, (space.name, p, q)
+                    verdicts.add(scan)
+            assert verdicts == ({True} if n == 1 else {True, False}), space.name
 
 
 class TestDerive:
