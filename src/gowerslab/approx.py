@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Optional
 
-from .errors import Budget, FiniteExhaustion, NotDense, SpecInvalid
-from .games import CHOOSER, GameKind, Move, Player, initial_position, move_legal
+from .errors import Budget, FiniteExhaustion, KindMismatch, NotDense, SpecInvalid
+from .games import GameKind, Move, Player, initial_position, move_legal
 from .payoffs import Payoff
 from .reductions import (
     AsymptoticTransfer,
@@ -308,7 +308,11 @@ def discretize(
     "within the stage's delta of an admitted host point" (strict).
 
     The returned instance has no metric and length-indexed admission;
-    its palette and relations are those of the host.
+    its palette and relations are those of the host.  Its meta carries
+    the host-point bitsets its admission reads, ``host_ball(y, bound)``
+    and ``host_below(p)``, so it alone knows which host points a dense
+    point stands for.  (They ride in the meta, not on ``admits``, which
+    a wrapper may replace.)
     """
     space.require_metric()
     host_ids = tuple(sorted(dense))
@@ -319,26 +323,29 @@ def discretize(
         if not any(space.distance(x, y) <= scale for y in host_ids):
             raise NotDense(f"host point {x} farther than {scale} from the dense set")
     n_host = len(space.points)
-    # Host point bitsets, each made on first use: balls[(y, bound)] holds
-    # the host points closer than bound to dense point y, admitted[p] the
-    # host points admitted below p.
     balls: dict = {}
     admitted: dict = {}
 
-    def admits(history, p):
-        y, bound = history[-1], delta[len(history) - 1]
-        ball = balls.get((y, bound))
-        if ball is None:
+    def ball(y, bound):
+        """The host points closer than bound to dense point y, as a bitset
+        made on first use."""
+        hit = balls.get((y, bound))
+        if hit is None:
             centre = host_ids[y]
-            ball = balls[y, bound] = sum(
+            hit = balls[y, bound] = sum(
                 1 << x for x in range(n_host) if space.distance(x, centre) < bound
             )
-        below = admitted.get(p)
-        if below is None:
-            below = admitted[p] = sum(
-                1 << x for x in range(n_host) if space.admits((x,), p)
-            )
-        return ball & below != 0
+        return hit
+
+    def below(p):
+        """The host points admitted below p, as a bitset made on first use."""
+        hit = admitted.get(p)
+        if hit is None:
+            hit = admitted[p] = sum(1 << x for x in range(n_host) if space.admits((x,), p))
+        return hit
+
+    def admits(history, p):
+        return ball(history[-1], delta[len(history) - 1]) & below(p) != 0
 
     return space.derive(
         name=name or f"discretized({space.name})",
@@ -347,7 +354,13 @@ def discretize(
         metric=None,
         admission=LENGTH_INDEXED,
         system=None,
-        meta={**space.meta, "discretized": True, "host_points": host_ids},
+        meta={
+            **space.meta,
+            "discretized": True,
+            "host_points": host_ids,
+            "host_ball": ball,
+            "host_below": below,
+        },
     )
 
 
@@ -362,21 +375,23 @@ def restrict_payoff(discretized: SpaceInstance, payoff: Payoff) -> Payoff:
     )
 
 
-def _shadow_to_dense(space, discretized, host_point, bound, stage):
-    host_ids = discretized.meta["host_points"]
-    for local, host in enumerate(host_ids):
-        if space.distance(host_point, host) < bound:
+def _shadow_to_dense(discretized, host_point, bound):
+    """The first dense point whose ball of radius bound holds the host point."""
+    ball = discretized.meta["host_ball"]
+    for local in range(len(discretized.points)):
+        if ball(local, bound) >> host_point & 1:
             return local
-    raise FiniteExhaustion(stage, f"no dense point within {bound} of {host_point}")
+    raise FiniteExhaustion("lift shadow", f"no dense point within {bound} of {host_point}")
 
 
-def _witness_in_host(space, discretized, local_point, constraint, bound, stage):
-    host_ids = discretized.meta["host_points"]
-    target = host_ids[local_point]
-    for x in range(len(space.points)):
-        if space.admits((x,), constraint) and space.distance(x, target) < bound:
-            return x
-    raise FiniteExhaustion(stage, f"no admitted host point within {bound}")
+def _witness_in_host(discretized, local_point, constraint, bound):
+    """The first host point admitted below ``constraint`` in the ball of
+    radius bound around the dense point."""
+    meta = discretized.meta
+    hits = meta["host_ball"](local_point, bound) & meta["host_below"](constraint)
+    if not hits:
+        raise FiniteExhaustion("lift witness", f"no admitted host point within {bound}")
+    return (hits & -hits).bit_length() - 1
 
 
 def lift_strategy(
@@ -392,105 +407,50 @@ def lift_strategy(
     Directions: "F-I" and "B-II" lift strategies toward complements (the
     lift lands in the expanded complement), "G-II" and "A-I" toward the
     set (the lift lands in the expanded set); each is ``<game>-<player>``
-    of the strategy it lifts, and any other strategy is refused.
-    Subspace moves transfer unchanged; points are shadowed to the dense
-    set or witnessed back in the host within the stage's delta.
+    of the strategy it lifts, and any other strategy is refused, as is
+    an instance ``discretize`` did not build.
+
+    One rule lifts every direction, with the discretized play as its
+    shadow: the opponent's host points are shadowed to the dense set,
+    the owner's discretized points witnessed back in the host below the
+    last real subspace, each within the stage's delta, and subspaces
+    copied.
     """
     if direction not in ("F-I", "G-II", "A-I", "B-II"):
         raise ValueError(f"unknown lift direction {direction!r}")
     game, player = direction.split("-")
-    kind, owner = GameKind(game), Player(player)
-    _require_verified(strat, owner, kind, "lift_strategy")
+    owner = Player(player)
+    _require_verified(strat, owner, GameKind(game), "lift_strategy")
     if len(delta) != strat.horizon:
         raise SpecInvalid("delta length must match the strategy horizon")
-    if kind in CHOOSER:
-        return _lift_chooser(space, discretized, strat, delta, owner)
-    return _lift_interleaved(space, discretized, strat, delta)
-
-
-def _lift_chooser(space, discretized, strat, delta, owner):
-    """Chooser-game lift; the shadow is the discretized play.  His lift
-    shadows her host answers to the dense set; hers witnesses her
-    discretized answers back in the host."""
-    kind = strat.kind
-    out = Strategy(owner, kind, strat.root, strat.horizon, name=f"lift:{strat.name}")
-
-    def shadow_answer(real_pos, disc_mid):
-        # Her host answer, shadowed into the discretized play.
-        answer = real_pos.moves[-1]
-        shadow = _shadow_to_dense(
-            space, discretized, answer.point, delta[real_pos.depth - 1], "chooser shadow"
-        )
-        disc_answer = Move(Player.II, point=shadow)
-        if not move_legal(discretized, disc_mid, disc_answer):
-            raise FiniteExhaustion("chooser shadow", "shadow move illegal")
-        return disc_mid.child(disc_answer)
-
-    def his_rule(real_pos, disc_pos):
-        if real_pos.moves:
-            disc_pos = shadow_answer(real_pos, disc_pos)
-        disc_move = strat.move_at(disc_pos)
-        return Move(Player.I, subspace=disc_move.subspace), disc_pos.child(disc_move)
-
-    def her_rule(real_mid, disc_pos):
-        his = real_mid.moves[-1]
-        disc_mid = disc_pos.child(Move(Player.I, subspace=his.subspace))
-        reply = strat.move_at(disc_mid)
-        x = _witness_in_host(
-            space, discretized, reply.point, his.subspace, delta[real_mid.depth],
-            "chooser witness",
-        )
-        return Move(Player.II, point=x), disc_mid.child(reply)
-
-    rule, leaf = (his_rule, checked_leaf(shadow_answer)) if owner is Player.I else (her_rule, None)
-    start = initial_position(kind, strat.root, strat.horizon)
-    expand(space, start, owner, rule, start, leaf=leaf, table=out.table)
-    return out
-
-
-def _lift_interleaved(space, discretized, strat, delta):
-    """Adversarial-game lift; the shadow is the discretized play.  The
-    opponent's host points are shadowed to the dense set, the owner's
-    discretized points witnessed back in the host, subspaces copied."""
-    kind = strat.kind
-    owner = strat.owner
-    out = Strategy(owner, kind, strat.root, strat.horizon, name=f"lift:{strat.name}")
+    if "host_ball" not in discretized.meta:
+        raise KindMismatch("lift_strategy needs an instance built by discretize")
+    out = Strategy(owner, strat.kind, strat.root, strat.horizon, name=f"lift:{strat.name}")
 
     def absorb(real_pos, disc_pos):
         # The opponent's last host move, shadowed into the discretized play.
         theirs = real_pos.moves[-1]
         if theirs.player is owner:
             return disc_pos
-        if theirs.point is None:
-            disc_theirs = theirs
-        else:
-            idx = len(real_pos.point_prefix) - 1
-            shadow = _shadow_to_dense(
-                space, discretized, theirs.point, delta[idx], "interleaved shadow"
-            )
-            disc_theirs = Move(theirs.player, point=shadow, subspace=theirs.subspace)
-        if not move_legal(discretized, disc_pos, disc_theirs):
-            raise FiniteExhaustion("interleaved shadow", "shadow move illegal")
-        return disc_pos.child(disc_theirs)
+        if theirs.point is not None:
+            bound = delta[len(real_pos.point_prefix) - 1]
+            shadow = _shadow_to_dense(discretized, theirs.point, bound)
+            theirs = Move(theirs.player, point=shadow, subspace=theirs.subspace)
+        if not move_legal(discretized, disc_pos, theirs):
+            raise FiniteExhaustion("lift shadow", "shadow move illegal")
+        return disc_pos.child(theirs)
 
     def rule(real_pos, disc_pos):
         if real_pos.moves:
             disc_pos = absorb(real_pos, disc_pos)
         disc_move = strat.move_at(disc_pos)
-        if disc_move.point is None:
-            # Opening: copy the subspace.
-            my_move = Move(owner, subspace=disc_move.subspace)
-        else:
-            idx = len(real_pos.point_prefix)
-            constraint = real_pos.moves[-1].subspace
-            x = _witness_in_host(
-                space, discretized, disc_move.point, constraint, delta[idx],
-                "interleaved witness",
-            )
-            my_move = Move(owner, point=x, subspace=disc_move.subspace)
-        return my_move, disc_pos.child(disc_move)
+        x = disc_move.point
+        if x is not None:
+            bound = delta[len(real_pos.point_prefix)]
+            x = _witness_in_host(discretized, x, real_pos.moves[-1].subspace, bound)
+        return Move(owner, point=x, subspace=disc_move.subspace), disc_pos.child(disc_move)
 
-    start = initial_position(kind, strat.root, strat.horizon)
+    start = initial_position(strat.kind, strat.root, strat.horizon)
     expand(space, start, owner, rule, start, leaf=checked_leaf(absorb), table=out.table)
     return out
 

@@ -394,22 +394,17 @@ def mathias_silver(
 
 def single_subspace(n_points: int = 2, name: str = "") -> SpaceInstance:
     """The degenerate one-subspace space: every history is admitted, so
-    all six games collapse to plain perfect-information games."""
-
-    def fusion(chain):
-        return 0
-
-    return SpaceInstance(
+    all six games collapse to plain perfect-information games.  It is
+    the mask space of one full mask, at slack 0."""
+    if n_points < 0:
+        raise SpecInvalid(f"bad single-subspace universe {n_points}")
+    return _mask_space(
         name or f"single-subspace({n_points})",
-        points=range(n_points),
-        palette=[tuple(range(n_points))],
-        leq=lambda p, q: True,
-        leq_star=lambda p, q: True,
-        admits=lambda history, p: True,
-        meet_witness=lambda p, q: 0,
-        fusion_witness=fusion,
-        asymptotic_slack=0,
-        meta={"kind": SINGLE_SUBSPACE, "universe": n_points},
+        range(n_points),
+        [tuple(range(n_points))],
+        {"kind": SINGLE_SUBSPACE, "universe": n_points, "masks": [(1 << n_points) - 1]},
+        "chain intersection left the palette",
+        0,
     )
 
 

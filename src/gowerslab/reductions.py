@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations, product
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import Budget, FiniteExhaustion, KindMismatch, StrategyRefused
 from .games import (
@@ -87,15 +87,21 @@ def _continuations(space, legal, pos, tau) -> dict:
     return table
 
 
-def _triples(space, legal, states, tau, budget):
+def continuation_tables(space, legal, states, tau) -> list:
+    """Each nested state with its continuation table: one round's
+    tables, built once for the chain and the stored pairs to share."""
+    return [(pos, _continuations(space, legal, pos, tau)) for pos in states]
+
+
+def _triples(space, tables, budget):
     """``(state index, state, a, b, candidates)`` for every nested state,
     adversary point a and reply point b, in enumeration order, one budget
     tick each; the candidates are the state's ``(u, v)`` continuations
     under (a, b).  The chain, its check and the stored pairs all walk
     these."""
     reply_points = range(len(space.points))
-    for idx, pos in enumerate(states):
-        for a, by_reply in _continuations(space, legal, pos, tau).items():
+    for idx, (pos, table) in enumerate(tables):
+        for a, by_reply in table.items():
             for b in reply_points:
                 budget.tick()
                 yield idx, pos, a, b, by_reply.get(b, ())
@@ -115,12 +121,7 @@ def _star_fit(space, candidates, r):
 
 
 def diagonalize_states(
-    space: SpaceInstance,
-    states,
-    tau: Strategy,
-    r: int,
-    legal: Callable,
-    budget: Optional[Budget] = None,
+    space: SpaceInstance, tables: list, r: int, budget: Optional[Budget] = None
 ) -> int:
     """Shrink ``r`` so that every state continuation compatible with the
     result admits a continuation whose reply subspace sits above it in
@@ -130,12 +131,12 @@ def diagonalize_states(
     (state, adversary point, reply point) triples, and whenever some
     continuation's reply subspace is compatible with the current chain
     element, descend to a common lower bound with the first one.  The
-    fusion witness then closes the chain.  ``legal`` is the
-    diagonalization's ``legality`` test.
+    fusion witness then closes the chain.  ``tables`` are the states'
+    ``continuation_tables``.
     """
     budget = budget or Budget(where="diagonalize_states")
     chain = [r]
-    for _, _, _, _, candidates in _triples(space, legal, states, tau, budget):
+    for _, _, _, _, candidates in _triples(space, tables, budget):
         v = next((v for _, v in candidates if space.compatible(v, chain[-1])), None)
         if v is None:
             chain.append(chain[-1])
@@ -155,7 +156,8 @@ def check_diagonalization(space, states, tau, r_star, budget=None) -> list:
     violating (state index, a, b) triples (empty list means verified)."""
     budget = budget or Budget(where="check_diagonalization")
     bad = []
-    for idx, _, a, b, candidates in _triples(space, legality(space), states, tau, budget):
+    tables = continuation_tables(space, legality(space), states, tau)
+    for idx, _, a, b, candidates in _triples(space, tables, budget):
         compatible, pair = _star_fit(space, candidates, r_star)
         if compatible and pair is None:
             bad.append((idx, a, b))
@@ -215,14 +217,14 @@ def _require_verified(strat: Strategy, owner: Player, kind: GameKind, what: str)
     strat.require_memoryless(what)
 
 
-def _stored_pairs_for(space, legal, states, tau, q_next, budget):
+def _stored_pairs_for(space, tables, tau, q_next, budget):
     """For every continuation landing in a state's reachable pair set,
     fix the canonical continuation whose reply subspace dominates the
-    next diagonal subspace; extend the states accordingly.  ``legal`` is
-    the diagonalization's ``legality`` test."""
+    next diagonal subspace; extend the states accordingly.  ``tables``
+    are the round's ``continuation_tables``, which the chain read."""
     stored = {}
     next_states = []
-    for _, pos, a, b, candidates in _triples(space, legal, states, tau, budget):
+    for _, pos, a, b, candidates in _triples(space, tables, budget):
         compatible, pair = _star_fit(space, candidates, q_next)
         if not compatible:
             continue
@@ -271,9 +273,10 @@ def adversarial_from_kastanas(
     stored_by_round = []
     legal = legality(space)
     for n in range(n_diagonal):
-        q_next = diagonalize_states(space, states, tau, chain[-1], legal, budget)
+        tables = continuation_tables(space, legal, states, tau)
+        q_next = diagonalize_states(space, tables, chain[-1], budget)
         chain.append(q_next)
-        stored, states = _stored_pairs_for(space, legal, states, tau, q_next, budget)
+        stored, states = _stored_pairs_for(space, tables, tau, q_next, budget)
         stored_by_round.append(stored)
 
     q = space.fusion_witness(tuple(chain))

@@ -18,26 +18,33 @@ The tests compare ``reductions``' continuation tables with them.
 ``vector_palette_reference`` builds the Rosendal palettes by tuple
 arithmetic, apart from the base-q numeral bitsets of
 ``gowerslab.instances``; the instance tests compare the two.
+
+``lift_by_scan`` lifts a strategy off a discretization with one rule
+per game family, a chooser one and an interleaved one, which find each
+shadow and witness by a scan of host distances and admissions; the
+tests compare ``approx.lift_strategy``, which reads the discretization's
+bitsets, with it.
 """
 
 from __future__ import annotations
 
-import time
 from itertools import combinations, product
 from typing import Optional
 
 from gowerslab.errors import Budget, FiniteExhaustion
 from gowerslab.games import (
+    CHOOSER,
     GameKind,
     GamePosition,
     Move,
     Player,
     initial_position,
     legal_moves,
+    move_legal,
     state_outcome,
 )
 from gowerslab.payoffs import Payoff
-from gowerslab.solver import SolveResult, Strategy, legality, solve
+from gowerslab.solver import SolveResult, Strategy, checked_leaf, expand, legality, solve
 from gowerslab.space import SpaceInstance, bits
 
 
@@ -193,7 +200,7 @@ def stored_pairs_by_scan(space, legal, states, tau, q_next, budget) -> tuple:
     return stored, next_states
 
 
-def vector_palette_reference(q: int, d: int, projective: bool, deadline=None) -> tuple:
+def vector_palette_reference(q: int, d: int, projective: bool) -> tuple:
     """``(points, masks, dims, labels, ticks)`` of ``rosendal(q, d)``, or
     of ``projective_rosendal(q, d)``, by tuple arithmetic.
 
@@ -202,15 +209,12 @@ def vector_palette_reference(q: int, d: int, projective: bool, deadline=None) ->
     tails, every one-term block and every two-term block ``(u, v)`` with
     v's support past u's, closed under intersection.  ``ticks`` counts
     one per span and one per closure candidate, as the builder charges
-    its budget.  Past ``deadline`` (a ``time.monotonic()`` reading) it
-    raises TimeoutError."""
+    its budget."""
     ticks = 0
 
     def tick():
         nonlocal ticks
         ticks += 1
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError(f"reference palette q={q}, d={d} past its deadline")
 
     vectors = sorted(v for v in product(range(q), repeat=d) if any(v))
     vec_index = {v: i for i, v in enumerate(vectors)}
@@ -269,3 +273,96 @@ def vector_palette_reference(q: int, d: int, projective: bool, deadline=None) ->
     dims = [next(k for k in range(d + 1) if size(k) == m.bit_count()) for m in masks]
     labels = [members(m)[:1] + (k,) for m, k in zip(masks, dims)]
     return tuple(points), masks, dims, tuple(labels), ticks
+
+
+def _shadow_by_scan(space, discretized, host_point, bound, stage):
+    for local, host in enumerate(discretized.meta["host_points"]):
+        if space.distance(host_point, host) < bound:
+            return local
+    raise FiniteExhaustion(stage, f"no dense point within {bound} of {host_point}")
+
+
+def _witness_by_scan(space, discretized, local_point, constraint, bound, stage):
+    target = discretized.meta["host_points"][local_point]
+    for x in range(len(space.points)):
+        if space.admits((x,), constraint) and space.distance(x, target) < bound:
+            return x
+    raise FiniteExhaustion(stage, f"no admitted host point within {bound}")
+
+
+def lift_by_scan(space, discretized, strat, delta) -> Strategy:
+    """``approx.lift_strategy`` of a verified strategy, by the chooser
+    lift (F, G) or the interleaved lift (A, B), each point shadowed or
+    witnessed by a scan of the host points."""
+    kind, owner = strat.kind, strat.owner
+    out = Strategy(owner, kind, strat.root, strat.horizon, name=f"lift:{strat.name}")
+    start = initial_position(kind, strat.root, strat.horizon)
+    if kind in CHOOSER:
+
+        def shadow_answer(real_pos, disc_mid):
+            answer = real_pos.moves[-1]
+            shadow = _shadow_by_scan(
+                space, discretized, answer.point, delta[real_pos.depth - 1], "chooser shadow"
+            )
+            disc_answer = Move(Player.II, point=shadow)
+            if not move_legal(discretized, disc_mid, disc_answer):
+                raise FiniteExhaustion("chooser shadow", "shadow move illegal")
+            return disc_mid.child(disc_answer)
+
+        def his_rule(real_pos, disc_pos):
+            if real_pos.moves:
+                disc_pos = shadow_answer(real_pos, disc_pos)
+            disc_move = strat.move_at(disc_pos)
+            return Move(Player.I, subspace=disc_move.subspace), disc_pos.child(disc_move)
+
+        def her_rule(real_mid, disc_pos):
+            his = real_mid.moves[-1]
+            disc_mid = disc_pos.child(Move(Player.I, subspace=his.subspace))
+            reply = strat.move_at(disc_mid)
+            x = _witness_by_scan(
+                space, discretized, reply.point, his.subspace, delta[real_mid.depth],
+                "chooser witness",
+            )
+            return Move(Player.II, point=x), disc_mid.child(reply)
+
+        if owner is Player.I:
+            expand(space, start, owner, his_rule, start, leaf=checked_leaf(shadow_answer),
+                   table=out.table)
+        else:
+            expand(space, start, owner, her_rule, start, table=out.table)
+        return out
+
+    def absorb(real_pos, disc_pos):
+        theirs = real_pos.moves[-1]
+        if theirs.player is owner:
+            return disc_pos
+        if theirs.point is None:
+            disc_theirs = theirs
+        else:
+            idx = len(real_pos.point_prefix) - 1
+            shadow = _shadow_by_scan(
+                space, discretized, theirs.point, delta[idx], "interleaved shadow"
+            )
+            disc_theirs = Move(theirs.player, point=shadow, subspace=theirs.subspace)
+        if not move_legal(discretized, disc_pos, disc_theirs):
+            raise FiniteExhaustion("interleaved shadow", "shadow move illegal")
+        return disc_pos.child(disc_theirs)
+
+    def rule(real_pos, disc_pos):
+        if real_pos.moves:
+            disc_pos = absorb(real_pos, disc_pos)
+        disc_move = strat.move_at(disc_pos)
+        if disc_move.point is None:
+            my_move = Move(owner, subspace=disc_move.subspace)
+        else:
+            idx = len(real_pos.point_prefix)
+            constraint = real_pos.moves[-1].subspace
+            x = _witness_by_scan(
+                space, discretized, disc_move.point, constraint, delta[idx],
+                "interleaved witness",
+            )
+            my_move = Move(owner, point=x, subspace=disc_move.subspace)
+        return my_move, disc_pos.child(disc_move)
+
+    expand(space, start, owner, rule, start, leaf=checked_leaf(absorb), table=out.table)
+    return out

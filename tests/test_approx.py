@@ -33,9 +33,10 @@ from gowerslab.approx import (
     strong_asymptotic_from_asymptotic,
     verify_strong_asymptotic,
 )
-from gowerslab.errors import NoMetric, NotDense, SpecInvalid
-from gowerslab.instances import provider_for, rosendal, top_subspace
+from gowerslab.errors import KindMismatch, NoMetric, NotDense, SpecInvalid
+from gowerslab.instances import grid_sphere, provider_for, rosendal, top_subspace
 from gowerslab.payoffs import Payoff
+from oracle import lift_by_scan
 
 
 def lex_positive_payoff(space, horizon, index=0):
@@ -395,6 +396,17 @@ class TestLifts:
         target = expanded_target(grid_half, payoff, delta, "complement")
         assert verify_strategy(grid_half, lifted, target, target="accepts").passed
 
+    def test_refuses_an_instance_discretize_did_not_build(self, grid_half):
+        delta = DeltaSeq.of("1/2")
+        disc = discretize(grid_half, range(len(grid_half.points)), delta)
+        payoff = lex_positive_payoff(grid_half, 1)
+        top = top_subspace(grid_half)
+        result = solve(disc, GameKind.GOWERS_G, top, restrict_payoff(disc, payoff), Player.II)
+        bare = {k: v for k, v in disc.meta.items() if not k.startswith("host_")}
+        for other in (grid_half, disc.derive(meta=bare)):
+            with pytest.raises(KindMismatch):
+                lift_strategy(grid_half, other, result.strategy, "G-II", payoff, delta)
+
     def test_refuses_unverified(self, grid_half):
         from gowerslab import Strategy
 
@@ -403,6 +415,82 @@ class TestLifts:
         fake = Strategy(Player.II, GameKind.GOWERS_G, 0, 1)
         with pytest.raises(ValueError):
             lift_strategy(grid_half, disc, fake, "G-II", lex_positive_payoff(grid_half, 1), delta)
+
+
+def _corner_payoff(grid, horizon):
+    corner = grid.points.index((Fraction(1), Fraction(1)))
+    return Payoff(horizon, lambda s: s[0] == corner, "corner")
+
+
+# direction -> (game, payoff, goal, side): the lifts toward the set
+# read the lex-positive payoff, those toward the complement the corner.
+LIFTS = {
+    "G-II": (GameKind.GOWERS_G, lex_positive_payoff, Player.II, "accepts"),
+    "F-I": (GameKind.ASYMPTOTIC_F, _corner_payoff, Player.I, "complement"),
+    "A-I": (GameKind.ADVERSARIAL_A, lex_positive_payoff, Player.I, "accepts"),
+    "B-II": (GameKind.ADVERSARIAL_B, _corner_payoff, Player.II, "complement"),
+}
+# (grid step, delta, horizon, dense set): every full dense set, and
+# every third point of the quarter grid, dense at delta one.
+LIFT_GRIDS = [
+    (step, delta, horizon, "full")
+    for step in ("1/2", "1/3", "1/4")
+    for delta in ("1/4", "1/2", "1")
+    for horizon in (1, 2)
+] + [("1/4", "1", horizon, "every third") for horizon in (1, 2)]
+
+
+class TestLiftReference:
+    """``lift_strategy`` reads the discretization's ball and admission
+    bitsets; the chooser and interleaved lifts that scan host distances
+    (``oracle.lift_by_scan``) must build the same table, and its replay
+    the same count."""
+
+    @pytest.mark.parametrize("step,delta,horizon,dense", LIFT_GRIDS)
+    def test_the_lift_is_the_scan_lift(self, step, delta, horizon, dense):
+        grid = grid_sphere(2, step, 1)
+        dense_set = range(0, len(grid.points), 1 if dense == "full" else 3)
+        deltas = DeltaSeq.of(*[delta] * horizon)
+        disc = discretize(grid, dense_set, deltas)
+        top = top_subspace(grid)
+        # The adversarial games need an even horizon.
+        for direction in LIFTS if horizon % 2 == 0 else ("G-II", "F-I"):
+            kind, make_payoff, goal, side = LIFTS[direction]
+            payoff = make_payoff(grid, horizon)
+            disc_payoff = restrict_payoff(disc, payoff)
+            if side == "complement":
+                disc_payoff = negate(disc_payoff)
+            result = solve(disc, kind, top, disc_payoff, goal)
+            assert result.winner is goal, direction
+            lifted = lift_strategy(grid, disc, result.strategy, direction, payoff, deltas)
+            reference = lift_by_scan(grid, disc, result.strategy, deltas)
+            assert lifted.to_json() == reference.to_json(), direction
+            target = expanded_target(grid, payoff, deltas, side)
+            report = verify_strategy(grid, lifted, target, target="accepts")
+            assert report.passed, direction
+            assert report == verify_strategy(grid, reference, target, target="accepts")
+
+    def test_the_lifts_make_no_distance_call(self, grid_half, monkeypatch):
+        # The solve on the discretization built every ball the lift reads.
+        delta = DeltaSeq.of("1/2", "1/2")
+        disc = discretize(grid_half, range(len(grid_half.points)), delta)
+        payoff = lex_positive_payoff(grid_half, 2)
+        result = solve(
+            disc, GameKind.ADVERSARIAL_A, top_subspace(grid_half),
+            restrict_payoff(disc, payoff), Player.I,
+        )
+        calls = []
+        real = type(grid_half).distance
+        monkeypatch.setattr(
+            type(grid_half), "distance", lambda space, x, y: calls.append(x) or real(space, x, y)
+        )
+        lifted = lift_strategy(grid_half, disc, result.strategy, "A-I", payoff, delta)
+        assert calls == []
+        # A wrapper put on admission, as a call counter does, leaves the
+        # bitsets the lift reads in place.
+        disc.admits = lambda history, p, admits=disc.admits: admits(history, p)
+        again = lift_strategy(grid_half, disc, result.strategy, "A-I", payoff, delta)
+        assert again.to_json() == lifted.to_json()
 
 
 class TestApproxTransfer:

@@ -53,6 +53,7 @@ from gowerslab.reductions import (
     asymptotic_from_gowers,
     check_diagonalization,
     check_ramsey_dichotomy,
+    continuation_tables,
     decorate_space,
     diagonalize_states,
     gowers_from_asymptotic,
@@ -79,87 +80,6 @@ def constant_rule(subspace):
 
 def odd_responder(ms):
     return RULES["stay-in-set"](ms, {"labels": [x for x in range(len(ms.points)) if x % 2]})
-
-
-class TestDiagonalization:
-    def test_empty_state_list_is_vacuous(self, ms8):
-        top = top_subspace(ms8)
-        payoff = build_payoff(ms8, "point_odd", 2, {"index": 1})
-        tau = verified(
-            ms8,
-            strategy_from_rule(
-                ms8, GameKind.KASTANAS, top, 2, Player.II, odd_responder(ms8)
-            ),
-            payoff,
-        )
-        out = diagonalize_states(ms8, [], tau, top, legality(ms8))
-        assert ms8.leq(out, top)
-
-    def test_single_state_postcondition(self, ms8):
-        top = top_subspace(ms8)
-        payoff = build_payoff(ms8, "point_odd", 2, {"index": 1})
-        tau = verified(
-            ms8,
-            strategy_from_rule(
-                ms8, GameKind.KASTANAS, top, 2, Player.II, odd_responder(ms8)
-            ),
-            payoff,
-        )
-        start = initial_position(GameKind.KASTANAS, top, 2)
-        state = start.child(tau.move_at(start))
-        out = diagonalize_states(ms8, [state], tau, top, legality(ms8))
-        assert ms8.leq(out, top)
-        assert check_diagonalization(ms8, [state], tau, out) == []
-
-    def test_one_legality_check_per_rules_key_and_move(self, ms8, monkeypatch):
-        # The chain and its check each have one legality test; each
-        # candidate continuation used to get a ``move_legal`` call of
-        # its own.
-        top = top_subspace(ms8)
-        payoff = build_payoff(ms8, "point_odd", 2, {"index": 1})
-        tau = verified(
-            ms8,
-            strategy_from_rule(
-                ms8, GameKind.KASTANAS, top, 2, Player.II, odd_responder(ms8)
-            ),
-            payoff,
-        )
-        start = initial_position(GameKind.KASTANAS, top, 2)
-        state = start.child(tau.move_at(start))
-        checked = []
-
-        def counted_legal(spc, pos, move):
-            checked.append((pos.state(), move))
-            return move_legal(spc, pos, move)
-
-        monkeypatch.setattr(solver, "move_legal", counted_legal)
-        out = diagonalize_states(ms8, [state], tau, top, legality(ms8))
-        assert checked and len(checked) == len(set(checked))
-        checked[:] = []
-        assert check_diagonalization(ms8, [state], tau, out) == []
-        assert checked and len(checked) == len(set(checked))
-
-    def test_reply_ignoring_strategy_stabilizes(self, ms6):
-        # A responder whose replies never depend on the probe leaves
-        # nothing for the chain to chase beyond its first descent.
-        top = top_subspace(ms6)
-        payoff = build_payoff(ms6, "everything", 2)
-        tau = verified(
-            ms6,
-            strategy_from_rule(
-                ms6,
-                GameKind.KASTANAS,
-                top,
-                2,
-                Player.II,
-                RULES["stay-in-set"](ms6, {"labels": [0, 1, 2, 3, 4, 5]}),
-            ),
-            payoff,
-        )
-        start = initial_position(GameKind.KASTANAS, top, 2)
-        state = start.child(tau.move_at(start))
-        out = diagonalize_states(ms6, [state], tau, top, legality(ms6))
-        assert check_diagonalization(ms6, [state], tau, out) == []
 
 
 def _point_odd(ms):
@@ -196,8 +116,9 @@ NESTED = {
 
 def _nested_rounds(label):
     """``(space, tau, rounds)`` for a ``NESTED`` case: per diagonal round
-    of its transfer, the nested states, the chain element before the
-    round and the round's diagonal subspace, advanced as
+    of its transfer, the nested states, their continuation tables, the
+    chain element before the round and the round's diagonal subspace,
+    advanced as
     ``adversarial_from_kastanas`` advances them.  Her transfer at
     horizon 2 has no diagonal round; its one round here is the
     diagonalization of her opening state below the root."""
@@ -213,9 +134,10 @@ def _nested_rounds(label):
         r, n_rounds = tau.root, tau.horizon // 2
     rounds = []
     for _ in range(max(n_rounds, 1)):
-        q = diagonalize_states(space, states, tau, r, legal)
-        rounds.append((states, r, q))
-        states = reductions._stored_pairs_for(space, legal, states, tau, q, Budget())[1]
+        tables = continuation_tables(space, legal, states, tau)
+        q = diagonalize_states(space, tables, r)
+        rounds.append((states, tables, r, q))
+        states = reductions._stored_pairs_for(space, tables, tau, q, Budget())[1]
         r = q
     return space, tau, rounds
 
@@ -231,9 +153,9 @@ def _table_against_scan(label) -> tuple:
     space, tau, rounds = _nested_rounds(label)
     legal = legality(space)
     violations = stored = 0
-    for states, r, q in rounds:
+    for states, tables, r, q in rounds:
         mine, ref = Budget(), Budget()
-        assert diagonalize_states(space, states, tau, r, legal, mine) == q
+        assert diagonalize_states(space, tables, r, mine) == q
         assert oracle.diagonalize_by_scan(space, states, tau, r, legal, ref) == q
         assert mine.used == ref.used > 0
         below = space.below(r)
@@ -244,7 +166,7 @@ def _table_against_scan(label) -> tuple:
             assert mine.used == ref.used and (bad == [] or r_star != q)
             violations += len(bad)
         mine, ref = Budget(), Budget()
-        got = reductions._stored_pairs_for(space, legal, states, tau, q, mine)
+        got = reductions._stored_pairs_for(space, tables, tau, q, mine)
         assert got == oracle.stored_pairs_by_scan(space, legal, states, tau, q, ref)
         assert mine.used == ref.used
         stored += len(got[0])
@@ -269,22 +191,135 @@ class TestContinuationTable:
 
     @pytest.mark.parametrize("label", list(NESTED))
     def test_the_strategy_is_read_once_per_legal_continuation(self, label, monkeypatch):
-        space, tau, rounds = _nested_rounds(label)
-        reads = []
-        real = solver.Strategy.move_at
+        # One table per nested state and round serves the chain and the
+        # stored pairs, so a transfer reads each legal continuation of
+        # its diagonal rounds' states once.
+        args, make_payoff, owner, labels = NESTED[label]
+        space = mathias_silver(*args)
+        payoff = make_payoff(space)
+        tau = _nested_strategy(space, payoff, owner, labels)
+        real_tables, real_read = continuation_tables, solver.Strategy.move_at
+        rounds, reads, tabling = [], [], []
 
         def counted(strategy, pos):
-            reads.append(pos)
-            return real(strategy, pos)
+            if tabling:
+                reads.append(pos)
+            return real_read(strategy, pos)
+
+        def tables(space, legal, states, tau):
+            tabling.append(True)
+            rounds.append(states)
+            try:
+                return real_tables(space, legal, states, tau)
+            finally:
+                tabling.clear()
 
         monkeypatch.setattr(solver.Strategy, "move_at", counted)
-        legal = legality(space)
-        for states, r, _ in rounds:
-            for pos in states:
-                reads[:] = []
-                diagonalize_states(space, [pos], tau, r, legal)
-                continuations = {pos.child(m) for m in legal_moves(space, pos)}
-                assert len(reads) == len(set(reads)) and set(reads) == continuations
+        monkeypatch.setattr(reductions, "continuation_tables", tables)
+        adversarial_from_kastanas(space, tau, owner, payoff)
+        assert len(rounds) == tau.horizon // 2 - (owner is Player.II)
+        tabled = [pos for states in rounds for pos in states]
+        continuations = [pos.child(m) for pos in tabled for m in legal_moves(space, pos)]
+        assert len(tabled) == len(set(tabled))
+        assert len(reads) == len(set(reads)) and set(reads) == set(continuations)
+
+
+class TestDiagonalization:
+    """The chain's postcondition on states that have candidate
+    continuations: the nested states of the ``NESTED`` transfers."""
+
+    def test_empty_state_list_is_vacuous(self, ms8):
+        top = top_subspace(ms8)
+        out = diagonalize_states(ms8, [], top)
+        assert ms8.leq(out, top)
+
+    @pytest.mark.parametrize("label", list(NESTED))
+    def test_single_state_postcondition(self, label):
+        _single_state_postcondition(label)
+
+    def test_the_postcondition_is_not_vacuous(self):
+        # Her horizon-2 openings have no candidate at all; a check that
+        # skipped the star test would find no violation.
+        counts = map(sum, zip(*map(_single_state_postcondition, NESTED)))
+        assert all(count > 0 for count in counts)
+
+    @pytest.mark.parametrize("label", ["I/ms6-h2", "II/ms3-h4"])
+    def test_one_legality_check_per_rules_key_and_move(self, label, monkeypatch):
+        # The chain and its check each have one legality test; each
+        # candidate continuation used to get a ``move_legal`` call of
+        # its own.
+        space, tau, rounds = _nested_rounds(label)
+        checked = []
+
+        def counted_legal(spc, pos, move):
+            checked.append((pos.state(), move))
+            return move_legal(spc, pos, move)
+
+        monkeypatch.setattr(solver, "move_legal", counted_legal)
+        for states, _, r, _ in rounds:
+            checked[:] = []
+            tables = continuation_tables(space, legality(space), states, tau)
+            out = diagonalize_states(space, tables, r)
+            assert checked and len(checked) == len(set(checked))
+            checked[:] = []
+            assert check_diagonalization(space, states, tau, out) == []
+            assert checked and len(checked) == len(set(checked))
+
+    def test_reply_ignoring_strategy_stabilizes(self):
+        # A responder whose replies never depend on the probe, at a
+        # horizon where her opening state has candidate continuations.
+        ms4 = mathias_silver(4, 2, 1)
+        top = top_subspace(ms4)
+        tau = _nested_strategy(ms4, build_payoff(ms4, "everything", 4), Player.II, [0, 1, 2, 3])
+        states = [reductions._opening_state(tau, tau.horizon)]
+        tables = continuation_tables(ms4, legality(ms4), states, tau)
+        assert any(by_reply for _, table in tables for by_reply in table.values())
+        out = diagonalize_states(ms4, tables, top)
+        assert check_diagonalization(ms4, states, tau, out) == []
+
+
+def _single_state_postcondition(label) -> tuple:
+    """Diagonalize each nested state of each round of a ``NESTED`` case
+    alone, below the round's chain element, assert that the result lies
+    below it, that its check finds nothing and that every stored pair's
+    reply subspace is compatible with it and star-above it.  Below the
+    chain element, the check must report exactly the (a, b) whose
+    candidates hold a reply subspace compatible with the subspace checked
+    and none also star-above it.  Returns the numbers of compatible
+    (state, a, b) triples, of stored pairs and of violations reported."""
+    space, tau, rounds = _nested_rounds(label)
+    legal = legality(space)
+    compatible = stored = violations = 0
+    for states, _, r, _ in rounds:
+        for pos in states:
+            tables = continuation_tables(space, legal, [pos], tau)
+            [(_, table)] = tables
+            q = diagonalize_states(space, tables, r)
+            assert space.leq(q, r)
+            assert check_diagonalization(space, [pos], tau, q) == []
+            pairs, _ = reductions._stored_pairs_for(space, tables, tau, q, Budget())
+            for u, v in pairs.values():
+                assert space.compatible(v, q) and space.leq_star(q, v)
+            compatible += sum(
+                any(space.compatible(v, q) for _, v in candidates)
+                for by_reply in table.values()
+                for candidates in by_reply.values()
+            )
+            stored += len(pairs)
+            for r_star in space.below(r):
+                bad = check_diagonalization(space, [pos], tau, r_star)
+                assert bad == [
+                    (0, a, b)
+                    for a, by_reply in table.items()
+                    for b in range(len(space.points))
+                    if any(space.compatible(v, r_star) for _, v in by_reply.get(b, ()))
+                    and not any(
+                        space.compatible(v, r_star) and space.leq_star(r_star, v)
+                        for _, v in by_reply.get(b, ())
+                    )
+                ]
+                violations += len(bad)
+    return compatible, stored, violations
 
 
 class TestAdversarialFromKastanas:
@@ -1182,6 +1217,25 @@ class TestTransferWalks:
     def test_gowers_from_asymptotic_keeps_one_entry_per_state(self):
         _, sigma, _, _ = TRANSFERS["G-from-F/ms8"][0]()
         assert sigma.memoryless and len(sigma.table) == 1_976
+
+
+@pytest.mark.parametrize("label", [label for label in TRANSFERS if label.startswith("lift/")])
+def test_each_lift_is_the_scan_lift(label, monkeypatch):
+    # The lifts above against the chooser and interleaved lifts that
+    # scan host distances: the same table and the same replay count.
+    real, built = lift_strategy, []
+
+    def both(space, disc, strat, direction, payoff, delta):
+        lifted = real(space, disc, strat, direction, payoff, delta)
+        built.append((lifted, oracle.lift_by_scan(space, disc, strat, delta)))
+        return lifted
+
+    monkeypatch.setitem(globals(), "lift_strategy", both)
+    grid, _, target = TRANSFERS[label][0]()
+    [(lifted, reference)] = built
+    assert lifted.to_json() == reference.to_json()
+    report = verify_strategy(grid, lifted, target, target="accepts")
+    assert report.passed and report == verify_strategy(grid, reference, target, target="accepts")
 
 
 def _with_memory(strat):
