@@ -332,9 +332,12 @@ def _mask_space(
         return hit
 
     def fusion_row(chain, among):
-        # chain + (r,) fuses to r iff r lies inside the chain's common part.
+        # chain + (r,) fuses to r iff r lies inside the chain's common part,
+        # as every r below the last element of a leq-decreasing chain does.
         m = common(chain)
         same = among & below_mask(m)
+        if same == among:
+            return same, {}
         return same, {r: index.get(m & masks[r]) for r in bits(among & ~same)}
 
     meet.groups, fusion.row = meet_groups, fusion_row

@@ -44,12 +44,20 @@ def seeded_payoff(horizon: int, seed: int, density: float = 0.5) -> Payoff:
     """Deterministic pseudo-random clopen payoff.
 
     Membership is decided by a stable hash of the outcome, so the same
-    seed always yields the same set, across runs and platforms.
+    seed always yields the same set, across runs and platforms.  Each
+    outcome is hashed once: the verdicts are kept, so a verify reads
+    the solve's.
     """
     threshold = int(density * 1_000_000)
+    verdicts: dict = {}
 
     def accepts(outcome) -> bool:
-        return stable_fraction_hash(seed, _canonical_outcome(outcome)) < threshold
+        verdict = verdicts.get(outcome)
+        if verdict is None:
+            verdict = verdicts[outcome] = (
+                stable_fraction_hash(seed, _canonical_outcome(outcome)) < threshold
+            )
+        return verdict
 
     return Payoff(horizon, accepts, f"seeded({seed},{density})")
 

@@ -217,11 +217,13 @@ def _require_verified(strat: Strategy, owner: Player, kind: GameKind, what: str)
     strat.require_memoryless(what)
 
 
-def _stored_pairs_for(space, tables, tau, q_next, budget):
+def _stored_pairs_for(space, tables, q_next, budget):
     """For every continuation landing in a state's reachable pair set,
     fix the canonical continuation whose reply subspace dominates the
     next diagonal subspace; extend the states accordingly.  ``tables``
-    are the round's ``continuation_tables``, which the chain read."""
+    are the round's ``continuation_tables``, which the chain read; a
+    stored pair's next state takes the strategy's reply (b, v) from
+    them."""
     stored = {}
     next_states = []
     for _, pos, a, b, candidates in _triples(space, tables, budget):
@@ -234,7 +236,7 @@ def _stored_pairs_for(space, tables, tau, q_next, budget):
             )
         stored[(pos.state(), a, b)] = pair
         mid = pos.child(Move(pos.to_move, point=a, subspace=pair[0]))
-        next_states.append(mid.child(tau.move_at(mid)))
+        next_states.append(mid.child(Move(mid.to_move, point=b, subspace=pair[1])))
     return stored, next_states
 
 
@@ -276,7 +278,7 @@ def adversarial_from_kastanas(
         tables = continuation_tables(space, legal, states, tau)
         q_next = diagonalize_states(space, tables, chain[-1], budget)
         chain.append(q_next)
-        stored, states = _stored_pairs_for(space, tables, tau, q_next, budget)
+        stored, states = _stored_pairs_for(space, tables, q_next, budget)
         stored_by_round.append(stored)
 
     q = space.fusion_witness(tuple(chain))

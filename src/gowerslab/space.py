@@ -313,7 +313,9 @@ def check_axioms(
     meets of a whole star row as groups, one target r each, and axiom 3
     the fusions of a chain's whole extension row, checked against the
     leq and star columns; the last level of chains is counted by
-    popcount, never enumerated.
+    popcount, never enumerated, and the level above it is checked in one
+    loop per chain, which charges each extension its tick and its row's
+    as it goes.
     """
     budget = budget or Budget(where="check_axioms")
     report = AxiomReport()
@@ -363,7 +365,8 @@ def check_axioms(
 
     # Axiom 3: fusion over all leq-decreasing chains up to the horizon, in
     # depth-first canonical order, one tick per chain.  A chain extends
-    # over the leq column of its last element; the fusions of all its
+    # over the instance's leq column of its last element (``transpose``
+    # builds the star columns only); the fusions of all its
     # extensions come as one row.  An extension r that fuses to itself is
     # right iff r <= chain[0], r <=* r and r <=* m for each member m,
     # which ``allowed`` holds for the whole row (``reflexive`` for the
@@ -371,7 +374,7 @@ def check_axioms(
     # open chain with its members, its faulty extensions, the fusions
     # that are not the extension itself and the extensions left.
     check = AxiomCheck(True)
-    below = transpose(above, n)
+    below = [space._leq_column(r) for r in range(n)]
     star_below = transpose(star, n)
     reflexive = star_reflexive = 0
     for r in range(n):
@@ -392,11 +395,29 @@ def check_axioms(
                 bad |= 1 << r
         return bad, others
 
+    def extend(chain, members, allowed, r):
+        """The arguments of ``open_chain`` for ``chain + (r,)``."""
+        kept = (allowed if chain else below[r] & star_reflexive) & star_below[r]
+        return chain + (r,), members | 1 << r, kept, below[r]
+
     def open_chain(chain, members, allowed, among):
-        """Check the extensions of ``chain``; on the last level all at
-        once, else push them for the depth-first walk.  Returns the
+        """Check the extensions of ``chain``: on the last level all at
+        once; one level above it, when none of them is faulty, in one
+        loop that opens the first with a faulty extension of its own;
+        else push them for the depth-first walk.  Returns the
         counterexample or None."""
         bad, others = faults(chain, members, allowed, among)
+        if len(chain) + 2 == horizon and not bad:
+            for r in bits(among):
+                longer = extend(chain, members, allowed, r)
+                if faults(*longer)[0]:
+                    budget.tick()
+                    check.checked += 1
+                    return open_chain(*longer)
+                row = below[r].bit_count() + 1
+                budget.tick(row)
+                check.checked += row
+            return None
         if len(chain) + 1 < horizon:
             stack.append((chain, members, allowed, bad, others, iter(bits(among))))
             return None
@@ -424,8 +445,7 @@ def check_axioms(
         if bad >> r & 1:
             failure = chain + (r,), others.get(r, r)
             break
-        kept = (allowed if chain else below[r] & star_reflexive) & star_below[r]
-        failure = open_chain(chain + (r,), members | 1 << r, kept, below[r])
+        failure = open_chain(*extend(chain, members, allowed, r))
     if failure is not None:
         check.passed = False
         check.counterexample = failure

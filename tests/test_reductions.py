@@ -137,7 +137,7 @@ def _nested_rounds(label):
         tables = continuation_tables(space, legal, states, tau)
         q = diagonalize_states(space, tables, r)
         rounds.append((states, tables, r, q))
-        states = reductions._stored_pairs_for(space, tables, tau, q, Budget())[1]
+        states = reductions._stored_pairs_for(space, tables, q, Budget())[1]
         r = q
     return space, tau, rounds
 
@@ -166,7 +166,7 @@ def _table_against_scan(label) -> tuple:
             assert mine.used == ref.used and (bad == [] or r_star != q)
             violations += len(bad)
         mine, ref = Budget(), Budget()
-        got = reductions._stored_pairs_for(space, tables, tau, q, mine)
+        got = reductions._stored_pairs_for(space, tables, q, mine)
         assert got == oracle.stored_pairs_by_scan(space, legal, states, tau, q, ref)
         assert mine.used == ref.used
         stored += len(got[0])
@@ -188,6 +188,28 @@ class TestContinuationTable:
         # table that stores nothing.
         counts = [_table_against_scan(label) for label in NESTED]
         assert all(map(sum, zip(*counts)))
+
+    def test_stored_pairs_take_the_reply_from_the_table(self, monkeypatch):
+        # A stored pair's next state is its adversary move (a, u) and the
+        # reply (b, v) the table holds, which is what tau plays there.
+        # Her horizon-2 transfers store no pair, so the cases run as one.
+        reads, checked = [], 0
+        for label in NESTED:
+            space, tau, rounds = _nested_rounds(label)
+            for _, tables, _, q in rounds:
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver.Strategy, "move_at", lambda tau, pos: reads.append(pos))
+                    stored, next_states = reductions._stored_pairs_for(space, tables, q, Budget())
+                assert len(next_states) == len(stored)
+                for ((state, a, b), (u, v)), after in zip(stored.items(), next_states):
+                    mid = GamePosition(after.kind, after.root, after.horizon, after.moves[:-1])
+                    before = GamePosition(mid.kind, mid.root, mid.horizon, mid.moves[:-1])
+                    assert before.state() == state
+                    assert mid == before.child(Move(before.to_move, point=a, subspace=u))
+                    assert tau.move_at(mid) == Move(mid.to_move, point=b, subspace=v)
+                    assert after == mid.child(tau.move_at(mid))
+                    checked += 1
+        assert reads == [] and checked > 0
 
     @pytest.mark.parametrize("label", list(NESTED))
     def test_the_strategy_is_read_once_per_legal_continuation(self, label, monkeypatch):
@@ -297,7 +319,7 @@ def _single_state_postcondition(label) -> tuple:
             q = diagonalize_states(space, tables, r)
             assert space.leq(q, r)
             assert check_diagonalization(space, [pos], tau, q) == []
-            pairs, _ = reductions._stored_pairs_for(space, tables, tau, q, Budget())
+            pairs, _ = reductions._stored_pairs_for(space, tables, q, Budget())
             for u, v in pairs.values():
                 assert space.compatible(v, q) and space.leq_star(q, v)
             compatible += sum(

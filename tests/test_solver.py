@@ -15,8 +15,9 @@ from gowerslab import (
 )
 import time
 from dataclasses import replace
+from itertools import product
 
-from gowerslab import solver
+from gowerslab import payoffs, solver
 from gowerslab.errors import CLOCK_EVERY, ExhaustionBudget, IllegalMove, StrategyIncomplete
 from gowerslab.errors import Budget, TimeExhausted
 from gowerslab.games import (
@@ -28,11 +29,12 @@ from gowerslab.games import (
     play_outcome,
     rules_key,
 )
-from gowerslab.approx import DeltaSeq, discretize
+from gowerslab.approx import DeltaSeq, discretize, field_subspace_system
 from gowerslab.instances import grid_sphere, mathias_silver, rosendal, top_subspace
-from gowerslab.payoffs import Payoff
+from gowerslab.payoffs import Payoff, _canonical_outcome
 from gowerslab.solver import expand, table_rule, winning_roots
 from gowerslab.space import FORGETFUL, FULL_HISTORY
+from gowerslab.util import stable_fraction_hash
 from historywalk import count_histories, over_histories, walk_histories
 from microsuite import MicroGame, micro_games, remembering_strategy
 from oracle import naive_solve_oracle, per_root_winners
@@ -134,6 +136,41 @@ class TestSolveExamples:
             target = "accepts" if result.winner is Player.II else "complement"
             report = verify_strategy(ms6, result.strategy, payoff, target=target)
             assert report.passed
+
+
+class TestSeededPayoff:
+    @pytest.mark.parametrize("seed,density", [(1, 0.5), (40, 0.15), (86, 0.85)])
+    def test_memberships_are_the_hash_verdicts(self, seed, density):
+        # Every outcome of a point game and of an SF game (frozenset
+        # entries), each read twice: the second reading is a kept verdict.
+        ms4, f2 = mathias_silver(4, 2, 1), rosendal(2, 3, 1)
+        threshold = int(density * 1_000_000)
+        for outcomes in (
+            list(product(range(len(ms4.points)), repeat=3)),
+            list(product(field_subspace_system(f2).family, repeat=2)),
+        ):
+            payoff = seeded_payoff(len(outcomes[0]), seed, density)
+            for outcome in outcomes + outcomes:
+                want = stable_fraction_hash(seed, _canonical_outcome(outcome)) < threshold
+                assert payoff.accepts(outcome) == want
+
+    def test_a_solve_and_its_verify_hash_each_outcome_once(self, ms6, monkeypatch):
+        hashed, read = [], []
+        real_hash = payoffs.stable_fraction_hash
+
+        def counted(seed, payload):
+            hashed.append(payload)
+            return real_hash(seed, payload)
+
+        monkeypatch.setattr(payoffs, "stable_fraction_hash", counted)
+        seeded = seeded_payoff(2, 3)
+        payoff = Payoff(2, lambda outcome: read.append(outcome) or seeded.accepts(outcome))
+        result = solve(ms6, GameKind.GOWERS_G, top_subspace(ms6), payoff, Player.II)
+        target = "accepts" if result.winner is Player.II else "complement"
+        solved = len(read)
+        assert verify_strategy(ms6, result.strategy, payoff, target=target).passed
+        assert len(read) > solved
+        assert len(hashed) == len(set(hashed)) == len(set(read))
 
 
 class TestNaiveOracle:

@@ -406,7 +406,7 @@ def planted_instances():
 class TestAxiomSweepAgainstPairwiseOracle:
     @pytest.mark.parametrize("space", planted_instances(), ids=lambda s: s.name)
     def test_same_counterexamples_checked_and_ticks(self, space):
-        for horizon in (1, 2, 3):
+        for horizon in (1, 2, 3, 4):
             mine, theirs = Budget(10**8), Budget(10**8)
             report = check_axioms(space, horizon, mine)
             got = {k: (c.passed, c.counterexample, c.checked) for k, c in report.axioms.items()}
@@ -420,11 +420,12 @@ class TestAxiomSweepAgainstPairwiseOracle:
         "space", [rosendal(2, 3, 1), planted_instances()[0]], ids=["passing", "failing"]
     )
     def test_budget_one_short_of_the_sweep_runs_out(self, space):
-        need = Budget(10**8)
-        check_axioms(space, 3, need)
-        check_axioms(space, 3, Budget(need.used))
-        with pytest.raises(ExhaustionBudget):
-            check_axioms(space, 3, Budget(need.used - 1))
+        for horizon in (2, 3, 4):
+            need = Budget(10**8)
+            check_axioms(space, horizon, need)
+            check_axioms(space, horizon, Budget(need.used))
+            with pytest.raises(ExhaustionBudget):
+                check_axioms(space, horizon, Budget(need.used - 1))
 
 
 # Budget.used and the per-axiom counts of the per-pair sweep, on the
@@ -642,27 +643,32 @@ class TestWitnessRows:
     @pytest.mark.parametrize("base", [mathias_silver(5, 2, 1), rosendal(2, 3, 1)],
                              ids=lambda s: s.name)
     def test_planted_bulk_faults_match_the_pairwise_oracle(self, base):
-        space = planted_bulk_instance(base)
-        assert space._meet_groups.__name__ == "wrong_groups"
-        assert space._fusion_row.__name__ == "wrong_row"
-        for horizon in (1, 2, 3):
-            mine, theirs = Budget(10**8), Budget(10**8)
-            report = check_axioms(space, horizon, mine)
-            got = {k: (c.passed, c.counterexample, c.checked) for k, c in report.axioms.items()}
-            want = p_major_axioms(space, horizon, theirs)
-            assert got == want
-            assert mine.used == theirs.used
-            assert not got["axiom2"][0]
-            # The planted chain has two elements: the last level at
-            # horizon 2, an inner level at horizon 3.
-            assert got["axiom3"][0] == (horizon == 1)
+        for length in (1, 2):
+            space = planted_bulk_instance(base, length)
+            assert space._meet_groups.__name__ == "wrong_groups"
+            assert space._fusion_row.__name__ == "wrong_row"
+            for horizon in (1, 2, 3, 4):
+                mine, theirs = Budget(10**8), Budget(10**8)
+                report = check_axioms(space, horizon, mine)
+                got = {k: (c.passed, c.counterexample, c.checked) for k, c in report.axioms.items()}
+                want = p_major_axioms(space, horizon, theirs)
+                assert got == want
+                assert mine.used == theirs.used
+                assert not got["axiom2"][0]
+                # The faulty chain has length + 1 elements.  With two,
+                # it is the last level at horizon 2 and an inner level
+                # at horizon 3; with three, it is met at horizon 3 in
+                # the loop over the last two levels, after clean chains.
+                assert got["axiom3"][0] == (horizon <= length)
 
 
-def planted_bulk_instance(base):
+def planted_bulk_instance(base, length=1):
     """A mask instance whose meet and fusion witnesses are wrong at one
-    seeded pair and one seeded two-element chain, both per call and in
-    their bulk forms.  The wrong meet of p and q is p itself, which is
-    below p and star-above it but not below q."""
+    seeded pair and at one seeded extension of a chain of ``length``
+    elements (one or two), both per call and in their bulk forms.  The
+    wrong meet of p and q is p itself, which is below p and star-above
+    it but not below q.  A planted two-element chain is not the first
+    extension of its first element, so clean ones come before it."""
     rng = random.Random(14)
     n = len(base.palette)
     top = top_subspace(base)
@@ -673,9 +679,14 @@ def planted_bulk_instance(base):
         and meet(p, q) is not None
     ]
     p, q = rng.choice(pairs[len(pairs) // 2:])
-    chains = [(c, r) for c in range(n) if c != top for r in base.below(c) if r != c]
-    first, r = rng.choice(chains[len(chains) // 2:])
-    chain = (first,)
+    if length == 1:
+        chains = [((c,), r) for c in range(n) if c != top for r in base.below(c) if r != c]
+    else:
+        chains = [
+            ((c, d), r) for c in range(n) if c != top
+            for d in base.below(c)[2:] for r in base.below(d)
+        ]
+    chain, r = rng.choice(chains[len(chains) // 2:])
 
     def wrong_meet(a, b):
         return p if (a, b) == (p, q) else meet(a, b)
