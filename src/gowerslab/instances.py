@@ -216,8 +216,11 @@ def _mask_space(
     codimension at most ``slack`` in the common part".  Both relations
     are palette-bitset rows built per subspace on first use (see
     ``gowerslab.space``), and the pairwise tests read those rows.  The
-    meet and fusion witnesses carry their bulk forms, ``groups`` and
-    ``row``, read off the same point columns ``contains[x]``."""
+    admission row of a history is ``contains[x]`` for its last point x,
+    the palette ids whose mask holds x.  The meet and fusion witnesses
+    carry their bulk forms, ``groups``, ``row`` and ``level``, read off
+    the same point columns: a chain's level over ``among`` is the part
+    of ``among`` inside the chain's common mask."""
     masks = meta["masks"]
     dims = meta.get("dims")
     index = {m: i for i, m in enumerate(masks)}
@@ -294,6 +297,11 @@ def _mask_space(
     def admits(history, p):
         return bool(masks[p] >> history[-1] & 1)
 
+    def admitting(history):
+        return holders()[history[-1]]
+
+    admits.row = admitting
+
     def meet(p, q):
         return index.get(masks[p] & masks[q])
 
@@ -340,7 +348,12 @@ def _mask_space(
             return same, {}
         return same, {r: index.get(m & masks[r]) for r in bits(among & ~same)}
 
-    meet.groups, fusion.row = meet_groups, fusion_row
+    def fusion_level(chain, among):
+        # chain + (r,) fuses each s <= r to s iff s lies inside the
+        # chain's common part, which holds for every such s iff for r.
+        return among & below_mask(common(chain))
+
+    meet.groups, fusion.row, fusion.level = meet_groups, fusion_row, fusion_level
 
     return SpaceInstance(
         name,

@@ -16,14 +16,18 @@ package reproducible.
 A relation may carry bulk rows as palette bitsets (bit ``q`` of an int
 for subspace id ``q``): ``relation.row(p)`` is the set of every ``q``
 with ``relation(p, q)``, and ``leq.column(q)`` the set of every ``p``
-with ``leq(p, q)``.  The witnesses may carry bulk forms the same way:
-``meet_witness.groups(p, among)`` maps each ``r`` to the set of the
-``q`` in ``among`` with ``meet(p, q) = r`` (undefined meets left out),
-and ``fusion_witness.row(chain, among)`` is ``(same, others)``: the set
-of the ``r`` in ``among`` whose ``chain + (r,)`` fuses to ``r`` itself,
-and ``{r: fused id, or None on FiniteExhaustion}`` for the rest.  The
-instance picks these forms up at construction; a relation or witness
-without them gets them from one call per pair or chain.
+with ``leq(p, q)``; ``admits.row(history)`` is the set of every ``p``
+with ``admits(history, p)``.  The witnesses may carry bulk forms the
+same way: ``meet_witness.groups(p, among)`` maps each ``r`` to the set
+of the ``q`` in ``among`` with ``meet(p, q) = r`` (undefined meets left
+out), ``fusion_witness.row(chain, among)`` is ``(same, others)``: the
+set of the ``r`` in ``among`` whose ``chain + (r,)`` fuses to ``r``
+itself, and ``{r: fused id, or None on FiniteExhaustion}`` for the
+rest, and ``fusion_witness.level(chain, among)`` is the set of the
+``r`` in ``among`` whose ``chain + (r,)`` fuses every element of
+``leq.column(r)`` to itself.  The instance picks these forms up at
+construction; a relation or witness without them gets them from one
+call per pair or chain (a level, from one fusion row per extension).
 """
 
 from __future__ import annotations
@@ -114,8 +118,10 @@ class SpaceInstance:
         self._leq_row = self._rows(leq, "row", lambda p, q: self.leq(p, q))
         self._leq_column = self._rows(leq, "column", lambda p, q: self.leq(q, p))
         self._star_row = self._rows(leq_star, "row", lambda p, q: self.leq_star(p, q))
+        self._admits_row = getattr(admits, "row", None) or self._admitting_by_pair
         self._meet_groups = getattr(meet_witness, "groups", None) or self._groups_by_pair
         self._fusion_row = getattr(fusion_witness, "row", None) or self._row_by_chain
+        self._fusion_level = getattr(fusion_witness, "level", None) or self._level_by_row
 
     def _rows(self, relation, name, holds):
         """The relation's bulk rows ``relation.<name>``, else rows built
@@ -137,6 +143,11 @@ class SpaceInstance:
             return hit
 
         return row
+
+    def _admitting_by_pair(self, history):
+        """``admits.row`` from one ``admits`` call per subspace, uncached
+        (a history key would make the cache grow with the horizon)."""
+        return sum(1 << p for p in range(len(self.palette)) if self.admits(history, p))
 
     def _groups_by_pair(self, p, among):
         """``meet_witness.groups`` from one witness call per pair."""
@@ -161,11 +172,20 @@ class SpaceInstance:
                 others[r] = fused
         return same, others
 
+    def _level_by_row(self, chain, among):
+        """``fusion_witness.level`` from one fusion row per extension."""
+        level = 0
+        for r in bits(among):
+            column = self._leq_column(r)
+            if self._fusion_row(chain + (r,), column)[0] == column:
+                level |= 1 << r
+        return level
+
     def derive(self, **overrides) -> "SpaceInstance":
         """A new instance with the given constructor fields replaced and
-        the rest shared, rows of the relations it keeps included (the
-        witnesses it keeps carry their bulk forms); its other caches
-        start empty.  The public attributes are exactly the
+        the rest shared, rows of the relations and admission it keeps
+        included (the witnesses it keeps carry their bulk forms); its
+        other caches start empty.  The public attributes are exactly the
         constructor's parameters."""
         fields = {k: v for k, v in vars(self).items() if not k.startswith("_")}
         view = SpaceInstance(**{**fields, **overrides})
@@ -173,6 +193,8 @@ class SpaceInstance:
             view._leq_row, view._leq_column = self._leq_row, self._leq_column
         if "leq_star" not in overrides:
             view._star_row = self._star_row
+        if "admits" not in overrides:
+            view._admits_row = self._admits_row
         return view
 
     # -- derived relations -------------------------------------------------
@@ -315,7 +337,11 @@ def check_axioms(
     leq and star columns; the last level of chains is counted by
     popcount, never enumerated, and the level above it is checked in one
     loop per chain, which charges each extension its tick and its row's
-    as it goes.
+    as it goes.  In that loop an extension on the chain's fusion level
+    (its whole leq column fuses to itself) is checked with bit tests on
+    its column alone; the others go through their fusion rows.  Axiom 5
+    reads a history's admitted subspaces as one admission row, and
+    axiom 4 ORs the rows of a prefix's one-point extensions.
     """
     budget = budget or Budget(where="check_axioms")
     report = AxiomReport()
@@ -408,12 +434,19 @@ def check_axioms(
         counterexample or None."""
         bad, others = faults(chain, members, allowed, among)
         if len(chain) + 2 == horizon and not bad:
+            # An r on the level fuses its whole leq column to itself, so
+            # its faults are the column's bits outside its kept bits.
+            level = space._fusion_level(chain, among)
+            kept = allowed if chain else star_reflexive
             for r in bits(among):
-                longer = extend(chain, members, allowed, r)
-                if faults(*longer)[0]:
+                if level >> r & 1:
+                    faulty = below[r] & ~(kept & star_below[r])
+                else:
+                    faulty = faults(*extend(chain, members, allowed, r))[0]
+                if faulty:
                     budget.tick()
                     check.checked += 1
-                    return open_chain(*longer)
+                    return open_chain(*extend(chain, members, allowed, r))
                 row = below[r].bit_count() + 1
                 budget.tick(row)
                 check.checked += row
@@ -470,14 +503,22 @@ def check_axioms(
             frontier = new
         return out
 
+    # ``reach[i]`` holds every p admitting some one-point extension of
+    # the i-th prefix: the OR of those extensions' admission rows.
     max_prefix = 0 if point_only else horizon - 1
     prefixes = [()] + histories(max_prefix)
+    reach = []
+    for s in prefixes:
+        row = 0
+        for x in range(npts):
+            row |= space._admits_row(s + (x,))
+        reach.append(row)
     check = AxiomCheck(True)
     for p in range(n):
-        for s in prefixes:
+        for s, row in zip(prefixes, reach):
             budget.tick(npts)
             check.checked += 1
-            if not any(space.admits(s + (x,), p) for x in range(npts)):
+            if not row >> p & 1:
                 check.passed = False
                 check.counterexample = (p, s)
                 break
@@ -493,10 +534,7 @@ def check_axioms(
     all_hists = histories(1 if point_only else horizon)
     check = AxiomCheck(True)
     for s in all_hists:
-        admitted = 0
-        for p in range(n):
-            if space.admits(s, p):
-                admitted |= 1 << p
+        admitted = space._admits_row(s)
         row = before[n]
         for p in bits(admitted):
             bad = above[p] & ~admitted

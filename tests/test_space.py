@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gowerslab import check_axioms, iterated_meet
 from gowerslab.errors import Budget, ExhaustionBudget, FiniteExhaustion
 from gowerslab import instances
+from gowerslab.approx import DeltaSeq, discretize
 from gowerslab.instances import (
     grid_sphere,
     mathias_silver,
@@ -583,6 +584,22 @@ class TestRelationRows:
         assert space.derive(name="view").below(0) == (0,)
         assert calls == []
 
+    def test_a_wrapper_put_on_admits_later_keeps_the_bulk_rows(self):
+        space = mathias_silver(5, 2, 1)
+        calls = []
+        admits = space.admits
+
+        def counted(history, p):
+            calls.append((history, p))
+            return admits(history, p)
+
+        space.admits = counted
+        # Axioms 4 and 5 read admission rows only, on the instance and on
+        # a view that keeps its admission.
+        assert check_axioms(space, 3).all_pass
+        assert check_axioms(space.derive(name="view"), 2).all_pass
+        assert calls == []
+
 
 # -- witness rows -----------------------------------------------------------------
 
@@ -608,6 +625,16 @@ def decreasing_chains(space, longest):
     return out
 
 
+def assert_admission_rows_match_admits(space):
+    """Every history of one or two points has the admission row of the
+    subspaces that admit it, call by call."""
+    npts, n = len(space.points), len(space.palette)
+    ones = [(x,) for x in range(npts)]
+    for history in ones + [h + (y,) for h in ones for y in range(npts)]:
+        want = sum(1 << p for p in range(n) if space.admits(history, p))
+        assert space._admits_row(history) == want, history
+
+
 class TestWitnessRows:
     @pytest.mark.parametrize("factory", [f for _, f in WITNESS_FACTORIES],
                              ids=[name for name, _ in WITNESS_FACTORIES])
@@ -619,6 +646,8 @@ class TestWitnessRows:
         # per-call witnesses once per pair or chain.
         assert space._meet_groups is space.meet_witness.groups
         assert space._fusion_row is space.fusion_witness.row
+        assert space._fusion_level is space.fusion_witness.level
+        assert space._admits_row is space.admits.row
         for p in range(n):
             for among in (everything, space.leq_star.row(p)):
                 assert space._meet_groups(p, among) == space._groups_by_pair(p, among)
@@ -626,6 +655,22 @@ class TestWitnessRows:
             below = space.leq.column(chain[-1]) if chain else everything
             for among in (everything, below):
                 assert space._fusion_row(chain, among) == space._row_by_chain(chain, among)
+                assert space._fusion_level(chain, among) == space._level_by_row(chain, among)
+        assert_admission_rows_match_admits(space)
+
+    def test_a_view_with_its_own_admission_gets_rows_from_admits(self):
+        grid = grid_sphere(2, Fraction(1, 2), 1)
+        view = discretize(grid, range(len(grid.points)), DeltaSeq.of(Fraction(1), Fraction(1, 2)))
+        # Length-indexed admission: the view's rows come from its own
+        # admits, one call per subspace, and not from the host's rows.
+        assert grid._admits_row is grid.admits.row
+        assert view._admits_row == view._admitting_by_pair
+        assert_admission_rows_match_admits(view)
+        mine, theirs = Budget(10**8), Budget(10**8)
+        report = check_axioms(view, 2, mine)
+        got = {k: (c.passed, c.counterexample, c.checked) for k, c in report.axioms.items()}
+        assert got == p_major_axioms(view, 2, theirs)
+        assert mine.used == theirs.used
 
     def test_meet_groups_leave_undefined_meets_out(self):
         space = mathias_silver(5, 2, 1)
@@ -647,6 +692,10 @@ class TestWitnessRows:
             space = planted_bulk_instance(base, length)
             assert space._meet_groups.__name__ == "wrong_groups"
             assert space._fusion_row.__name__ == "wrong_row"
+            assert space._fusion_level.__name__ == "wrong_level"
+            everything = (1 << len(space.palette)) - 1
+            for c in decreasing_chains(space, 2):
+                assert space._fusion_level(c, everything) == space._level_by_row(c, everything)
             for horizon in (1, 2, 3, 4):
                 mine, theirs = Budget(10**8), Budget(10**8)
                 report = check_axioms(space, horizon, mine)
@@ -665,7 +714,8 @@ class TestWitnessRows:
 def planted_bulk_instance(base, length=1):
     """A mask instance whose meet and fusion witnesses are wrong at one
     seeded pair and at one seeded extension of a chain of ``length``
-    elements (one or two), both per call and in their bulk forms.  The
+    elements (one or two), both per call and in their bulk forms (the
+    fusion's level form leaves that chain's last element out).  The
     wrong meet of p and q is p itself, which is below p and star-above
     it but not below q.  A planted two-element chain is not the first
     extension of its first element, so clean ones come before it."""
@@ -707,7 +757,12 @@ def planted_bulk_instance(base, length=1):
             same, others = same & ~(1 << r), {**others, r: top}
         return same, others
 
-    wrong_meet.groups, wrong_fusion.row = wrong_groups, wrong_row
+    def wrong_level(c, among):
+        # chain[-1] is off its parent's level: chain + (r,) fuses to top.
+        level = fusion.level(c, among)
+        return level & ~(1 << chain[-1]) if c + chain[-1:] == chain else level
+
+    wrong_meet.groups, wrong_fusion.row, wrong_fusion.level = wrong_groups, wrong_row, wrong_level
     return base.derive(
         name=f"wrong bulk witnesses {base.name}", meet_witness=wrong_meet, fusion_witness=wrong_fusion
     )
