@@ -106,9 +106,10 @@ def expand_sequence_set(space: SpaceInstance, seqs, delta: DeltaSeq) -> frozense
     k = len(seqs[0])
     radii = [delta[i] for i in range(k)]
     balls = _balls(space, radii, {c for y in seqs for c in y})
+    tables = [balls[r] for r in radii]  # read once: hashing a Fraction key is slow
     out = set()
     for y in seqs:
-        out.update(product(*(balls[radii[i]][y[i]] for i in range(k))))
+        out.update(product(*(table[c] for table, c in zip(tables, y))))
     return frozenset(out)
 
 
@@ -240,8 +241,15 @@ def ms_singleton_system(space: SpaceInstance) -> PrecompactSystem:
 
 def field_subspace_system(space: SpaceInstance) -> PrecompactSystem:
     """Over a finite-field instance: nonzero parts of all subspaces, with
-    the sum-span as the operation.  The sum is memoized on the union of
-    its arguments, and equal spans are one shared set."""
+    the sum-span as the operation.
+
+    The family is enumerated a dimension at a time: each span S found so
+    far is extended by one vector v outside it.  Every w in S + <v> but
+    not in S gives S + <w> = S + <v>, so once an extension is made
+    its vectors are skipped for S, and each subspace is reached once from
+    each of its hyperplanes.  The sum is memoized on the union of its
+    arguments, and equal spans are one shared set: the sum returns the
+    family's own sets."""
     if space.meta.get("kind") != "rosendal":
         raise SpecInvalid("the field system needs a Rosendal instance")
     q = space.meta["field_order"]
@@ -255,21 +263,23 @@ def field_subspace_system(space: SpaceInstance) -> PrecompactSystem:
     multiples = [
         [index[tuple(lam * x % q for x in v)] for lam in range(1, q)] for v in vectors
     ]
-    shared: dict = {}  # a span -> the one set standing for it
+    shared: dict = {}  # a span -> the one set standing for it; the family
     bits: dict = {}  # a summand -> the bitmask of its ids
     sums: dict = {}  # the bitmask of a union -> its span
 
+    def extend(span: frozenset, v) -> frozenset:
+        """Nonzero part of S + <v> for v outside the span S: lam * v and
+        s + lam * v for every s in S and every nonzero scalar lam."""
+        line = multiples[v]
+        return span.union(line, [plus[s][m] for s in span for m in line])
+
     def close(ids) -> frozenset:
-        """Nonzero part of the span, one vector at a time: a vector v
-        outside the span S so far adds lam * v and s + lam * v for every s
-        in S and every nonzero scalar lam."""
-        span: set = set()
+        """Nonzero part of the span, one vector at a time."""
+        span = frozenset()
         for i in ids:
             if i not in span:
-                line = multiples[i]
-                span.update([plus[s][m] for s in span for m in line] + line)
-        out = frozenset(span)
-        return shared.setdefault(out, out)
+                span = extend(span, i)
+        return shared.setdefault(span, span)
 
     def mask(ids) -> int:
         hit = bits.get(ids)
@@ -284,18 +294,20 @@ def field_subspace_system(space: SpaceInstance) -> PrecompactSystem:
             hit = sums[key] = close(a | b)
         return hit
 
-    family = {close((i,)) for i in range(len(vectors))}
-    frontier = list(family)
+    frontier = [frozenset()]
     while frontier:
         fresh = []
-        for a in list(family):
-            for b in frontier:
-                s = oplus(a, b)
-                if s not in family:
-                    family.add(s)
-                    fresh.append(s)
+        for span in frontier:
+            made = set(span)  # the span and every extension of it made so far
+            for v in range(len(vectors)):
+                if v not in made:
+                    wider = extend(span, v)
+                    made.update(wider)
+                    if wider not in shared:
+                        shared[wider] = wider
+                        fresh.append(wider)
         frontier = fresh
-    return PrecompactSystem(sorted(family, key=sorted), oplus, name=f"subspaces-F{q}")
+    return PrecompactSystem(sorted(shared, key=sorted), oplus, name=f"subspaces-F{q}")
 
 
 # -- discretization and strategy lifts -------------------------------------------------
@@ -318,11 +330,13 @@ def discretize(
     host_ids = tuple(sorted(dense))
     if not host_ids:
         raise NotDense("dense set is empty")
-    scale = min(delta.values) / 2
-    for x in range(len(space.points)):
-        if not any(space.distance(x, y) <= scale for y in host_ids):
-            raise NotDense(f"host point {x} farther than {scale} from the dense set")
     n_host = len(space.points)
+    # One distance row per dense point, read by the density test and the balls.
+    rows = [[space.distance(x, y) for x in range(n_host)] for y in host_ids]
+    scale = min(delta.values) / 2
+    for x in range(n_host):
+        if not any(row[x] <= scale for row in rows):
+            raise NotDense(f"host point {x} farther than {scale} from the dense set")
     balls: dict = {}
     admitted: dict = {}
 
@@ -331,10 +345,8 @@ def discretize(
         made on first use."""
         hit = balls.get((y, bound))
         if hit is None:
-            centre = host_ids[y]
-            hit = balls[y, bound] = sum(
-                1 << x for x in range(n_host) if space.distance(x, centre) < bound
-            )
+            row = rows[y]
+            hit = balls[y, bound] = sum(1 << x for x in range(n_host) if row[x] < bound)
         return hit
 
     def below(p):

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 import pytest
@@ -34,7 +35,14 @@ from gowerslab.approx import (
     verify_strong_asymptotic,
 )
 from gowerslab.errors import KindMismatch, NoMetric, NotDense, SpecInvalid
-from gowerslab.instances import grid_sphere, provider_for, rosendal, top_subspace
+from gowerslab.instances import (
+    InstanceSpec,
+    build_instance,
+    grid_sphere,
+    provider_for,
+    rosendal,
+    top_subspace,
+)
 from gowerslab.payoffs import Payoff
 from oracle import lift_by_scan
 
@@ -548,19 +556,20 @@ class TestPrecompactSystems:
         system.validate(f2d3)
         assert len(system.family) == 15
 
-    def test_field_system_over_f3_d4(self, f3d4):
-        # Every nonzero subspace of F_3^4 once: the Gaussian binomials
-        # 40 + 130 + 40 + 1, with q^k - 1 nonzero vectors in dimension k.
-        system = field_subspace_system(f3d4)
+    def test_field_system_over_f3_d4(self):
+        spec = InstanceSpec.from_json(
+            {"kind": "rosendal", "field_order": 3, "dimension": 4, "system": "field-subspaces"}
+        )
+        system = build_instance(spec).system
         assert len(system.family) == 211
-        assert Counter(len(k) for k in system.family) == {2: 40, 8: 130, 26: 40, 80: 1}
         assert set(system.closure()) == set(system.family)
 
-    @pytest.mark.parametrize("q,d", [(2, 3), (3, 2), (5, 2)])
+    @pytest.mark.parametrize("q,d", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
     def test_field_sum_matches_the_pairwise_closure(self, q, d):
         space = rosendal(q, d, 1)
         index = {v: i for i, v in enumerate(space.points)}
 
+        @cache
         def pairwise_close(ids):
             # The definition the one-vector-at-a-time span replaced.
             vecs = {space.points[i] for i in ids}
@@ -581,7 +590,8 @@ class TestPrecompactSystems:
                             changed = True
             return frozenset(index[v] for v in vecs)
 
-        family = {pairwise_close({i}) for i in range(len(space.points))}
+        # The family as every pair of sets found so far sums it.
+        family = {pairwise_close(frozenset({i})) for i in range(len(space.points))}
         frontier = list(family)
         while frontier:
             fresh = []
@@ -594,16 +604,37 @@ class TestPrecompactSystems:
             frontier = fresh
         system = field_subspace_system(space)
         assert system.family == tuple(sorted(family, key=sorted))
-        for a in system.family:
-            for b in system.family:
-                assert system.oplus(a, b) == pairwise_close(a | b)
-                assert system.oplus(a, b) is system.oplus(b, a)
+        # Every sum is a subspace, and the sum returns the family's own set.
+        own = {k: k for k in system.family}
         rng = random.Random(q * 10 + d)
         n = len(space.points)
-        for _ in range(60):
-            a = frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
-            b = frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
-            assert system.oplus(a, b) == pairwise_close(a | b)
+        pairs = [(a, b) for a in system.family for b in system.family] + [
+            (
+                frozenset(rng.sample(range(n), rng.randrange(1, n + 1))),
+                frozenset(rng.sample(range(n), rng.randrange(1, n + 1))),
+            )
+            for _ in range(60)
+        ]
+        for a, b in pairs:
+            s = system.oplus(a, b)
+            assert s == pairwise_close(a | b)
+            assert s is own[s]
+
+    @pytest.mark.parametrize(
+        "q,d,sizes",
+        [
+            (2, 5, {1: 31, 3: 155, 7: 155, 15: 31, 31: 1}),
+            (3, 4, {2: 40, 8: 130, 26: 40, 80: 1}),
+            (5, 3, {4: 31, 24: 31, 124: 1}),
+            (2, 6, {1: 63, 3: 651, 7: 1395, 15: 651, 31: 63, 63: 1}),
+        ],
+    )
+    def test_field_family_counts_every_subspace_once(self, q, d, sizes):
+        # The Gaussian binomials: [d choose k]_q subspaces of dimension k,
+        # each with q^k - 1 nonzero vectors.
+        family = field_subspace_system(rosendal(q, d, 1)).family
+        assert Counter(len(k) for k in family) == sizes
+        assert len(set(family)) == len(family)
 
     def test_nonempty_invariant(self):
         with pytest.raises(SpecInvalid):
