@@ -25,7 +25,7 @@ from .reductions import (
     asymptotic_recommendation,
 )
 from .solver import Strategy, VerificationReport, checked_leaf, expand, require_horizon, table_rule
-from .space import LENGTH_INDEXED, SpaceInstance, iterated_meet
+from .space import LENGTH_INDEXED, SpaceInstance, bits, iterated_meet
 from .util import parse_fraction
 
 
@@ -254,24 +254,30 @@ def field_subspace_system(space: SpaceInstance) -> PrecompactSystem:
         raise SpecInvalid("the field system needs a Rosendal instance")
     q = space.meta["field_order"]
     vectors = space.points
+    n = len(vectors)
     index = {v: i for i, v in enumerate(vectors)}
-    # Vector arithmetic on point ids; None stands for the zero vector.
-    plus = [
-        [index.get(tuple((x + y) % q for x, y in zip(u, v))) for v in vectors]
-        for u in vectors
-    ]
     multiples = [
         [index[tuple(lam * x % q for x in v)] for lam in range(1, q)] for v in vectors
     ]
+    pairs: dict = {}  # s * n + v -> the id of the vector s + v
     shared: dict = {}  # a span -> the one set standing for it; the family
-    bits: dict = {}  # a summand -> the bitmask of its ids
+    masks: dict = {}  # a summand -> the bitmask of its ids
     sums: dict = {}  # the bitmask of a union -> its span
 
+    def plus(s, v):
+        """The id of s + v, made on first use; never the zero vector, as
+        v lies outside a span that holds s."""
+        key = s * n + v
+        hit = pairs.get(key)
+        if hit is None:
+            u, w = vectors[s], vectors[v]
+            hit = pairs[key] = index[tuple((x + y) % q for x, y in zip(u, w))]
+        return hit
+
     def extend(span: frozenset, v) -> frozenset:
-        """Nonzero part of S + <v> for v outside the span S: lam * v and
-        s + lam * v for every s in S and every nonzero scalar lam."""
-        line = multiples[v]
-        return span.union(line, [plus[s][m] for s in span for m in line])
+        """Nonzero part of S + <v> for v outside the span S: the multiples
+        of v and of s + v for every s in S (lam * (S + v) = S + lam * v)."""
+        return span.union(multiples[v], [m for s in span for m in multiples[plus(s, v)]])
 
     def close(ids) -> frozenset:
         """Nonzero part of the span, one vector at a time."""
@@ -282,9 +288,9 @@ def field_subspace_system(space: SpaceInstance) -> PrecompactSystem:
         return shared.setdefault(span, span)
 
     def mask(ids) -> int:
-        hit = bits.get(ids)
+        hit = masks.get(ids)
         if hit is None:
-            hit = bits[ids] = sum(1 << i for i in ids)
+            hit = masks[ids] = sum(1 << i for i in ids)
         return hit
 
     def oplus(a, b):
@@ -299,7 +305,7 @@ def field_subspace_system(space: SpaceInstance) -> PrecompactSystem:
         fresh = []
         for span in frontier:
             made = set(span)  # the span and every extension of it made so far
-            for v in range(len(vectors)):
+            for v in range(n):
                 if v not in made:
                     wider = extend(span, v)
                     made.update(wider)
@@ -322,9 +328,11 @@ def discretize(
     The returned instance has no metric and length-indexed admission;
     its palette and relations are those of the host.  Its meta carries
     the host-point bitsets its admission reads, ``host_ball(y, bound)``
-    and ``host_below(p)``, so it alone knows which host points a dense
-    point stands for.  (They ride in the meta, not on ``admits``, which
-    a wrapper may replace.)
+    and ``host_below(p)``, and the nearest table ``host_nearest(bound)``
+    that the lift's shadows read, made once per bound from the balls in
+    dense order, so it alone knows which host points a dense point
+    stands for.  (They ride in the meta, not on ``admits``, which a
+    wrapper may replace.)
     """
     space.require_metric()
     host_ids = tuple(sorted(dense))
@@ -338,6 +346,7 @@ def discretize(
         if not any(row[x] <= scale for row in rows):
             raise NotDense(f"host point {x} farther than {scale} from the dense set")
     balls: dict = {}
+    near: dict = {}
     admitted: dict = {}
 
     def ball(y, bound):
@@ -347,6 +356,24 @@ def discretize(
         if hit is None:
             row = rows[y]
             hit = balls[y, bound] = sum(1 << x for x in range(n_host) if row[x] < bound)
+        return hit
+
+    def nearest(bound):
+        """For each host point, the first dense point whose ball of
+        radius bound holds it (None when no ball does), as a tuple made
+        on first use."""
+        hit = near.get(bound)
+        if hit is None:
+            hit = [None] * n_host
+            left = (1 << n_host) - 1  # the host points no ball holds yet
+            for y in range(len(host_ids)):
+                if not left:
+                    break
+                held = ball(y, bound) & left
+                for x in bits(held):
+                    hit[x] = y
+                left ^= held
+            hit = near[bound] = tuple(hit)
         return hit
 
     def below(p):
@@ -371,6 +398,7 @@ def discretize(
             "discretized": True,
             "host_points": host_ids,
             "host_ball": ball,
+            "host_nearest": nearest,
             "host_below": below,
         },
     )
@@ -388,12 +416,12 @@ def restrict_payoff(discretized: SpaceInstance, payoff: Payoff) -> Payoff:
 
 
 def _shadow_to_dense(discretized, host_point, bound):
-    """The first dense point whose ball of radius bound holds the host point."""
-    ball = discretized.meta["host_ball"]
-    for local in range(len(discretized.points)):
-        if ball(local, bound) >> host_point & 1:
-            return local
-    raise FiniteExhaustion("lift shadow", f"no dense point within {bound} of {host_point}")
+    """The first dense point whose ball of radius bound holds the host
+    point, read off the discretization's nearest table for the bound."""
+    local = discretized.meta["host_nearest"](bound)[host_point]
+    if local is None:
+        raise FiniteExhaustion("lift shadow", f"no dense point within {bound} of {host_point}")
+    return local
 
 
 def _witness_in_host(discretized, local_point, constraint, bound):
@@ -435,7 +463,7 @@ def lift_strategy(
     _require_verified(strat, owner, GameKind(game), "lift_strategy")
     if len(delta) != strat.horizon:
         raise SpecInvalid("delta length must match the strategy horizon")
-    if "host_ball" not in discretized.meta:
+    if "host_nearest" not in discretized.meta:
         raise KindMismatch("lift_strategy needs an instance built by discretize")
     out = Strategy(owner, strat.kind, strat.root, strat.horizon, name=f"lift:{strat.name}")
 

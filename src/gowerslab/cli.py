@@ -57,7 +57,7 @@ from .reductions import (
     homogeneous_from_asymptotic,
 )
 from .solver import VERIFY_TARGETS, solve, strategy_from_rule, verify_strategy
-from .space import check_axioms
+from .space import bits, check_axioms, transpose
 from .util import canonical_json, fraction_str, json_int, parse_fraction, split_seed
 
 # Pipeline op -> the fields its stage may carry besides "op"; a stage
@@ -113,6 +113,35 @@ def _pass_set(space, params):
     return play
 
 
+def largest_inside(space, inside):
+    """The chooser of ``stay-in-set``: anchor -> the largest palette
+    subspace below the anchor inside the set of point ids (ties:
+    canonical order), or None; that is the intersection with the set
+    when the palette has it.  The candidates, the subspaces admitting
+    some point of the set and none outside it, and their sizes are read
+    once off the one-point admission rows; each anchor's answer is made
+    on first use."""
+    rows = [space._admits_row((x,)) for x in range(len(space.points))]
+    some = outside = 0
+    for x, row in enumerate(rows):
+        if x in inside:
+            some |= row
+        else:
+            outside |= row
+    candidates = some & ~outside
+    columns = transpose(rows, len(space.palette))
+    size = {q: columns[q].bit_count() for q in bits(candidates)}
+    chosen: dict = {}
+
+    def subspace_inside(anchor):
+        if anchor not in chosen:
+            pool = bits(space._leq_column(anchor) & candidates)
+            chosen[anchor] = max(pool, key=size.__getitem__, default=None)
+        return chosen[anchor]
+
+    return subspace_inside
+
+
 @rule("stay-in-set")
 def _stay_in_set(space, params):
     """Second-player nested-game rule: open with the largest palette
@@ -122,21 +151,11 @@ def _stay_in_set(space, params):
     inside = frozenset(
         i for i, lab in enumerate(space.points) if lab in wanted
     )
-
-    def subspace_inside(pool):
-        # Largest palette subspace inside the set (ties: canonical order),
-        # i.e. the intersection with the set when the palette has it.
-        best = None
-        best_size = 0
-        for q in pool:
-            pts = space.admitted_points((), q)
-            if pts and len(pts) > best_size and all(x in inside for x in pts):
-                best, best_size = q, len(pts)
-        return best
+    subspace_inside = largest_inside(space, inside)
 
     def play(spc, pos):
         if not pos.moves:
-            q = subspace_inside(spc.below(pos.root))
+            q = subspace_inside(pos.root)
             if q is None:
                 raise SpecInvalid("no palette subspace inside the set")
             return Move(Player.II, subspace=q)
@@ -147,7 +166,7 @@ def _stay_in_set(space, params):
             raise SpecInvalid("set-bound rule has no admitted point in the set")
         if len(pos.moves) == pos.horizon:
             return Move(Player.II, point=pick)
-        down = subspace_inside(spc.below(constraint))
+        down = subspace_inside(constraint)
         if down is None:
             raise SpecInvalid("set-bound rule has no subspace to pass down")
         return Move(Player.II, point=pick, subspace=down)

@@ -671,18 +671,31 @@ def gowers_from_asymptotic(
     """Her chooser-game strategy from his asymptotic one: answer each of
     his subspaces by a point admitted below its meet with the
     recommendation of the simulated asymptotic play.  That play is a
-    function of her point prefix, so the table is memoryless."""
+    function of her point prefix, and is made once per prefix (one
+    ``tau.move_at`` each) from the play at the prefix one point shorter;
+    the walk threads no memory, so the table is memoryless by
+    construction."""
     _require_verified(tau, Player.I, GameKind.ASYMPTOTIC_F, "gowers_from_asymptotic")
     root = tau.root
     out = Strategy(Player.II, GameKind.GOWERS_G, root, tau.horizon, name=f"G-from-F:{tau.name}")
+    # Point prefix -> the simulated asymptotic play with his
+    # recommendation made, and that recommendation.
+    plays: dict = {}
 
-    def pending(f_pos):
-        # The simulated asymptotic play with his recommendation made.
-        f_move = tau.move_at(f_pos)
-        return f_pos.child(f_move), f_move
+    def simulated(prefix):
+        hit = plays.get(prefix)
+        if hit is None:
+            if prefix:
+                f_mid = simulated(prefix[:-1])[0]
+                f_pos = f_mid.child(Move(Player.II, point=prefix[-1]))
+            else:
+                f_pos = initial_position(GameKind.ASYMPTOTIC_F, root, tau.horizon)
+            f_move = tau.move_at(f_pos)
+            hit = plays[prefix] = (f_pos.child(f_move), f_move)
+        return hit
 
     def rule(g_pos, shadow):
-        f_mid, f_move = shadow
+        f_move = simulated(g_pos.point_prefix)[1]
         his = g_pos.moves[-1]
         meet = space.meet_witness(his.subspace, f_move.subspace)
         if meet is None:
@@ -695,16 +708,13 @@ def gowers_from_asymptotic(
             raise FiniteExhaustion(
                 "gowers_from_asymptotic", f"no point admitted below {meet}"
             )
-        x = admitted[0]
-        f_next = f_mid.child(Move(Player.II, point=x))
-        return Move(Player.II, point=x), None if f_next.terminal else pending(f_next)
+        return Move(Player.II, point=admitted[0]), None
 
     expand(
         space,
         initial_position(GameKind.GOWERS_G, root, tau.horizon),
         Player.II,
         rule,
-        shadow=pending(initial_position(GameKind.ASYMPTOTIC_F, root, tau.horizon)),
         budget=budget or Budget(where="gowers_from_asymptotic"),
         table=out.table,
     )

@@ -23,7 +23,16 @@ arithmetic, apart from the base-q numeral bitsets of
 per game family, a chooser one and an interleaved one, which find each
 shadow and witness by a scan of host distances and admissions; the
 tests compare ``approx.lift_strategy``, which reads the discretization's
-bitsets, with it.
+bitsets, with it, and its nearest table with ``shadow_by_scan``.
+
+``subspace_inside_by_scan`` is the ``stay-in-set`` rule's scan of every
+palette subspace below an anchor, with its admitted points; the tests
+compare ``cli.largest_inside`` and the rule's tables with it.
+
+``gowers_from_asymptotic_by_shadow`` builds her chooser-game strategy
+with his simulated asymptotic play threaded down each line as the
+walk's shadow; the tests compare ``reductions.gowers_from_asymptotic``,
+which makes that play once per point prefix, with it.
 """
 
 from __future__ import annotations
@@ -275,7 +284,7 @@ def vector_palette_reference(q: int, d: int, projective: bool) -> tuple:
     return tuple(points), masks, dims, tuple(labels), ticks
 
 
-def _shadow_by_scan(space, discretized, host_point, bound, stage):
+def shadow_by_scan(space, discretized, host_point, bound, stage):
     for local, host in enumerate(discretized.meta["host_points"]):
         if space.distance(host_point, host) < bound:
             return local
@@ -301,7 +310,7 @@ def lift_by_scan(space, discretized, strat, delta) -> Strategy:
 
         def shadow_answer(real_pos, disc_mid):
             answer = real_pos.moves[-1]
-            shadow = _shadow_by_scan(
+            shadow = shadow_by_scan(
                 space, discretized, answer.point, delta[real_pos.depth - 1], "chooser shadow"
             )
             disc_answer = Move(Player.II, point=shadow)
@@ -340,7 +349,7 @@ def lift_by_scan(space, discretized, strat, delta) -> Strategy:
             disc_theirs = theirs
         else:
             idx = len(real_pos.point_prefix) - 1
-            shadow = _shadow_by_scan(
+            shadow = shadow_by_scan(
                 space, discretized, theirs.point, delta[idx], "interleaved shadow"
             )
             disc_theirs = Move(theirs.player, point=shadow, subspace=theirs.subspace)
@@ -365,4 +374,50 @@ def lift_by_scan(space, discretized, strat, delta) -> Strategy:
         return my_move, disc_pos.child(disc_move)
 
     expand(space, start, owner, rule, start, leaf=checked_leaf(absorb), table=out.table)
+    return out
+
+
+def subspace_inside_by_scan(space, inside, anchor):
+    """The largest palette subspace below the anchor whose admitted
+    points all lie in ``inside`` (ties: canonical order), or None."""
+    best, best_size = None, 0
+    for q in space.below(anchor):
+        pts = space.admitted_points((), q)
+        if pts and len(pts) > best_size and all(x in inside for x in pts):
+            best, best_size = q, len(pts)
+    return best
+
+
+def gowers_from_asymptotic_by_shadow(space, tau, budget=None) -> Strategy:
+    """``reductions.gowers_from_asymptotic`` with the simulated asymptotic
+    play, his recommendation made, as the walk's shadow: one
+    ``tau.move_at`` per state of hers."""
+    root = tau.root
+    out = Strategy(Player.II, GameKind.GOWERS_G, root, tau.horizon, name=f"G-from-F:{tau.name}")
+
+    def pending(f_pos):
+        f_move = tau.move_at(f_pos)
+        return f_pos.child(f_move), f_move
+
+    def rule(g_pos, shadow):
+        f_mid, f_move = shadow
+        meet = space.meet_witness(g_pos.moves[-1].subspace, f_move.subspace)
+        if meet is None:
+            raise FiniteExhaustion("gowers_from_asymptotic", "meet undefined")
+        admitted = space.admitted_points(g_pos.point_prefix, meet)
+        if not admitted:
+            raise FiniteExhaustion("gowers_from_asymptotic", f"no point admitted below {meet}")
+        x = admitted[0]
+        f_next = f_mid.child(Move(Player.II, point=x))
+        return Move(Player.II, point=x), None if f_next.terminal else pending(f_next)
+
+    expand(
+        space,
+        initial_position(GameKind.GOWERS_G, root, tau.horizon),
+        Player.II,
+        rule,
+        shadow=pending(initial_position(GameKind.ASYMPTOTIC_F, root, tau.horizon)),
+        budget=budget or Budget(where="gowers_from_asymptotic"),
+        table=out.table,
+    )
     return out

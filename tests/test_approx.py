@@ -19,6 +19,7 @@ from gowerslab import (
 from gowerslab.approx import (
     DeltaSeq,
     PrecompactSystem,
+    _shadow_to_dense,
     approx_asymptotic_from_gowers,
     build_net,
     discretize,
@@ -34,7 +35,7 @@ from gowerslab.approx import (
     strong_asymptotic_from_asymptotic,
     verify_strong_asymptotic,
 )
-from gowerslab.errors import KindMismatch, NoMetric, NotDense, SpecInvalid
+from gowerslab.errors import FiniteExhaustion, KindMismatch, NoMetric, NotDense, SpecInvalid
 from gowerslab.instances import (
     InstanceSpec,
     build_instance,
@@ -44,7 +45,7 @@ from gowerslab.instances import (
     top_subspace,
 )
 from gowerslab.payoffs import Payoff
-from oracle import lift_by_scan
+from oracle import lift_by_scan, shadow_by_scan
 
 
 def lex_positive_payoff(space, horizon, index=0):
@@ -477,6 +478,31 @@ class TestLiftReference:
             report = verify_strategy(grid, lifted, target, target="accepts")
             assert report.passed, direction
             assert report == verify_strategy(grid, reference, target, target="accepts")
+
+    @pytest.mark.parametrize(
+        "step,delta,dense", sorted({(step, delta, dense) for step, delta, _, dense in LIFT_GRIDS})
+    )
+    def test_the_nearest_table_is_the_shadow_scan(self, step, delta, dense):
+        # Every bound the lifts above read, and one too small to reach
+        # any other point: off the dense set, the shadow is refused.
+        grid = grid_sphere(2, step, 1)
+        dense_set = range(0, len(grid.points), 1 if dense == "full" else 3)
+        disc = discretize(grid, dense_set, DeltaSeq.of(delta))
+        refused = 0
+        for bound in map(Fraction, ("1/100", "1/4", "1/2", "1")):
+            for x in range(len(grid.points)):
+                outcomes = []
+                for shadow in (
+                    lambda: _shadow_to_dense(disc, x, bound),
+                    lambda: shadow_by_scan(grid, disc, x, bound, "lift shadow"),
+                ):
+                    try:
+                        outcomes.append(shadow())
+                    except FiniteExhaustion as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1]
+                refused += isinstance(outcomes[0], str)
+        assert (refused > 0) is (dense != "full")
 
     def test_the_lifts_make_no_distance_call(self, grid_half, monkeypatch):
         # The solve on the discretization built every ball the lift reads.

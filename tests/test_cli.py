@@ -758,6 +758,94 @@ class TestStrategyFiles:
         assert saved["owner"] == "II" and saved["entries"]
 
 
+def _stay_in_set_cases():
+    """label -> (instance, the point ids of the set): odd labels on
+    ``mathias_silver(10, 2, 1)``, vectors of a tail subspace and every
+    other vector on a Rosendal instance, and odd labels on a view whose
+    admission rows come from per-subspace ``admits`` calls."""
+    from gowerslab.instances import mathias_silver, rosendal
+
+    ms10 = mathias_silver(10, 2, 1)
+    f3 = rosendal(3, 3, 1)
+    tail = frozenset(i for i, v in enumerate(f3.points) if v[0] == 0)
+    view = ms10.derive(admits=lambda history, p, admits=ms10.admits: admits(history, p))
+    assert view._admits_row == view._admitting_by_pair
+    odd = frozenset(range(1, 10, 2))
+    return {
+        "ms10-odd": (ms10, odd),
+        "rosendal-F3-tail": (f3, tail),
+        "rosendal-F3-every-other": (f3, frozenset(range(0, len(f3.points), 2))),
+        "ms10-view-odd": (view, odd),
+    }
+
+
+class TestStayInSet:
+    """``stay-in-set`` picks its subspace by ``cli.largest_inside``,
+    read once off the one-point admission rows; the scan over every
+    subspace below the anchor (``oracle.subspace_inside_by_scan``) that
+    the rule made at every state must pick the same one."""
+
+    @pytest.mark.parametrize("label", list(_stay_in_set_cases()))
+    def test_each_anchor_gets_the_scanned_subspace(self, label):
+        from gowerslab.cli import largest_inside
+        from oracle import subspace_inside_by_scan
+
+        space, inside = _stay_in_set_cases()[label]
+        chooser = largest_inside(space, inside)
+        picks = [chooser(anchor) for anchor in space.subspaces()]
+        assert picks == [
+            subspace_inside_by_scan(space, inside, anchor) for anchor in space.subspaces()
+        ]
+        assert any(q is not None for q in picks)
+
+    def test_a_set_with_no_subspace_inside_is_refused(self):
+        from gowerslab.errors import SpecInvalid
+        from gowerslab.games import GameKind, Player
+        from gowerslab.instances import mathias_silver, top_subspace
+        from gowerslab.solver import strategy_from_rule
+
+        ms = mathias_silver(10, 2, 1)
+        for labels in ([], [4]):
+            rule = RULES["stay-in-set"](ms, {"labels": labels})
+            with pytest.raises(SpecInvalid, match="no palette subspace inside the set"):
+                strategy_from_rule(
+                    ms, GameKind.KASTANAS, top_subspace(ms), 2, Player.II, rule
+                )
+
+    def test_the_hand_kastanas_tables_are_the_scanned_rules(self, monkeypatch):
+        # The ms-kastanas-h1 scenario's rule and the adversarial strategy
+        # made from it, built with the chooser and with the scan.
+        from gowerslab import cli
+        from gowerslab.games import GameKind, Player
+        from gowerslab.instances import mathias_silver, top_subspace
+        from gowerslab.payoffs import build_payoff
+        from gowerslab.reductions import adversarial_from_kastanas
+        from gowerslab.solver import strategy_from_rule, verified
+        from oracle import subspace_inside_by_scan
+
+        def tables():
+            ms = mathias_silver(10, 2, 1)
+            payoff = build_payoff(ms, "point_odd", 2, {"index": 1})
+            rule = RULES["stay-in-set"](ms, {"labels": [1, 3, 5, 7, 9]})
+            tau = strategy_from_rule(
+                ms, GameKind.KASTANAS, top_subspace(ms), 2, Player.II, rule
+            )
+            out = adversarial_from_kastanas(ms, verified(ms, tau, payoff), Player.II, payoff)
+            return tau.table, out.strategy.table
+
+        tau, out = tables()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                cli,
+                "largest_inside",
+                lambda space, inside: lambda anchor: subspace_inside_by_scan(
+                    space, inside, anchor
+                ),
+            )
+            assert tables() == (tau, out)
+        assert len(out) == 131
+
+
 class TestTimeBudget:
     def test_time_cap_halts_between_stages(self, tmp_path):
         import json

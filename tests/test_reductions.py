@@ -1241,6 +1241,52 @@ class TestTransferWalks:
         assert sigma.memoryless and len(sigma.table) == 1_976
 
 
+def _gowers_and_reference(monkeypatch, label):
+    """``(table, reference, prefixes)`` of a G-from-F case: the
+    transfer's table, or its refusal's type, the same for the
+    shadow-threading reference given the same strategy, and the point
+    prefix of each position the transfer read the strategy at."""
+    made = []
+
+    def both(space, tau, payoff, budget=None):
+        def attempt(build):
+            try:
+                return build().table
+            except FiniteExhaustion as exc:
+                return type(exc).__name__
+
+        move_at, prefixes = tau.move_at, []
+        tau.move_at = lambda pos: prefixes.append(pos.point_prefix) or move_at(pos)
+        table = attempt(lambda: real(space, tau, payoff, budget))
+        del tau.move_at
+        made.append((table, attempt(lambda: oracle.gowers_from_asymptotic_by_shadow(space, tau))))
+        made.append(prefixes)
+
+    real = gowers_from_asymptotic
+    monkeypatch.setitem(globals(), "gowers_from_asymptotic", both)
+    TRANSFERS[label][0]()
+    [(table, reference), prefixes] = made
+    return table, reference, prefixes
+
+
+class TestGowersFromAsymptoticShadow:
+    """Her simulated asymptotic play is made once per point prefix; the
+    walk that threaded it down each line as a shadow must build the same
+    table."""
+
+    @pytest.mark.parametrize("label", [label for label in TRANSFERS if label.startswith("G-from-F/")])
+    def test_the_table_is_the_shadow_threading_table(self, label, monkeypatch):
+        table, reference, _ = _gowers_and_reference(monkeypatch, label)
+        assert table == reference
+        assert (table == "FiniteExhaustion") is (label == "G-from-F/ms84-evens-starved")
+
+    def test_his_strategy_is_read_once_per_point_prefix(self, monkeypatch):
+        table, _, prefixes = _gowers_and_reference(monkeypatch, "G-from-F/ms8")
+        hers = {state[1] for state, _ in table}
+        assert len(prefixes) == len(set(prefixes)) == len(hers) == 8
+        assert set(prefixes) == hers
+
+
 @pytest.mark.parametrize("label", [label for label in TRANSFERS if label.startswith("lift/")])
 def test_each_lift_is_the_scan_lift(label, monkeypatch):
     # The lifts above against the chooser and interleaved lifts that
