@@ -215,7 +215,9 @@ def _mask_space(
     ``meta`` carries ``dims``, "contains a palette subspace of
     codimension at most ``slack`` in the common part".  Both relations
     are palette-bitset rows built per subspace on first use (see
-    ``gowerslab.space``), and the pairwise tests read those rows.  The
+    ``gowerslab.space``), and the pairwise tests read those rows.
+    Without ``dims`` the star order also has bulk columns, counted from
+    the point columns outside the subspace.  The
     admission row of a history is ``contains[x]`` for its last point x,
     the palette ids whose mask holds x.  The meet and fusion witnesses
     carry their bulk forms, ``groups``, ``row`` and ``level``, read off
@@ -286,6 +288,20 @@ def _mask_space(
             star_rows[p] = row
         return row
 
+    def star_column(r):
+        """The palette ids q with q <=* r, which have at most slack points
+        outside r: ``outside[k]`` holds the ids with more than k of the
+        points outside r counted so far, a bit-sliced counter over the
+        point columns."""
+        point_rows = holders()
+        outside = [0] * (slack + 1)
+        for x in bits(every_point & ~masks[r]):
+            holding = point_rows[x]
+            for k in range(slack, 0, -1):
+                outside[k] |= outside[k - 1] & holding
+            outside[0] |= holding
+        return full & ~outside[slack]
+
     def leq(p, q):
         return (above_rows[p] or above(p)) >> q & 1 == 1
 
@@ -293,6 +309,8 @@ def _mask_space(
         return (star_rows[p] or star(p)) >> q & 1 == 1
 
     leq.row, leq.column, leq_star.row = above, below, star
+    if dims is None:
+        leq_star.column = star_column
 
     def admits(history, p):
         return bool(masks[p] >> history[-1] & 1)

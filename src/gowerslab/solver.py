@@ -45,9 +45,12 @@ once per ``games.rules_key`` they meet; the moves in them are the
 instance's, built once each.  ``winning_roots`` builds no move: it
 keeps ``games._options`` once per rules key, and each subspace a rule
 allows with the set of roots it is allowed at
-(``games._subspace_masks``) once per rule and anchor.  Each legality
-test of a walk (``legality``) runs ``move_legal`` once per (rules key,
-move) pair.
+(``games._subspace_masks``) once per rule and anchor.  It searches only
+the undominated subspaces (``_undominated``): a subspace whose
+opponent's answers include those of a smaller legal one is dropped at
+that root, so the sweep's search is smaller than the solve's, which
+tries every move.  Each legality test of a walk (``legality``) runs
+``move_legal`` once per (rules key, move) pair.
 
 In the solve and ``winning_roots`` a player with no legal move at a
 non-terminal position loses, and ``expand`` ends such a line without a
@@ -81,7 +84,7 @@ from .games import (
     _subspace_masks,
 )
 from .payoffs import Payoff
-from .space import SpaceInstance
+from .space import FULL_HISTORY, LENGTH_INDEXED, SpaceInstance, bits
 
 
 @dataclass
@@ -266,6 +269,96 @@ def _minimax(space, pos0, accepts, goal_owner, budget, wins) -> bool:
     return won
 
 
+def _undominated(
+    space: SpaceInstance, kind: GameKind, horizon: int, child: tuple, rule: str, legal: tuple
+) -> tuple:
+    """``legal``, the ``_subspace_masks`` of a state under ``rule`` in a
+    game of ``kind``, less the dominated subspaces.  ``child`` is the
+    state after one of the moves, whose subspace is replaced by each r in
+    turn; the play must not end there.
+
+    A move's subspace r reaches the game only through the opponent's
+    options at the child state, since the opponent's answer overwrites
+    it.  Its signature is those options as one bitset, built at the
+    child with r: the points admitted below r, then the blocks, then,
+    under the "nested" rule, the subspaces below r.  r2 dominates r when
+    r2 <= r and r2's signature is a subset of r's, the lower id winning
+    between equal signatures: whatever the point and block, r2 leaves
+    the opponent no answer that r does not.  r is dropped at every root
+    where a subspace dominating it is legal.  Domination has no cycle,
+    so each root keeps an undominated subspace below every one it drops.
+
+    Each signature is read once, and the subspaces whose signatures are
+    not a subset of it once per signature, as the OR of the holders of
+    each element outside it.  An r whose first subspace below dominates
+    it and is legal wherever r is goes whole, with no subset read; the
+    other dominated ones are tested at each root of their mask."""
+    played, prefix, _, blocks = child
+    column = space._leq_column
+    npts = len(space.points)
+    shift = npts + (len(space.system.family) if space.system is not None else 0)
+    sigs: dict = {}  # r -> signature
+    same: dict = {}  # signature -> the listed r that have it
+    holders: dict = {}  # element -> the listed r whose signature holds it
+    listed = every = 0
+    for r, _ in legal:
+        points, nested, options = _options(space, kind, horizon, (played, prefix, r, blocks))
+        bit = 1 << r
+        sig = 0
+        for e in (points or ()) + tuple(npts + b for b in options or ()):
+            sig |= 1 << e
+            holders[e] = holders.get(e, 0) | bit
+        if nested == "nested":
+            sig |= column(r) << shift
+        sigs[r] = sig
+        same[sig] = same.get(sig, 0) | 1 << r
+        listed |= 1 << r
+        every |= sig
+    # The elements of the signatures, each with its holders: the listed r
+    # whose signature holds it.
+    elements = [(1 << e, h) for e, h in holders.items()]
+    elements += [(1 << shift + s, space._leq_row(s) & listed) for s in bits(every >> shift)]
+    outside: dict = {}  # signature -> the listed r whose signature is not a subset of it
+    at = dict(legal)
+    rows: dict = {}  # root -> the subspaces the rule allows at it
+
+    def allowed(q):
+        if rule == "nested":  # anchored at the state: all of them
+            return listed
+        return column(q) & space._star_row(q) if rule == "la" else column(q)
+
+    out = []
+    for r, mask in legal:
+        sig = sigs[r]
+        # Below r, less r and the ids above it with r's signature.
+        below = column(r) & listed & ~(same[sig] >> r << r)
+        if below:
+            first = (below & -below).bit_length() - 1
+            if not sigs[first] & ~sig and not mask & ~at[first]:
+                continue  # ``first`` dominates r wherever r is legal
+            bad = outside.get(sig)
+            if bad is None:
+                bad = 0
+                for e, h in elements:
+                    if not sig & e:
+                        bad |= h
+                outside[sig] = bad
+            dominators = below & ~bad
+            left = mask if dominators else 0
+            while left:
+                bit = left & -left
+                left ^= bit
+                q = bit.bit_length() - 1
+                row = rows.get(q)
+                if row is None:
+                    row = rows[q] = allowed(q)
+                if dominators & row:
+                    mask ^= bit
+        if mask:
+            out.append((r, mask))
+    return tuple(out)
+
+
 def winning_roots(
     space: SpaceInstance,
     kind: GameKind,
@@ -290,6 +383,13 @@ def winning_roots(
     with one child won there, the opponent with one child lost there,
     and a player without a legal move at a root loses there, as in
     ``_minimax``.  No strategy is extracted.
+
+    Subspace moves are pruned to the undominated ones (``_undominated``)
+    once per (rule, anchor, moves played), unless admission reads the
+    full history or the move ends the play; moves played whose children
+    read the same options share one list.  The value at each root is the
+    unpruned game's: at each root where a subspace is dropped, a kept one
+    leaves the opponent no answer that the dropped one does not.
     """
     budget = budget or Budget(2_000_000, "winning_roots")
     horizon = payoff.horizon
@@ -300,6 +400,10 @@ def winning_roots(
     end = len(order) - 1
     rows: dict = {}  # rules key -> (goal owner to move, subspace masks, tails)
     masks: dict = {}  # (rule, anchor) -> ((subspace, roots it is legal at), ...)
+    searched: dict = {}  # (rule, anchor, moves played) -> ((subspace, roots it is searched at), ...)
+    shared: dict = {}  # what those read of the child -> the same
+    prune = space.admission != FULL_HISTORY
+    indexed = space.admission == LENGTH_INDEXED
     memo: dict = {}  # state -> (roots decided, roots won among them)
     undecided = (0, 0)
 
@@ -307,22 +411,41 @@ def winning_roots(
         key = rules_key(space, state)
         hit = rows.get(key)
         if hit is None:
-            points, rule, blocks = _options(space, kind, horizon, state)
-            if rule is None:
-                subspaces = ((None, roots),)
-            else:
-                at = (rule, _anchor(None, state, rule))
-                subspaces = masks.get(at)
-                if subspaces is None:
-                    subspaces = masks[at] = _subspace_masks(space, roots, state, rule)
+            played, prefix, _, blocks = state
+            points, rule, options = _options(space, kind, horizon, state)
             # A move with subspace r and tail (points, blocks) extends the
             # state's prefixes by the tail, as ``games.next_state`` does.
             tails = tuple(
                 (() if x is None else (x,), () if k is None else (k,))
                 for x in _each(points)
-                for k in _each(blocks)
+                for k in _each(options)
             )
-            hit = rows[key] = (order[state[0]] is goal_owner, subspaces, tails)
+            if rule is None:
+                subspaces = ((None, roots),)
+            else:
+                anchor = _anchor(None, state, rule)
+                subspaces = masks.get((rule, anchor))
+                if subspaces is None:
+                    subspaces = masks[rule, anchor] = _subspace_masks(space, roots, state, rule)
+                if prune and tails and subspaces and played + 1 < end:
+                    at = (rule, anchor, played)
+                    hit = searched.get(at)
+                    if hit is None:
+                        x, k = tails[0]
+                        child = (played + 1, prefix + x, subspaces[0][0], blocks + k)
+                        # The signatures read which parts the child's options
+                        # have, and its prefix only through admission: by
+                        # length under length-indexed admission, else not at
+                        # all.  Moves played apart may share them.
+                        answers, nested, sets = _options(space, kind, horizon, child)
+                        length = len(child[1]) if indexed else None
+                        like = (rule, anchor, length, answers is None, nested == "nested", sets is None)
+                        hit = shared.get(like)
+                        if hit is None:
+                            hit = shared[like] = _undominated(space, kind, horizon, child, rule, subspaces)
+                        searched[at] = hit
+                    subspaces = hit
+            hit = rows[key] = (order[played] is goal_owner, subspaces, tails)
         return hit
 
     def value(state: tuple, need: int) -> int:

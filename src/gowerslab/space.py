@@ -16,7 +16,9 @@ package reproducible.
 A relation may carry bulk rows as palette bitsets (bit ``q`` of an int
 for subspace id ``q``): ``relation.row(p)`` is the set of every ``q``
 with ``relation(p, q)``, and ``leq.column(q)`` the set of every ``p``
-with ``leq(p, q)``; ``admits.row(history)`` is the set of every ``p``
+with ``leq(p, q)`` (``leq_star.column(q)`` likewise, optional: the
+axiom check transposes the star rows without it);
+``admits.row(history)`` is the set of every ``p``
 with ``admits(history, p)``.  The witnesses may carry bulk forms the
 same way: ``meet_witness.groups(p, among)`` maps each ``r`` to the set
 of the ``q`` in ``among`` with ``meet(p, q) = r`` (undefined meets left
@@ -118,6 +120,7 @@ class SpaceInstance:
         self._leq_row = self._rows(leq, "row", lambda p, q: self.leq(p, q))
         self._leq_column = self._rows(leq, "column", lambda p, q: self.leq(q, p))
         self._star_row = self._rows(leq_star, "row", lambda p, q: self.leq_star(p, q))
+        self._star_column = getattr(leq_star, "column", None)  # or None: see ``check_axioms``
         self._admits_row = getattr(admits, "row", None) or self._admitting_by_pair
         self._meet_groups = getattr(meet_witness, "groups", None) or self._groups_by_pair
         self._fusion_row = getattr(fusion_witness, "row", None) or self._row_by_chain
@@ -192,7 +195,7 @@ class SpaceInstance:
         if "leq" not in overrides:
             view._leq_row, view._leq_column = self._leq_row, self._leq_column
         if "leq_star" not in overrides:
-            view._star_row = self._star_row
+            view._star_row, view._star_column = self._star_row, self._star_column
         if "admits" not in overrides:
             view._admits_row = self._admits_row
         return view
@@ -391,8 +394,9 @@ def check_axioms(
 
     # Axiom 3: fusion over all leq-decreasing chains up to the horizon, in
     # depth-first canonical order, one tick per chain.  A chain extends
-    # over the instance's leq column of its last element (``transpose``
-    # builds the star columns only); the fusions of all its
+    # over the instance's leq column of its last element, and reads the
+    # star columns too: ``leq_star.column`` where the relation has it,
+    # else ``transpose`` of the star rows.  The fusions of all its
     # extensions come as one row.  An extension r that fuses to itself is
     # right iff r <= chain[0], r <=* r and r <=* m for each member m,
     # which ``allowed`` holds for the whole row (``reflexive`` for the
@@ -401,7 +405,10 @@ def check_axioms(
     # that are not the extension itself and the extensions left.
     check = AxiomCheck(True)
     below = [space._leq_column(r) for r in range(n)]
-    star_below = transpose(star, n)
+    if space._star_column is None:
+        star_below = transpose(star, n)
+    else:
+        star_below = [space._star_column(r) for r in range(n)]
     reflexive = star_reflexive = 0
     for r in range(n):
         if star[r] >> r & 1:

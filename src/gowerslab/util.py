@@ -66,6 +66,76 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+_string = json.encoder.encode_basestring_ascii
+
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (float("inf"), float("-inf")):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it."""
+    if isinstance(key, str):
+        return _string(key)
+    if key is True or key is False or key is None:
+        return {True: '"true"', False: '"false"', None: '"null"'}[key]
+    if isinstance(key, int):
+        return f'"{int.__repr__(key)}"'
+    if isinstance(key, float):
+        return f'"{_float(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write(value, out: list, newline: str) -> None:
+    """Append ``value``'s JSON to ``out``, a nested container's lines
+    opening with ``newline`` and two more spaces."""
+    if isinstance(value, str):
+        out.append(_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        before = "[" + inner
+        for item in value:
+            out.append(before)
+            _write(item, out, inner)
+            before = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        before = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(before + _key(key) + ": ")
+            _write(item, out, inner)
+            before = "," + inner
+        out.append(newline + "}")
+    else:
+        _write(_json_default(value), out, newline)
+
+
 def canonical_json(data) -> str:
-    """Serialize with sorted keys and exact rationals; byte-stable."""
-    return json.dumps(data, sort_keys=True, indent=2, default=_json_default)
+    """Serialize with sorted keys and exact rationals; byte-stable.  The
+    text is ``json.dumps(data, sort_keys=True, indent=2,
+    default=_json_default)``, written directly: with an indent,
+    ``json`` goes through its pure-Python generator encoder."""
+    out: list = []
+    _write(data, out, "\n")
+    return "".join(out)

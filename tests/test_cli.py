@@ -66,9 +66,9 @@ class TestBundledScenarios:
         "ms-f-dichotomy.json": (
             "000000000100100100000000000100001001001111101100010000110",
             "110000100000010011100111110011110000100000010011001111001",
-            197,
+            157,
         ),
-        "rosendal-f2-gowers.json": ("1101111110111", "0000000001000", 165),
+        "rosendal-f2-gowers.json": ("1101111110111", "0000000001000", 133),
     }
 
     @pytest.mark.parametrize("name", sorted(DICHOTOMY_ROWS))
@@ -135,7 +135,7 @@ class TestExitCodes:
 
     def test_dichotomy_exhaustion_names_its_stage(self, tmp_path):
         # Building the instance takes 57 nodes of the budget and the solve
-        # stage 12, so the sweep, which needs 197, is the stage that runs
+        # stage 12, so the sweep, which needs 157, is the stage that runs
         # out.
         data = json.loads(scenario_path("ms-f-dichotomy.json").read_text())
         data["budgets"] = {"nodes": 100}
@@ -1065,3 +1065,55 @@ def test_mutated_scenarios_exit_with_a_documented_code(data):
             code = main(["run", str(path), "--out", tmp, "--budget-nodes", "20000"])
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def _reference_json(data) -> str:
+    """``canonical_json`` as the ``json`` module writes it."""
+    from gowerslab.util import _json_default
+
+    return json.dumps(data, sort_keys=True, indent=2, default=_json_default)
+
+
+class TestCanonicalJson:
+    """``util.canonical_json`` writes the ``indent=2`` form itself; its
+    text must be ``json.dumps``'s, byte for byte."""
+
+    @pytest.mark.parametrize("name", BUNDLED + ["ms7-gowers-h4.json"])
+    def test_each_bundled_report_is_the_json_text(self, name, tmp_path):
+        from gowerslab.util import canonical_json
+
+        report = run_scenario(scenario_path(name), out_dir=tmp_path).report
+        assert canonical_json(report) == _reference_json(report)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        data=st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats()
+            | st.text()
+            | st.fractions()
+            | st.frozensets(st.integers())
+            | st.frozensets(st.text()),
+            lambda inner: st.lists(inner)
+            | st.tuples(inner, inner)
+            | st.dictionaries(st.text(), inner)
+            | st.dictionaries(st.integers(), inner),
+            max_leaves=30,
+        )
+    )
+    def test_generated_data_is_the_json_text(self, data):
+        from gowerslab.util import canonical_json
+
+        assert canonical_json(data) == _reference_json(data)
+
+    def test_empty_containers_and_non_ascii_text(self):
+        from gowerslab.util import canonical_json
+
+        data = {"é": [(), [], {}, frozenset()], "": {"日本": (None, True, False, Fraction(-3, 4))}}
+        assert canonical_json(data) == _reference_json(data)
+        assert canonical_json(data).isascii()
+        # Keys that are not strings are written as json writes them.
+        for keys in ({3: 0, -1: 1}, {2.5: 0, -0.0: 1}, {None: 0}, {True: 0, False: 1}):
+            assert canonical_json(keys) == _reference_json(keys)

@@ -33,8 +33,9 @@ from gowerslab.approx import DeltaSeq, discretize, field_subspace_system
 from gowerslab.instances import grid_sphere, mathias_silver, rosendal, top_subspace
 from gowerslab.payoffs import Payoff, _canonical_outcome
 from gowerslab.solver import expand, table_rule, winning_roots
-from gowerslab.space import FORGETFUL, FULL_HISTORY
+from gowerslab.space import FORGETFUL, FULL_HISTORY, LENGTH_INDEXED
 from gowerslab.util import stable_fraction_hash
+from corpus import corpus
 from historywalk import count_histories, over_histories, walk_histories
 from microsuite import MicroGame, micro_games, remembering_strategy
 from oracle import naive_solve_oracle, per_root_winners
@@ -587,6 +588,33 @@ def _stranding_views() -> list:
     return [("climb", climb, "ms"), ("bare-pairs", bare, "ms")]
 
 
+def _pruning_views() -> list:
+    """Two views that the search's pruning of dominated subspaces must
+    read right.  On "twins" the pair {0} and {0, 1} are <=-equivalent
+    and both admit the point 0 alone, so their signatures are equal and
+    only the lower id may dominate the other: they are his two moves in
+    G that force an even point.  On "late-strand" (length-indexed
+    admission) no point is admitted below the top subspace after two
+    points, while after one all of its points are: in A his pair with
+    the top strands her, though a smaller subspace dominates the top in
+    a signature read one point short."""
+    twins = mathias_silver(3, 1, 0, explicit_palette=[(0,), (0, 1), (0, 1, 2)])
+    admits, leq = twins.admits, twins.leq
+    twins = twins.derive(
+        name="twins",
+        leq=lambda p, q: leq(p, q) or (p, q) == (1, 0),
+        admits=lambda h, p: admits(h, 0 if p == 1 else p),
+    )
+    ms = mathias_silver(3, 2, 1)
+    top, ms_admits = top_subspace(ms), ms.admits
+    late = ms.derive(
+        name="late-strand",
+        admits=lambda h, p: ms_admits(h, p) and not (len(h) == 2 and p == top),
+        admission=LENGTH_INDEXED,
+    )
+    return [("twins", twins, "ms"), ("late-strand", late, "ms")]
+
+
 def _discretized_grid():
     grid = grid_sphere(2, "1/2", 1)
     return discretize(grid, range(len(grid.points)), DeltaSeq.of("1/2", "1"))
@@ -601,7 +629,7 @@ ROOTS_INSTANCES = [
     ("ros231", rosendal(2, 3, 1), "vector"),
     ("ros321", rosendal(3, 2, 1), "vector"),
     ("disc", _discretized_grid(), "grid"),
-] + _stranding_views()
+] + _stranding_views() + _pruning_views() + [(label, space, "ms") for label, space in corpus(20)]
 ROOTS_GAMES = [("F", 1), ("F", 2), ("G", 1), ("G", 2), ("A", 2), ("B", 2), ("K", 2)]
 
 
@@ -650,6 +678,19 @@ class TestWinningRoots:
         # On "bare-pairs" she opens the nested game with a pair, and he
         # has no subspace below it.
         assert winning_roots(bare, GameKind.KASTANAS, every, nothing, Player.II)
+
+    def test_the_pruning_views_need_their_one_move(self):
+        twins, late = (space for _, space, _ in _pruning_views())
+        # His {0} (id 0) in G, or its equivalent twin {0, 1} (id 1),
+        # which also admits only 0, forces an even point below every root.
+        even = build_payoff(twins, "point_even", 1, {"index": 0})
+        assert winning_roots(twins, GameKind.GOWERS_G, 0b111, even, Player.I) == 0b111
+        # His pair with the top strands her at the top root and nowhere
+        # else, since below a pair no subspace but itself is lessapprox it.
+        every = (1 << len(late.palette)) - 1
+        nothing = build_payoff(late, "nothing", 2)
+        top = top_subspace(late)
+        assert winning_roots(late, GameKind.ADVERSARIAL_A, every, nothing, Player.I) == 1 << top
 
     def test_no_roots_no_search(self, ms6):
         budget = Budget(1, "empty")

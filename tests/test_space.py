@@ -19,7 +19,8 @@ from gowerslab.instances import (
     single_subspace,
     top_subspace,
 )
-from gowerslab.space import FORGETFUL, FULL_HISTORY, AxiomCheck, SpaceInstance
+from gowerslab.space import FORGETFUL, FULL_HISTORY, AxiomCheck, SpaceInstance, transpose
+from corpus import corpus_space
 
 
 def palette_id(space, label):
@@ -542,6 +543,39 @@ class TestRelationRows:
             for q in range(n):
                 assert space.leq(p, q) == bool(above[p] >> q & 1)
                 assert space.leq_star(p, q) == bool(star[p] >> q & 1)
+
+    @pytest.mark.parametrize("factory", [f for _, f in MASK_FACTORIES],
+                             ids=[name for name, _ in MASK_FACTORIES])
+    def test_star_columns_are_the_star_rows_transposed(self, factory):
+        space = factory()
+        n = len(space.palette)
+        star = mask_formula_rows(space)[2]
+        if "dims" in space.meta:
+            # The vector instances keep the transpose of their star rows.
+            assert space._star_column is None and not hasattr(space.leq_star, "column")
+            return
+        columns = transpose(star, n)
+        assert [space.leq_star.column(r) for r in range(n)] == columns
+        # A view keeps them, as it keeps the rows; a new star order does not.
+        assert space.derive(name="view")._star_column is space.leq_star.column
+        assert space.derive(leq_star=lambda p, q: p == q)._star_column is None
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_corpus_star_columns_and_axioms_match_the_transpose(self, seed):
+        space = corpus_space(seed)
+        n = len(space.palette)
+        columns = transpose([space._star_row(p) for p in range(n)], n)
+        assert [space._star_column(r) for r in range(n)] == columns
+        # Without the columns, the sweep transposes the rows: the same
+        # answers, counts and ticks.
+        transposed = space.derive(name="transposed")
+        transposed._star_column = None
+        for horizon in (2, 3):
+            mine, theirs = Budget(10**8), Budget(10**8)
+            a, b = check_axioms(space, horizon, mine), check_axioms(transposed, horizon, theirs)
+            assert a.all_pass
+            assert {k: vars(c) for k, c in a.axioms.items()} == {k: vars(c) for k, c in b.axioms.items()}
+            assert mine.used == theirs.used
 
     def test_one_flipped_star_bit_is_caught(self):
         base = mathias_silver(5, 2, 1)
