@@ -275,6 +275,13 @@ def _subspaces(space: SpaceInstance, root: SubspaceId, state: tuple, rule: str) 
     return space.lessapprox_below(anchor) if rule == "la" else space.below(anchor)
 
 
+def _subspace_row(space: SpaceInstance, anchor: SubspaceId, rule: str) -> int:
+    """The subspaces the rule allows at ``anchor`` (``_anchor``), as a
+    palette bitset: those of ``_subspaces``."""
+    column = space._leq_column(anchor)
+    return column & space._star_row(anchor) if rule == "la" else column
+
+
 def _subspace_allowed(space: SpaceInstance, root: SubspaceId, state: tuple, rule: str, q) -> bool:
     """Whether q is among ``_subspaces(space, root, state, rule)``, read
     from the relation for the one pair."""

@@ -82,6 +82,7 @@ from .games import (
     _each,
     _options,
     _subspace_masks,
+    _subspace_row,
 )
 from .payoffs import Payoff
 from .space import FULL_HISTORY, LENGTH_INDEXED, SpaceInstance, bits
@@ -279,84 +280,71 @@ def _undominated(
 
     A move's subspace r reaches the game only through the opponent's
     options at the child state, since the opponent's answer overwrites
-    it.  Its signature is those options as one bitset, built at the
-    child with r: the points admitted below r, then the blocks, then,
-    under the "nested" rule, the subspaces below r.  r2 dominates r when
-    r2 <= r and r2's signature is a subset of r's, the lower id winning
-    between equal signatures: whatever the point and block, r2 leaves
-    the opponent no answer that r does not.  r is dropped at every root
-    where a subspace dominating it is legal.  Domination has no cycle,
-    so each root keeps an undominated subspace below every one it drops.
+    it.  Its signature is those options at the child with r: the points
+    admitted below r, the blocks, and under the "nested" rule the
+    subspaces below r.  r2 dominates r when r2 <= r and r2's signature
+    is a subset of r's, the lower id winning between equal points and
+    blocks: whatever the point and block, r2 leaves the opponent no
+    answer that r does not.  r is dropped at the roots where a subspace
+    dominating it is legal, the union of their masks.  Domination has no
+    cycle, so each root keeps an undominated subspace below every one it
+    drops.
 
-    Each signature is read once, and the subspaces whose signatures are
-    not a subset of it once per signature, as the OR of the holders of
-    each element outside it.  An r whose first subspace below dominates
-    it and is legal wherever r is goes whole, with no subset read; the
-    other dominated ones are tested at each root of their mask."""
-    played, prefix, _, blocks = child
-    column = space._leq_column
-    npts = len(space.points)
-    shift = npts + (len(space.system.family) if space.system is not None else 0)
-    sigs: dict = {}  # r -> signature
-    same: dict = {}  # signature -> the listed r that have it
-    holders: dict = {}  # element -> the listed r whose signature holds it
-    listed = every = 0
+    The points and blocks are read off admission rows, each with its
+    holders (the listed r whose signature holds it), and split the
+    listed r into classes of equal points and blocks, each class with
+    the listed r whose signature holds an element the class's lacks.
+    The dominators tried for r are among those the rule allows with r
+    as anchor (``games._subspace_row``): under "la" a subspace r2 legal
+    at a root q where r is legal is one of them whenever r <= q <=* r2
+    gives r <=* r2, as in the instance families, and trying fewer only
+    keeps more moves.  r2's mask holds the roots where r2 is legal, and
+    under "leq" and "nested" the first one tried is all of r's in the
+    instance families, so the loop stops there."""
+    prefix = child[1]
+    points, nested, sets = _options(space, kind, horizon, child)
+    column, row = space._leq_column, space._admits_row
+    listed = 0
     for r, _ in legal:
-        points, nested, options = _options(space, kind, horizon, (played, prefix, r, blocks))
-        bit = 1 << r
-        sig = 0
-        for e in (points or ()) + tuple(npts + b for b in options or ()):
-            sig |= 1 << e
-            holders[e] = holders.get(e, 0) | bit
-        if nested == "nested":
-            sig |= column(r) << shift
-        sigs[r] = sig
-        same[sig] = same.get(sig, 0) | 1 << r
         listed |= 1 << r
-        every |= sig
-    # The elements of the signatures, each with its holders: the listed r
-    # whose signature holds it.
-    elements = [(1 << e, h) for e, h in holders.items()]
-    elements += [(1 << shift + s, space._leq_row(s) & listed) for s in bits(every >> shift)]
-    outside: dict = {}  # signature -> the listed r whose signature is not a subset of it
+    # x is admitted below r at the child iff r admits the prefix with x,
+    # and a block iff each of its points is (``set_admitted``).
+    holders = []
+    if points is not None:
+        holders += [row(prefix + (x,)) & listed for x in range(len(space.points))]
+    for elements in space.system.family if sets is not None else ():
+        held = listed
+        for x in elements:
+            held &= row((x,))
+        holders.append(held)
+    classes = [(listed, 0)]  # (members, the listed r holding an element they lack)
+    for held in holders:
+        split = []
+        for members, bad in classes:
+            if members & held:
+                split.append((members & held, bad))
+            if members & ~held:
+                split.append((members & ~held, bad | held))
+        classes = split
     at = dict(legal)
-    rows: dict = {}  # root -> the subspaces the rule allows at it
-
-    def allowed(q):
-        if rule == "nested":  # anchored at the state: all of them
-            return listed
-        return column(q) & space._star_row(q) if rule == "la" else column(q)
-
-    out = []
-    for r, mask in legal:
-        sig = sigs[r]
-        # Below r, less r and the ids above it with r's signature.
-        below = column(r) & listed & ~(same[sig] >> r << r)
-        if below:
-            first = (below & -below).bit_length() - 1
-            if not sigs[first] & ~sig and not mask & ~at[first]:
-                continue  # ``first`` dominates r wherever r is legal
-            bad = outside.get(sig)
-            if bad is None:
-                bad = 0
-                for e, h in elements:
-                    if not sig & e:
-                        bad |= h
-                outside[sig] = bad
-            dominators = below & ~bad
-            left = mask if dominators else 0
-            while left:
-                bit = left & -left
-                left ^= bit
-                q = bit.bit_length() - 1
-                row = rows.get(q)
-                if row is None:
-                    row = rows[q] = allowed(q)
-                if dominators & row:
-                    mask ^= bit
-        if mask:
-            out.append((r, mask))
-    return tuple(out)
+    kept = {}
+    for members, bad in classes:
+        for r in bits(members):
+            near = _subspace_row(space, r, rule)  # r's leq column, less under "la"
+            mask = at[r]
+            # Not r, nor the ids above it in its class.
+            tried = near & listed & ~bad & ~(members >> r << r)
+            while tried:
+                low = tried & -tried
+                tried ^= low
+                d = low.bit_length() - 1
+                if nested == "nested" and column(d) & ~near:
+                    continue  # d leaves the opponent a subspace r does not
+                mask &= ~at[d]
+                if not mask:
+                    break
+            kept[r] = mask
+    return tuple((r, kept[r]) for r, _ in legal if kept[r])
 
 
 def winning_roots(

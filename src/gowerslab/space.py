@@ -285,6 +285,8 @@ def transpose(rows: Sequence[int], width: int) -> list:
 
 def bits(row: int) -> list:
     """The set bits of a palette bitset, ascending."""
+    if not row & row - 1:
+        return [row.bit_length() - 1] if row else []
     out = []
     text = bin(row)[:1:-1]
     i = text.find("1")

@@ -26,16 +26,15 @@ def meet_closure(family) -> set:
     return closed
 
 
-def corpus_palette(seed: int, close: bool = True) -> tuple:
+def corpus_palette(seed: int) -> tuple:
     """``(points, slack, subsets)`` of the corpus space ``seed``, the
-    subsets sorted; with ``close`` false the meets are not added."""
+    subsets sorted."""
     rng = random.Random(seed)
     n = rng.randint(3, 6)
     family = {frozenset(range(n))}
     for _ in range(rng.randint(3, 10)):
         family.add(frozenset(rng.sample(range(n), rng.randint(1, n))))
-    if close:
-        family = meet_closure(family)
+    family = meet_closure(family)
     return n, rng.randint(0, 2), sorted(tuple(sorted(s)) for s in family)
 
 

@@ -589,7 +589,7 @@ def _stranding_views() -> list:
 
 
 def _pruning_views() -> list:
-    """Two views that the search's pruning of dominated subspaces must
+    """Three views that the search's pruning of dominated subspaces must
     read right.  On "twins" the pair {0} and {0, 1} are <=-equivalent
     and both admit the point 0 alone, so their signatures are equal and
     only the lower id may dominate the other: they are his two moves in
@@ -597,7 +597,10 @@ def _pruning_views() -> list:
     admission) no point is admitted below the top subspace after two
     points, while after one all of its points are: in A his pair with
     the top strands her, though a smaller subspace dominates the top in
-    a signature read one point short."""
+    a signature read one point short.  On "skip" {1} <= {0} <= {0, 2}
+    but not {1} <= {0, 2}, so {0} leaves the player who answers it in K
+    the subspace {1}, which {0, 2} does not: its signature is no subset
+    of {0, 2}'s, though its points are."""
     twins = mathias_silver(3, 1, 0, explicit_palette=[(0,), (0, 1), (0, 1, 2)])
     admits, leq = twins.admits, twins.leq
     twins = twins.derive(
@@ -612,7 +615,10 @@ def _pruning_views() -> list:
         admits=lambda h, p: ms_admits(h, p) and not (len(h) == 2 and p == top),
         admission=LENGTH_INDEXED,
     )
-    return [("twins", twins, "ms"), ("late-strand", late, "ms")]
+    ms = mathias_silver(3, 1, 0, explicit_palette=[(0,), (1,), (0, 2), (0, 1, 2)])
+    skip_leq = ms.leq
+    skip = ms.derive(name="skip", leq=lambda p, q: skip_leq(p, q) or (p, q) == (1, 0))
+    return [("twins", twins, "ms"), ("late-strand", late, "ms"), ("skip", skip, "ms")]
 
 
 def _discretized_grid():
@@ -680,7 +686,7 @@ class TestWinningRoots:
         assert winning_roots(bare, GameKind.KASTANAS, every, nothing, Player.II)
 
     def test_the_pruning_views_need_their_one_move(self):
-        twins, late = (space for _, space, _ in _pruning_views())
+        twins, late, skip = (space for _, space, _ in _pruning_views())
         # His {0} (id 0) in G, or its equivalent twin {0, 1} (id 1),
         # which also admits only 0, forces an even point below every root.
         even = build_payoff(twins, "point_even", 1, {"index": 0})
@@ -691,6 +697,11 @@ class TestWinningRoots:
         nothing = build_payoff(late, "nothing", 2)
         top = top_subspace(late)
         assert winning_roots(late, GameKind.ADVERSARIAL_A, every, nothing, Player.I) == 1 << top
+        # In K she opens with {0, 2} (id 2) below it and the top, and
+        # answers an even point below whatever he plays; below {0} he
+        # would play {1} and force her odd point.
+        even = build_payoff(skip, "point_even", 2, {"index": 1})
+        assert winning_roots(skip, GameKind.KASTANAS, 0b1111, even, Player.II) == 0b1100
 
     def test_no_roots_no_search(self, ms6):
         budget = Budget(1, "empty")
