@@ -269,22 +269,18 @@ def _anchor(root: SubspaceId, state: tuple, rule: str) -> SubspaceId:
     return state[2] if rule == "nested" else root
 
 
-def _subspaces(space: SpaceInstance, root: SubspaceId, state: tuple, rule: str) -> tuple:
-    """The subspaces the rule allows at ``state``, in canonical order."""
-    anchor = _anchor(root, state, rule)
-    return space.lessapprox_below(anchor) if rule == "la" else space.below(anchor)
-
-
 def _subspace_row(space: SpaceInstance, anchor: SubspaceId, rule: str) -> int:
     """The subspaces the rule allows at ``anchor`` (``_anchor``), as a
-    palette bitset: those of ``_subspaces``."""
+    palette bitset: its ``leq`` column, under "la" met with its star
+    row.  ``legal_moves`` and ``_subspace_masks`` enumerate it, and
+    ``_subspace_allowed`` reads the same relation for one pair."""
     column = space._leq_column(anchor)
     return column & space._star_row(anchor) if rule == "la" else column
 
 
 def _subspace_allowed(space: SpaceInstance, root: SubspaceId, state: tuple, rule: str, q) -> bool:
-    """Whether q is among ``_subspaces(space, root, state, rule)``, read
-    from the relation for the one pair."""
+    """Whether q is in the rule's row at ``state`` (``_subspace_row``),
+    read from the relation for the one pair."""
     if not isinstance(q, int) or not 0 <= q < len(space.palette):
         return False
     anchor = _anchor(root, state, rule)
@@ -295,15 +291,16 @@ def _subspace_masks(space: SpaceInstance, roots: int, state: tuple, rule: str) -
     """``(r, mask)`` for every subspace r the rule allows at ``state`` in
     the game rooted at some q in ``roots`` (a palette bitset), in
     canonical order: bit q of ``mask`` is set iff q is in ``roots`` and r
-    is in ``_subspaces(space, q, state, rule)``.  The pairs depend on the
-    state only through ``_anchor(None, state, rule)``, which is None for
-    the rules anchored at the root."""
-    if _anchor(None, state, rule) is not None:
-        return tuple((r, roots) for r in _subspaces(space, None, state, rule))
+    is in the rule's row at q (``_subspace_row``).  The pairs depend on
+    the state only through ``_anchor(None, state, rule)``, which is None
+    for the rules anchored at the root."""
+    anchor = _anchor(None, state, rule)
+    if anchor is not None:
+        return tuple((r, roots) for r in bits(_subspace_row(space, anchor, rule)))
     masks: dict = {}
     for q in bits(roots):
         bit = 1 << q
-        for r in _subspaces(space, q, state, rule):
+        for r in bits(_subspace_row(space, q, rule)):
             masks[r] = masks.get(r, 0) | bit
     return tuple(sorted(masks.items()))
 
@@ -312,9 +309,10 @@ def _options(space: SpaceInstance, kind: GameKind, horizon: int, state: tuple) -
     """The rules of every game: ``(points, subspace rule, blocks)`` for
     the player to move at a non-terminal state of the game.  Points and
     blocks are tuples of ids in canonical order, the subspace rule one
-    of "leq", "la" and "nested" (read by ``_subspaces`` and
-    ``_subspace_allowed``); each is None when the move leaves that field
-    empty."""
+    of "leq", "la" and "nested" (its subspaces are ``_subspace_row`` at
+    the rule's ``_anchor``, which ``legal_moves`` enumerates and
+    ``_subspace_allowed`` reads pair by pair); each is None when the
+    move leaves that field empty."""
     played, prefix, constraint, _ = state
     rules = _SUBSPACE_RULES[kind]
     to_move = turns(kind, horizon)[played]
@@ -376,7 +374,9 @@ def legal_moves(space: SpaceInstance, pos: GamePosition, state: Optional[tuple] 
     if played >= len(order) - 1:
         return []
     points, rule, blocks = _options(space, pos.kind, pos.horizon, state)
-    subspaces = None if rule is None else _subspaces(space, pos.root, state, rule)
+    subspaces = None
+    if rule is not None:
+        subspaces = bits(_subspace_row(space, _anchor(pos.root, state, rule), rule))
     player = order[played]
     interned = space._moves.setdefault(player, {})  # (point, subspace, block) -> Move
     out = []

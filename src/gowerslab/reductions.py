@@ -39,10 +39,11 @@ from .games import (
     Move,
     Player,
     initial_position,
+    legal_moves,
     move_legal,
 )
 from .payoffs import Payoff, negate
-from .solver import ONE_PLAY, Strategy, checked_leaf, expand, legality, winning_roots
+from .solver import ONE_PLAY, Strategy, checked_leaf, expand, winning_roots
 from .space import FULL_HISTORY, SpaceInstance, iterated_meet
 
 
@@ -53,44 +54,39 @@ def reachable_set(
     space: SpaceInstance, pos: GamePosition, tau: Strategy, budget: Budget
 ) -> frozenset:
     """Points the chooser-game strategy can be steered to from ``pos``:
-    one probe, and one budget tick, per palette subspace below the root."""
+    one probe, and one budget tick, per subspace move of his
+    (``legal_moves``: every palette subspace below the root)."""
     points = set()
-    for r in space.below(tau.root):
+    for move in legal_moves(space, pos):
         budget.tick()
-        points.add(tau.move_at(pos.child(Move(Player.I, subspace=r))).point)
+        points.add(tau.move_at(pos.child(move)).point)
     return frozenset(points)
 
 
 # -- diagonalization over states (the chain construction) -----------------------
 
 
-def _continuations(space, legal, pos, tau) -> dict:
+def _continuations(space, pos, tau) -> dict:
     """The continuation table of a nested-game state: for each adversary
-    point a, the ``(u, v)`` pairs such that the adversary legally
-    continues with (a, u) and ``tau`` replies with a point b and the
-    subspace v, grouped by b, each list in pool order.  The adversary
-    opens the empty state with a bare subspace, so a is only None there.
-    ``tau`` is read once per legal continuation; ``legal`` is the
-    diagonalization's ``legality`` test."""
-    if pos.moves:
-        points, pool = range(len(space.points)), space.below(pos.moves[-1].subspace)
-    else:
-        points, pool = (None,), space.below(pos.root)
-    table: dict = {a: {} for a in points}
-    for a, by_reply in table.items():
-        for u in pool:
-            move = Move(pos.to_move, point=a, subspace=u)
-            if legal(pos, move):
-                reply = tau.move_at(pos.child(move))
-                if reply.subspace is not None:
-                    by_reply.setdefault(reply.point, []).append((u, reply.subspace))
+    point a, the ``(u, v)`` pairs such that (a, u) is among the
+    adversary's ``legal_moves`` and ``tau`` replies with a point b and
+    the subspace v, grouped by b, each list in subspace order.  Every
+    point has a key, with no pairs when none of its moves is legal, so
+    ``_triples`` ticks once per point and reply point at every state.
+    The adversary opens the empty state with a bare subspace, so a is
+    only None there.  ``tau`` is read once per legal continuation."""
+    table: dict = {a: {} for a in (range(len(space.points)) if pos.moves else (None,))}
+    for move in legal_moves(space, pos):
+        reply = tau.move_at(pos.child(move))
+        if reply.subspace is not None:
+            table[move.point].setdefault(reply.point, []).append((move.subspace, reply.subspace))
     return table
 
 
-def continuation_tables(space, legal, states, tau) -> list:
+def continuation_tables(space, states, tau) -> list:
     """Each nested state with its continuation table: one round's
     tables, built once for the chain and the stored pairs to share."""
-    return [(pos, _continuations(space, legal, pos, tau)) for pos in states]
+    return [(pos, _continuations(space, pos, tau)) for pos in states]
 
 
 def _triples(space, tables, budget):
@@ -156,7 +152,7 @@ def check_diagonalization(space, states, tau, r_star, budget=None) -> list:
     violating (state index, a, b) triples (empty list means verified)."""
     budget = budget or Budget(where="check_diagonalization")
     bad = []
-    tables = continuation_tables(space, legality(space), states, tau)
+    tables = continuation_tables(space, states, tau)
     for idx, _, a, b, candidates in _triples(space, tables, budget):
         compatible, pair = _star_fit(space, candidates, r_star)
         if compatible and pair is None:
@@ -273,9 +269,8 @@ def adversarial_from_kastanas(
         n_diagonal = rounds_total
 
     stored_by_round = []
-    legal = legality(space)
     for n in range(n_diagonal):
-        tables = continuation_tables(space, legal, states, tau)
+        tables = continuation_tables(space, states, tau)
         q_next = diagonalize_states(space, tables, chain[-1], budget)
         chain.append(q_next)
         stored, states = _stored_pairs_for(space, tables, q_next, budget)
@@ -764,9 +759,9 @@ def _transfer_to_asymptotic(space, sigma, payoff, provider, radius, budget, stag
         states[s] = None
         if parent is None:
             continue
-        for r in space.below(root):
+        for move in legal_moves(space, parent):
             budget.tick()
-            mid = parent.child(Move(Player.I, subspace=r))
+            mid = parent.child(move)
             reply = sigma.move_at(mid)
             if space.distance(reply.point, s[-1]) <= 2 * radius[len(s) - 1]:
                 states[s] = mid.child(reply)

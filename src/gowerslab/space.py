@@ -112,7 +112,6 @@ class SpaceInstance:
         self.system = system
         self.meta = dict(meta or {})
         self._below: dict[SubspaceId, tuple] = {}
-        self._lessapprox_below: dict[SubspaceId, tuple] = {}
         self._admitted: dict = {}
         self._moves: dict = {}  # player -> (point, subspace, block) -> games.Move
         # Rows are read off the relations as given, so a wrapper put on
@@ -225,14 +224,6 @@ class SpaceInstance:
         hit = self._below.get(p)
         if hit is None:
             hit = self._below[p] = tuple(bits(self._leq_column(p)))
-        return hit
-
-    def lessapprox_below(self, p: SubspaceId) -> tuple:
-        """Every q with q <= p and p <=* q."""
-        hit = self._lessapprox_below.get(p)
-        if hit is None:
-            hit = tuple(bits(self._leq_column(p) & self._star_row(p)))
-            self._lessapprox_below[p] = hit
         return hit
 
     def admitted_points(self, history: tuple, p: SubspaceId) -> tuple:

@@ -67,6 +67,7 @@ from gowerslab.reductions import (
 )
 from gowerslab.solver import expand, legality, table_rule
 import oracle
+from corpus import corpus_space
 from historywalk import count_histories, over_histories, walk_histories
 from microsuite import remembering_strategy
 
@@ -125,7 +126,6 @@ def _nested_rounds(label):
     args, make_payoff, owner, labels = NESTED[label]
     space = mathias_silver(*args)
     tau = _nested_strategy(space, make_payoff(space), owner, labels)
-    legal = legality(space)
     if owner is Player.II:
         states = [reductions._opening_state(tau, tau.horizon)]
         r, n_rounds = states[0].moves[0].subspace, tau.horizon // 2 - 1
@@ -134,7 +134,7 @@ def _nested_rounds(label):
         r, n_rounds = tau.root, tau.horizon // 2
     rounds = []
     for _ in range(max(n_rounds, 1)):
-        tables = continuation_tables(space, legal, states, tau)
+        tables = continuation_tables(space, states, tau)
         q = diagonalize_states(space, tables, r)
         rounds.append((states, tables, r, q))
         states = reductions._stored_pairs_for(space, tables, q, Budget())[1]
@@ -228,11 +228,11 @@ class TestContinuationTable:
                 reads.append(pos)
             return real_read(strategy, pos)
 
-        def tables(space, legal, states, tau):
+        def tables(space, states, tau):
             tabling.append(True)
             rounds.append(states)
             try:
-                return real_tables(space, legal, states, tau)
+                return real_tables(space, states, tau)
             finally:
                 tabling.clear()
 
@@ -265,28 +265,6 @@ class TestDiagonalization:
         counts = map(sum, zip(*map(_single_state_postcondition, NESTED)))
         assert all(count > 0 for count in counts)
 
-    @pytest.mark.parametrize("label", ["I/ms6-h2", "II/ms3-h4"])
-    def test_one_legality_check_per_rules_key_and_move(self, label, monkeypatch):
-        # The chain and its check each have one legality test; each
-        # candidate continuation used to get a ``move_legal`` call of
-        # its own.
-        space, tau, rounds = _nested_rounds(label)
-        checked = []
-
-        def counted_legal(spc, pos, move):
-            checked.append((pos.state(), move))
-            return move_legal(spc, pos, move)
-
-        monkeypatch.setattr(solver, "move_legal", counted_legal)
-        for states, _, r, _ in rounds:
-            checked[:] = []
-            tables = continuation_tables(space, legality(space), states, tau)
-            out = diagonalize_states(space, tables, r)
-            assert checked and len(checked) == len(set(checked))
-            checked[:] = []
-            assert check_diagonalization(space, states, tau, out) == []
-            assert checked and len(checked) == len(set(checked))
-
     def test_reply_ignoring_strategy_stabilizes(self):
         # A responder whose replies never depend on the probe, at a
         # horizon where her opening state has candidate continuations.
@@ -294,7 +272,7 @@ class TestDiagonalization:
         top = top_subspace(ms4)
         tau = _nested_strategy(ms4, build_payoff(ms4, "everything", 4), Player.II, [0, 1, 2, 3])
         states = [reductions._opening_state(tau, tau.horizon)]
-        tables = continuation_tables(ms4, legality(ms4), states, tau)
+        tables = continuation_tables(ms4, states, tau)
         assert any(by_reply for _, table in tables for by_reply in table.values())
         out = diagonalize_states(ms4, tables, top)
         assert check_diagonalization(ms4, states, tau, out) == []
@@ -310,11 +288,10 @@ def _single_state_postcondition(label) -> tuple:
     and none also star-above it.  Returns the numbers of compatible
     (state, a, b) triples, of stored pairs and of violations reported."""
     space, tau, rounds = _nested_rounds(label)
-    legal = legality(space)
     compatible = stored = violations = 0
     for states, _, r, _ in rounds:
         for pos in states:
-            tables = continuation_tables(space, legal, [pos], tau)
+            tables = continuation_tables(space, [pos], tau)
             [(_, table)] = tables
             q = diagonalize_states(space, tables, r)
             assert space.leq(q, r)
@@ -1041,6 +1018,14 @@ TRANSFERS = {
         lambda: _kastanas(mathias_silver(4, 3, 1), seeded_payoff(4, 86, 0.2), Player.II),
         (9, 9),
     ),
+    # Corpus spaces where the fused subspace lies above a minimal one, so
+    # that his subspace moves have more than one option.
+    "kastanas/II/corpus-7-h4": (
+        lambda: _kastanas(corpus_space(7), seeded_payoff(4, 3, 0.5), Player.II), (36, 36)
+    ),
+    "kastanas/II/corpus-58-h4": (
+        lambda: _kastanas(corpus_space(58), seeded_payoff(4, 0, 0.9), Player.II), (144, 144)
+    ),
     "kastanas/I/ms6": (
         lambda: _kastanas(
             mathias_silver(6, 2, 1),
@@ -1195,8 +1180,10 @@ def _state_of(key) -> tuple:
 # * his chooser-game strategies (F, SF): her moves, points or blocks, are
 #   in the state, and his own moves follow from them;
 # * one-round outputs, where the opponent's only move is the last one;
-# * the nested-game transfers: the fused subspace is minimal on these
-#   instances, so the opponent's subspace moves have one option.
+# * the nested-game transfers on Mathias-Silver instances: the fused
+#   subspace is minimal there, so the opponent's subspace moves have one
+#   option.  The corpus ones are not, and their differential is not
+#   vacuous.
 ONE_TO_ONE = {
     "F-from-G/ms6", "unfold/h1", "unfold/h2", "tilde/A-to-F", "lift/F-I",
     "strong-asymptotic/singletons", "tilde/B-to-G", "lift/G-II", "lift/A-I", "lift/B-II",
